@@ -42,11 +42,14 @@ class PolyCurve:
 
 @dataclass(frozen=True)
 class ArcData:
-    """Arclength coordinates: s cumulative (s[0] = 0), ds vertex weights, total length."""
+    """Arclength coordinates: s cumulative (s[0] = 0), ds vertex weights, total
+    length, and the edges X_{i+1} - X_i with their (positive) lengths."""
 
     s: np.ndarray
     ds: np.ndarray
     length: float
+    edges: np.ndarray
+    edge_lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,13 @@ def arc_data(curve: PolyCurve) -> ArcData:
     """Cumulative arclength s_i and the vertex quadrature weight
     ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2.
     """
-    el = edge_lengths(curve)
+    ev = edge_vectors(curve)
+    el = np.linalg.norm(ev, axis=1)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
     s = np.concatenate(([0.0], np.cumsum(el[:-1])))
     ds = 0.5 * (el + np.roll(el, 1))
-    return ArcData(s=s, ds=ds, length=float(el.sum()))
+    return ArcData(s=s, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
 
 
 def signed_area(curve: PolyCurve) -> float:
@@ -116,33 +120,28 @@ def frame_data(curve: PolyCurve) -> FrameData:
     divided by ds_i.
     """
     ad = arc_data(curve)
-    ev = edge_vectors(curve)
-    el = np.linalg.norm(ev, axis=1)
-    u = ev / el[:, None]
+    u = ad.edges / ad.edge_lengths[:, None]
     t = u + np.roll(u, 1, axis=0)
     tn = np.linalg.norm(t, axis=1)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
     t = t / tn[:, None]
     normal = np.stack([-t[:, 1], t[:, 0]], axis=1)
-    prev = np.roll(u, 1, axis=0)
-    # signed turning angle from the incoming to the outgoing edge
-    cross = prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0]
-    dot = np.einsum("ij,ij->i", prev, u)
-    theta = np.arctan2(cross, dot)
-    return FrameData(tangent=t, normal=normal, curvature=theta / ad.ds)
+    return FrameData(tangent=t, normal=normal, curvature=_turning(u) / ad.ds)
 
 
-def turning_angles(curve: PolyCurve) -> np.ndarray:
-    ev = edge_vectors(curve)
-    el = np.linalg.norm(ev, axis=1)
-    if el.min() <= 0.0:
-        raise DegenerateCurve("zero-length edge")
-    u = ev / el[:, None]
+def _turning(u: np.ndarray) -> np.ndarray:
+    """Signed turning angle at each vertex from the incoming to the outgoing
+    unit edge, given the unit edge vectors u."""
     prev = np.roll(u, 1, axis=0)
     cross = prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0]
     dot = np.einsum("ij,ij->i", prev, u)
     return np.arctan2(cross, dot)
+
+
+def turning_angles(curve: PolyCurve) -> np.ndarray:
+    ad = arc_data(curve)
+    return _turning(ad.edges / ad.edge_lengths[:, None])
 
 
 def _as_field(curve: PolyCurve, field) -> np.ndarray:
@@ -169,10 +168,9 @@ def norms(curve: PolyCurve, field) -> FieldNorms:
     # du edge measure 1/n, difference quotient df * n
     h1_du = float(np.sqrt(mag2.sum() / n + n * dmag2.sum()))
     ad = arc_data(curve)
-    el = edge_lengths(curve)
     l2_ds_sq = float((mag2 * ad.ds).sum())
     l2_ds = float(np.sqrt(l2_ds_sq))
-    h1_ds = float(np.sqrt(l2_ds_sq + (dmag2 / el).sum()))
+    h1_ds = float(np.sqrt(l2_ds_sq + (dmag2 / ad.edge_lengths).sum()))
     return FieldNorms(linf=linf, l2_du=l2_du, l2_ds=l2_ds, h1_du=h1_du, h1_ds=h1_ds)
 
 

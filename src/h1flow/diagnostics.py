@@ -17,7 +17,6 @@ from .curves import (
     PolyCurve,
     arc_data,
     chord_arc_min,
-    edge_lengths,
     frame_data,
     norms,
     signed_area,
@@ -105,22 +104,22 @@ def embeddedness_condition(curve: PolyCurve, _lhs: float | None = None) -> Embed
 
 
 def record(curve: PolyCurve, t: float, velocity_field: VelocityField | None = None) -> DiagnosticsRecord:
-    """All monitors for one state. Passing the velocity field (when the caller
-    already has it for stepping) avoids a second kernel assembly.
+    """All monitors for one state. velocity_field, when given, must be this
+    state's flow_velocity; passing it saves computing it again here.
     """
     ad = arc_data(curve)
     area = signed_area(curve)
     iso = ad.length ** 2 / (4.0 * math.pi * abs(area)) if area != 0.0 else math.inf
     fd = frame_data(curve)
     nm = norms(curve, curve.vertices)
-    edge_min = float(edge_lengths(curve).min())
+    edge_min = float(ad.edge_lengths.min())
     ca = chord_arc_min(curve).value
     max_k = float(np.abs(fd.curvature).max())
     if velocity_field is None:
         velocity_field = flow_velocity(curve)
     emb = embeddedness_condition(curve, _lhs=ca)
     # X_u in the uniform parametrization, |S^1| = 1
-    xu = math.sqrt(curve.n * (edge_lengths(curve) ** 2).sum())
+    xu = math.sqrt(curve.n * (ad.edge_lengths ** 2).sum())
     return DiagnosticsRecord(
         t=float(t),
         length=ad.length,

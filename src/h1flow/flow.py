@@ -18,7 +18,7 @@ import numpy as np
 from .curves import PolyCurve, total_length
 from .diagnostics import DiagnosticsRecord, record
 from .errors import DegenerateCurve
-from .gradient import VelocityField, flow_velocity
+from .gradient import velocity
 
 
 class Termination(enum.Enum):
@@ -75,102 +75,96 @@ class Trajectory:
 
 def step_euler(curve: PolyCurve, h: float) -> PolyCurve:
     """X + h V(X). h may be negative."""
-    vf = flow_velocity(curve)
-    return PolyCurve(curve.vertices + h * vf.velocity)
+    return PolyCurve(_advance(curve.vertices, h, "euler"))
 
 
 def step_rk4(curve: PolyCurve, h: float) -> PolyCurve:
     """Classical 4-stage step; each stage rebuilds the kernel for its own curve."""
-    X = curve.vertices
-    k1 = flow_velocity(curve).velocity
-    k2 = flow_velocity(PolyCurve(X + 0.5 * h * k1)).velocity
-    k3 = flow_velocity(PolyCurve(X + 0.5 * h * k2)).velocity
-    k4 = flow_velocity(PolyCurve(X + h * k3)).velocity
-    return PolyCurve(X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return PolyCurve(_advance(curve.vertices, h, "rk4"))
 
 
 def _advance(X: np.ndarray, h: float, method: str) -> np.ndarray:
     """One raw step on bare vertex arrays; no validation, so that non-finite
     results surface as data instead of exceptions."""
+    k1 = velocity(PolyCurve(X))
     if method == "euler":
-        vf = flow_velocity(PolyCurve(X))
-        return X + h * vf.velocity
-    k1 = flow_velocity(PolyCurve(X)).velocity
-    k2 = flow_velocity(PolyCurve(X + 0.5 * h * k1)).velocity
-    k3 = flow_velocity(PolyCurve(X + 0.5 * h * k2)).velocity
-    k4 = flow_velocity(PolyCurve(X + h * k3)).velocity
+        return X + h * k1
+    k2 = velocity(PolyCurve(X + 0.5 * h * k1))
+    k3 = velocity(PolyCurve(X + 0.5 * h * k2))
+    k4 = velocity(PolyCurve(X + h * k3))
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _profile(state: PolyCurve, t: float) -> PolyCurve:
+    """Y(t) = e^t (X(t) - X(t, vertex 0)); vertex 0 of Y is the origin."""
+    return PolyCurve(math.exp(t) * (state.vertices - state.vertices[0]))
 
 
 def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     """Integrate from t0 toward t1, recording every record_every steps plus the
     endpoints. Stops early when the length falls under the guard (LengthGuard)
-    or a step produces non-finite coordinates (NumericalFailure).
+    or a step produces non-finite coordinates (NumericalFailure). With
+    rescale_profile, the recorded states are those of asymptotic_profile.
     """
     if total_length(initial) <= cfg.min_length_guard:
         raise DegenerateCurve("initial length at or below the guard")
     h = cfg.signed_step
     nsteps = cfg.steps
 
+    first = _profile(initial, cfg.t0) if cfg.rescale_profile else initial
     times = [cfg.t0]
-    states = [initial]
-    recs = [record(initial, cfg.t0)]
+    states = [first]
+    recs = [record(first, cfg.t0)]
     termination = Termination.COMPLETED
 
     X = initial.vertices
-    t = cfg.t0
     for k in range(1, nsteps + 1):
         try:
-            X_new = _advance(X, h, cfg.method)
+            X = _advance(X, h, cfg.method)
         except (FloatingPointError, ValueError):
             # rk4 stage states can reject non-finite velocities at construction;
             # DegenerateCurve (collapsed edges mid-step) is a ValueError too
             termination = Termination.NUMERICAL_FAILURE
             break
-        t_new = cfg.t0 + k * h
-        if not np.isfinite(X_new).all():
+        t = cfg.t0 + k * h
+        if not np.isfinite(X).all():
             termination = Termination.NUMERICAL_FAILURE
             break
-        state = PolyCurve(X_new)
+        state = PolyCurve(X)
         L = total_length(state)
         if not math.isfinite(L):
             # finite coordinates can still overflow the edge norms; the
             # next velocity would be NaN, so the run has already failed
             termination = Termination.NUMERICAL_FAILURE
             break
-        if L <= cfg.min_length_guard:
+        guard = L <= cfg.min_length_guard
+        if guard:
             termination = Termination.LENGTH_GUARD
-            if L >= 1e-12:
-                try:
-                    rec = record(state, t_new)
-                except DegenerateCurve:
-                    break
-                times.append(t_new)
-                states.append(state)
-                recs.append(rec)
-            break
-        X, t = X_new, t_new
-        if k % cfg.record_every == 0 or k == nsteps:
+            if L < 1e-12:
+                break
+        if guard or k % cfg.record_every == 0 or k == nsteps:
+            if cfg.rescale_profile:
+                state = _profile(state, t)
             try:
                 rec = record(state, t)
             except DegenerateCurve:
-                # recorded states must be immersed; a cusp here means the
-                # discrete step has left the well-posed regime
-                termination = Termination.NUMERICAL_FAILURE
+                # recorded states must be immersed; a cusp here means the step
+                # has left the well-posed regime (at the guard: drop the state)
+                if not guard:
+                    termination = Termination.NUMERICAL_FAILURE
                 break
             times.append(t)
             states.append(state)
             recs.append(rec)
+        if guard:
+            break
 
-    traj = Trajectory(
+    return Trajectory(
         times=tuple(times),
         states=tuple(states),
         records=tuple(recs),
         termination=termination,
     )
-    if cfg.rescale_profile:
-        return asymptotic_profile(traj)
-    return traj
 
 
 def asymptotic_profile(traj: Trajectory) -> Trajectory:
@@ -179,8 +173,7 @@ def asymptotic_profile(traj: Trajectory) -> Trajectory:
     states = []
     recs = []
     for t, state in zip(traj.times, traj.states):
-        Y = math.exp(t) * (state.vertices - state.vertices[0])
-        prof = PolyCurve(Y)
+        prof = _profile(state, t)
         states.append(prof)
         recs.append(record(prof, t))
     return Trajectory(

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _as_field, arc_data, edge_lengths
-from .errors import DegenerateCurve
-from .kernel import KernelMatrix, kernel_matrix
+from .curves import PolyCurve, _as_field, arc_data
+from .kernel import KernelMatrix, apply_kernel, kernel_matrix
 
 
 @dataclass(frozen=True)
@@ -28,11 +27,10 @@ def h1ds_inner(curve: PolyCurve, v, w) -> float:
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     ad = arc_data(curve)
-    el = edge_lengths(curve)
     dv = np.roll(v, -1, axis=0) - v
     dw = np.roll(w, -1, axis=0) - w
     zero = float(np.einsum("ij,ij->", v * ad.ds[:, None], w))
-    one = float((np.einsum("ij,ij->i", dv, dw) / el).sum())
+    one = float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
     return zero + one
 
 
@@ -48,20 +46,23 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
     sum_edges <v_{i+1} - v_i, X_{i+1} - X_i> / |X_{i+1} - X_i|.
     """
     v = _as_field(curve, v)
-    ev = np.roll(curve.vertices, -1, axis=0) - curve.vertices
-    el = np.linalg.norm(ev, axis=1)
-    if el.min() <= 0.0:
-        raise DegenerateCurve("zero-length edge")
+    ad = arc_data(curve)
     dv = np.roll(v, -1, axis=0) - v
-    return float((np.einsum("ij,ij->i", dv, ev) / el).sum())
+    return float((np.einsum("ij,ij->i", dv, ad.edges) / ad.edge_lengths).sum())
+
+
+def velocity(curve: PolyCurve, km: KernelMatrix | None = None) -> np.ndarray:
+    """Velocity of the flow at every vertex, without the gradient norms; the
+    stepper's stages call this."""
+    if km is None:
+        km = kernel_matrix(curve)
+    X = curve.vertices
+    return -X - apply_kernel(km, X)
 
 
 def flow_velocity(curve: PolyCurve, km: KernelMatrix | None = None) -> VelocityField:
     """Velocity of the flow at every vertex plus the gradient norms."""
-    if km is None:
-        km = kernel_matrix(curve)
-    X = curve.vertices
-    V = -X - (km.G * km.ds[None, :]) @ X
+    V = velocity(curve, km)
     grad_sq = h1ds_inner(curve, V, V)
     grad_l2 = float(np.sqrt(l2ds_inner(curve, V, V)))
     return VelocityField(velocity=V, grad_norm_sq_h1ds=grad_sq, grad_norm_l2ds=grad_l2)

@@ -49,13 +49,18 @@ def kernel_matrix(curve: PolyCurve) -> KernelMatrix:
     return KernelMatrix(G=G, ds=ad.ds, length=L)
 
 
+def apply_kernel(km: KernelMatrix, f: np.ndarray) -> np.ndarray:
+    """sum_j G_ij ds_j f_j: the one place a kernel is applied to a vertex field."""
+    return (km.G * km.ds[None, :]) @ f
+
+
 def convolve_kernel(curve: PolyCurve, field) -> np.ndarray:
     """(field * K)_i = sum_j field_j (-G_ij) ds_j, the positive-kernel smoothing."""
     f = np.asarray(field, dtype=float)
     km = kernel_matrix(curve)
     if f.shape[0] != km.G.shape[0]:
         raise ValueError("field length must match vertex count")
-    return -(km.G * km.ds[None, :]) @ f
+    return -apply_kernel(km, f)
 
 
 def row_quadrature_defect(km: KernelMatrix) -> float:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.flow
+import h1flow.gradient
 from h1flow.errors import DegenerateCurve
 
 
@@ -86,6 +88,16 @@ class TestSingleSteps:
             ).max()
         assert gap[1e-2] <= gap[1e-1] / 25
         assert gap[1e-3] <= gap[1e-2] / 25
+
+    @pytest.mark.parametrize("method, step", [("euler", h.step_euler),
+                                              ("rk4", h.step_rk4)])
+    def test_single_step_matches_one_step_run(self, method, step):
+        # the public steppers and run_flow share one stepper
+        c = h.star(1.0, 0.3, 5, 64)
+        dt = 1e-2
+        traj = h.run_flow(c, h.FlowConfig(dt=dt, t1=dt, method=method))
+        assert len(traj.states) == 2
+        assert np.array_equal(step(c, dt).vertices, traj.states[-1].vertices)
 
     def test_rk4_single_step_matches_oracle(self, unit_circle_oracle):
         # n large enough that the spatial error clears the 1e-9 target
@@ -183,14 +195,52 @@ class TestAsymptoticProfile:
         flagged = h.run_flow(h.circle(1.0, 64),
                              h.FlowConfig(**cfg, rescale_profile=True))
         manual = h.asymptotic_profile(raw)
+        assert len(flagged.states) == len(manual.states) == 21
         for a, b in zip(flagged.states, manual.states):
             assert np.array_equal(a.vertices, b.vertices)
+        assert flagged.times == manual.times
+        assert flagged.termination is manual.termination
+        assert flagged.records == manual.records
 
     def test_profile_length_bounded(self, circle_t4_profile):
         # e^t L(t) settles instead of shrinking to zero
         Ls = [r.length for r in circle_t4_profile.records]
         assert min(Ls) > 2 * math.pi * 0.9
         assert max(Ls) < 2 * math.pi * math.sqrt(math.e) * 1.1
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    def test_rescaled_run_records_each_state_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, h1flow.flow, "record")
+        traj = h.run_flow(
+            h.circle(1.0, 32),
+            h.FlowConfig(dt=0.05, t1=0.5, record_every=2, rescale_profile=True),
+        )
+        assert len(traj.records) == 6
+        assert len(calls) == len(traj.records)
+
+    def test_rk4_gradient_norms_once_per_record(self, monkeypatch):
+        # the RK4 stages need the velocity only; the norms are for the records
+        calls = _count_calls(monkeypatch, h1flow.gradient, "h1ds_inner")
+        traj = h.run_flow(
+            h.circle(1.0, 32),
+            h.FlowConfig(dt=0.05, t1=0.5, method="rk4", record_every=5),
+        )
+        assert len(traj.records) == 3
+        assert len(calls) == len(traj.records)
 
 
 class TestTrajectoryLength:
