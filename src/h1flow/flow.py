@@ -1,9 +1,10 @@
 """Time integration of the flow, trajectory bookkeeping, profile rescaling.
 
-The kernel depends on the evolving arclengths, so it is rebuilt at every step
-and every RK stage; nothing is cached across steps. Forward runs shrink, and
-the continuum solution exists for all time in both directions, so negative
-steps are ordinary.
+The kernel depends on the evolving arclengths, so every step and every RK
+stage applies it afresh to its own state, in O(n) by exponential sweeps;
+nothing is cached across steps. Forward runs shrink, and the continuum
+solution exists for all time in both directions, so negative steps are
+ordinary.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def step_euler(curve: PolyCurve, h: float) -> PolyCurve:
 
 
 def step_rk4(curve: PolyCurve, h: float) -> PolyCurve:
-    """Classical 4-stage step; each stage rebuilds the kernel for its own curve."""
+    """Classical 4-stage step; each stage applies the kernel of its own curve."""
     return PolyCurve(_advance(curve.vertices, h, "rk4"))
 
 
@@ -114,7 +115,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     first = _profile(initial, cfg.t0) if cfg.rescale_profile else initial
     times = [cfg.t0]
     states = [first]
-    recs = [record(first, cfg.t0)]
+    # a finite state can still overflow its norms; the record keeps them as
+    # inf, and the loop below stops at the first non-finite length
+    with np.errstate(over="ignore"):
+        recs = [record(first, cfg.t0)]
     termination = Termination.COMPLETED
 
     X = initial.vertices
@@ -131,7 +135,8 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             termination = Termination.NUMERICAL_FAILURE
             break
         state = PolyCurve(X)
-        L = total_length(state)
+        with np.errstate(over="ignore"):
+            L = total_length(state)
         if not math.isfinite(L):
             # finite coordinates can still overflow the edge norms; the
             # next velocity would be NaN, so the run has already failed
@@ -146,7 +151,8 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             if cfg.rescale_profile:
                 state = _profile(state, t)
             try:
-                rec = record(state, t)
+                with np.errstate(over="ignore"):
+                    rec = record(state, t)
             except DegenerateCurve:
                 # recorded states must be immersed; a cusp here means the step
                 # has left the well-posed regime (at the guard: drop the state)

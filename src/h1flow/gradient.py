@@ -51,18 +51,16 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
     return float((np.einsum("ij,ij->i", dv, ad.edges) / ad.edge_lengths).sum())
 
 
-def velocity(curve: PolyCurve, km: KernelMatrix | None = None) -> np.ndarray:
+def velocity(curve: PolyCurve) -> np.ndarray:
     """Velocity of the flow at every vertex, without the gradient norms; the
     stepper's stages call this."""
-    if km is None:
-        km = kernel_matrix(curve)
     X = curve.vertices
-    return -X - apply_kernel(km, X)
+    return -X - apply_kernel(arc_data(curve), X)
 
 
-def flow_velocity(curve: PolyCurve, km: KernelMatrix | None = None) -> VelocityField:
+def flow_velocity(curve: PolyCurve) -> VelocityField:
     """Velocity of the flow at every vertex plus the gradient norms."""
-    V = velocity(curve, km)
+    V = velocity(curve)
     grad_sq = h1ds_inner(curve, V, V)
     grad_l2 = float(np.sqrt(l2ds_inner(curve, V, V)))
     return VelocityField(velocity=V, grad_norm_sq_h1ds=grad_sq, grad_norm_l2ds=grad_l2)

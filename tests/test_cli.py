@@ -74,7 +74,6 @@ class TestRuntimeErrors:
         assert "termination=length_guard" in out
         assert "error:" in err and "length_guard" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_stop(self, capsys):
         rc, out, err = run_cli(
             ["flow", "--size", "1e150", "--n", "64", "--dt", "0.1",
@@ -82,6 +81,15 @@ class TestRuntimeErrors:
         assert rc == 2
         assert "termination=numerical_failure" in out
         assert "numerical_failure" in err
+
+    def test_overflow_stop_prints_only_the_error(self, capsys):
+        # the overflowing norms of the recorded states stay inf in the output
+        # and print no NumPy warnings
+        rc, _, err = run_cli(
+            ["flow", "--shape", "circle", "--size", "1e150", "--n", "64",
+             "--dt", "0.1", "--t1", "1"], capsys)
+        assert rc == 2
+        assert err == "error: flow stopped early: numerical_failure\n"
 
     def test_unwritable_output(self, capsys):
         rc, _, err = run_cli(

@@ -156,6 +156,21 @@ class TestRunFlow:
         assert len(traj.times) >= 1
         assert traj.times[0] == 0.0
 
+    def test_backward_rk4_past_exp_range(self):
+        # L ~ 754 > 709: e^{L} overflows, so the kernel apply must segment.
+        # Not checked against the oracle: edges ~5.9 long under-resolve the
+        # kernel, whose row defect (~2 here) times |X| swamps the velocity
+        # (see README, Tests).
+        c = h.circle(120.0, 128)
+        assert h.total_length(c) > 750.0
+        traj = h.run_flow(c, h.FlowConfig(dt=1e-3, t1=-5e-3, method="rk4"))
+        assert traj.termination is h.Termination.COMPLETED
+        assert len(traj.states) == 6
+        for st, rec in zip(traj.states, traj.records):
+            assert np.isfinite(st.vertices).all()
+            assert all(math.isfinite(getattr(rec, name)) for name in h.CSV_COLUMNS
+                       if name != "embeddedness_ok")
+
     def test_forward_length_monotone(self, circle_t2):
         traj, _ = circle_t2
         lengths = [r.length for r in traj.records]

@@ -141,12 +141,13 @@ class TestFlowVelocity:
         )
         assert vf.grad_norm_sq_h1ds >= vf.grad_norm_l2ds ** 2
 
-    def test_kernel_matrix_reuse(self):
-        c = h.star(1.0, 0.3, 5, 64)
-        km = h.kernel_matrix(c)
-        a = h.flow_velocity(c).velocity
-        b = h.flow_velocity(c, km).velocity
-        assert np.array_equal(a, b)
+    def test_matches_dense_kernel(self):
+        for c in corpus():
+            km = h.kernel_matrix(c)
+            X = c.vertices
+            dense = -X - (km.G * km.ds[None, :]) @ X
+            V = h.flow_velocity(c).velocity
+            assert np.abs(V - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_rotation_equivariance(self):
         th = math.radians(30)

@@ -6,6 +6,7 @@ import pytest
 
 import h1flow as h
 from h1flow.errors import ConstantMapGuard, OutOfDomain
+from h1flow.kernel import apply_kernel
 
 
 class TestGreensValue:
@@ -113,8 +114,11 @@ class TestKernelMatrix:
 
     def test_guard_on_vanishing_curve(self):
         tiny = h.PolyCurve(1e-14 * h.circle(1.0, 16).vertices)
-        with pytest.raises(ConstantMapGuard):
+        with pytest.raises(ConstantMapGuard, match="below kernel guard"):
             h.kernel_matrix(tiny)
+        # the flow applies the kernel without the matrix; same guard, same message
+        with pytest.raises(ConstantMapGuard, match="below kernel guard"):
+            h.flow_velocity(tiny)
 
     def test_circulant_on_circle(self):
         # equal spacing makes G_ij depend only on i - j mod n
@@ -122,6 +126,33 @@ class TestKernelMatrix:
         first = km.G[0]
         for i in (1, 17, 50):
             assert np.allclose(km.G[i], np.roll(first, i), rtol=1e-12, atol=1e-15)
+
+
+SHAPES = {
+    "circle": lambda n: h.circle(1.0, n),
+    "square": lambda n: h.square(1.0, 4 * -(-n // 4)),  # n rounded up to 4k
+    "ellipse": lambda n: h.ellipse(1.0, 0.5, n),
+    "star": lambda n: h.star(1.0, 0.3, 5, n),
+    "barbell": lambda n: h.barbell(1.0, 0.25, n),
+}
+
+
+class TestApplyKernel:
+    # at L >= 1e3, e^{s} overflows past s ~ 709 on all but three n = 3 curves,
+    # so these cases pass only with a segmented sweep
+    @pytest.mark.parametrize("length", [1e-6, 1.0, 1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("n", [3, 64, 512])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_dense_product(self, shape, n, length):
+        base = SHAPES[shape](n)
+        c = h.PolyCurve(base.vertices * (length / h.total_length(base)))
+        f = np.random.default_rng(n).standard_normal((c.n, 2))
+        km = h.kernel_matrix(c)
+        dense = (km.G * km.ds[None, :]) @ f
+        swept = apply_kernel(h.arc_data(c), f)
+        assert np.isfinite(swept).all()
+        err = np.abs(swept - dense).max() / np.abs(dense).max()
+        assert err <= 1e-13
 
 
 class TestConvolution:
