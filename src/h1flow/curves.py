@@ -17,6 +17,11 @@ import numpy as np
 from .errors import DegenerateCurve
 
 
+# pair entries per chord-arc block (at least one row): for n <= 16384 each
+# temporary stays under glibc's 128 KiB mmap threshold
+_CHORD_BLOCK = 16384
+
+
 @dataclass(frozen=True)
 class PolyCurve:
     """Closed polygon: vertices[i] connects to vertices[(i+1) % n]."""
@@ -183,19 +188,38 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
 
     Ties resolve to the lexicographically lowest (i, j) pair. The value lies
     in (0, 1]; small values flag near self-contact.
+
+    Rows are taken in blocks i0:i1 against the columns i0+1:n, about
+    _CHORD_BLOCK pairs or one row at a time, so memory is O(n). Only j > i
+    is evaluated: the ratio is exactly symmetric (X_i - X_j negates
+    X_j - X_i, and the gap is an absolute value), so the lowest tied (i, j)
+    lies in that triangle. argmin keeps the first minimum of a block, and a
+    later block wins only when strictly smaller, or NaN, which argmin over
+    all pairs would pick.
     """
     ad = arc_data(curve)
-    v = curve.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    chord = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    gap = np.abs(ad.s[:, None] - ad.s[None, :])
-    arc = np.minimum(gap, ad.length - gap)
-    np.fill_diagonal(arc, 1.0)
-    np.fill_diagonal(chord, 2.0)  # ratio 2 > any off-diagonal value
-    ratio = chord / arc
-    flat = int(np.argmin(ratio))
-    i, j = divmod(flat, curve.n)
-    return ChordArcResult(value=float(ratio[i, j]), i=i, j=j)
+    n = curve.n
+    x = curve.vertices[:, 0]
+    y = curve.vertices[:, 1]
+    rows = max(1, _CHORD_BLOCK // n)
+    best = None
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        dx = x[i0:i1, None] - x[None, i0 + 1:]
+        dy = y[i0:i1, None] - y[None, i0 + 1:]
+        chord = np.sqrt(dx * dx + dy * dy)
+        gap = np.abs(ad.s[i0:i1, None] - ad.s[None, i0 + 1:])
+        arc = np.minimum(gap, ad.length - gap)
+        # column c of row r is the pair (i0 + r, i0 + 1 + c): upper iff c >= r
+        upper = np.arange(n - 1 - i0)[None, :] >= np.arange(i1 - i0)[:, None]
+        ratio = np.divide(chord, arc, out=np.full(chord.shape, np.inf), where=upper)
+        r, c = divmod(int(np.argmin(ratio)), ratio.shape[1])
+        value = ratio[r, c]
+        if best is None or not value >= best.value:
+            best = ChordArcResult(value=float(value), i=i0 + r, j=i0 + 1 + c)
+            if np.isnan(value):
+                break
+    return best
 
 
 def reindex(curve: PolyCurve, shift: int) -> PolyCurve:

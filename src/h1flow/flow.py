@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import PolyCurve, total_length
 from .diagnostics import DiagnosticsRecord, record
-from .errors import DegenerateCurve
+from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
 
 
@@ -86,14 +86,34 @@ def step_rk4(curve: PolyCurve, h: float) -> PolyCurve:
 
 def _advance(X: np.ndarray, h: float, method: str) -> np.ndarray:
     """One raw step on bare vertex arrays; no validation, so that non-finite
-    results surface as data instead of exceptions."""
+    results surface as data instead of exceptions. An RK4 stage state whose
+    coordinates or length are not finite ends the step with a NaN result,
+    before any velocity is evaluated on it."""
     k1 = velocity(PolyCurve(X))
     if method == "euler":
         return X + h * k1
-    k2 = velocity(PolyCurve(X + 0.5 * h * k1))
-    k3 = velocity(PolyCurve(X + 0.5 * h * k2))
-    k4 = velocity(PolyCurve(X + h * k3))
+    ks = [k1]
+    for c in (0.5 * h, 0.5 * h, h):
+        k = _stage_velocity(X + c * ks[-1])
+        if k is None:
+            return np.full_like(X, np.nan)
+        ks.append(k)
+    k1, k2, k3, k4 = ks
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stage_velocity(Y: np.ndarray) -> np.ndarray | None:
+    """Velocity at an RK4 stage state, or None when the state's coordinates
+    or its length are not finite (its kernel apply would be NaN)."""
+    # coordinates under 1e153 keep every squared edge component under 4e306,
+    # so no edge norm can overflow; only larger states are checked further
+    if not abs(Y).max() < 1e153:
+        if not np.isfinite(Y).all():
+            return None
+        with np.errstate(over="ignore"):
+            if not math.isfinite(total_length(PolyCurve(Y))):
+                return None
+    return velocity(PolyCurve(Y))
 
 
 def _profile(state: PolyCurve, t: float) -> PolyCurve:
@@ -125,9 +145,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     for k in range(1, nsteps + 1):
         try:
             X = _advance(X, h, cfg.method)
-        except (FloatingPointError, ValueError):
-            # rk4 stage states can reject non-finite velocities at construction;
-            # DegenerateCurve (collapsed edges mid-step) is a ValueError too
+        except (FloatingPointError, DegenerateCurve, ConstantMapGuard):
+            # a collapsed edge, a length under the kernel guard (reachable
+            # with min_length_guard = 0), or an error state set to "raise";
+            # non-finite stage states come back as NaN coordinates instead
             termination = Termination.NUMERICAL_FAILURE
             break
         t = cfg.t0 + k * h
@@ -153,9 +174,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             try:
                 with np.errstate(over="ignore"):
                     rec = record(state, t)
-            except DegenerateCurve:
-                # recorded states must be immersed; a cusp here means the step
-                # has left the well-posed regime (at the guard: drop the state)
+            except (DegenerateCurve, ConstantMapGuard):
+                # recorded states must be immersed and longer than the kernel
+                # guard; otherwise the step has left the well-posed regime
+                # (at the length guard: drop the state)
                 if not guard:
                     termination = Termination.NUMERICAL_FAILURE
                 break

@@ -91,6 +91,16 @@ class TestRuntimeErrors:
         assert rc == 2
         assert err == "error: flow stopped early: numerical_failure\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--rescale"]], ids=["raw", "rescale"])
+    def test_rk4_overflow_stop_prints_only_the_error(self, capsys, extra):
+        # the first RK4 stage state overflows its edge norms; the step ends
+        # there, before a velocity is evaluated on it
+        rc, _, err = run_cli(
+            ["flow", "--shape", "circle", "--size", "1e150", "--n", "64",
+             "--dt", "0.1", "--t1", "1", "--method", "rk4"] + extra, capsys)
+        assert rc == 2
+        assert err == "error: flow stopped early: numerical_failure\n"
+
     def test_unwritable_output(self, capsys):
         rc, _, err = run_cli(
             ["flow", "--n", "32", "--dt", "0.1", "--steps", "1",

@@ -1,5 +1,6 @@
 """Geometry layer: polygon validation, arclength data, frames, norms."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,34 @@ class TestNorms:
         assert h.sup_norm(c) == pytest.approx(11.0, rel=1e-12)
 
 
+def dense_chord_arc(curve):
+    """The n x n form of chord_arc_min: the reference its row blocks must
+    reproduce bit for bit, ties included."""
+    ad = h.arc_data(curve)
+    v = curve.vertices
+    diff = v[:, None, :] - v[None, :, :]
+    chord = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    gap = np.abs(ad.s[:, None] - ad.s[None, :])
+    arc = np.minimum(gap, ad.length - gap)
+    np.fill_diagonal(arc, 1.0)
+    np.fill_diagonal(chord, 2.0)  # ratio 2 > any off-diagonal value
+    ratio = chord / arc
+    i, j = divmod(int(np.argmin(ratio)), curve.n)
+    return float(ratio[i, j]), i, j
+
+
+def random_polygon(n, seed):
+    """Star-shaped polygon with sorted random angles and radii in [1, 1.3]."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = 1.0 + 0.3 * rng.uniform(size=n)
+    return h.PolyCurve(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))
+
+
+def as_tuple(res):
+    return res.value, res.i, res.j
+
+
 class TestChordArc:
     def test_circle_minimum_at_antipodes(self):
         n = 512
@@ -185,6 +214,121 @@ class TestChordArc:
         crossing = 2 * 0.1 / h.total_length(b)
         assert ca.value < 0.02
         assert ca.value == pytest.approx(crossing, rel=0.35)
+
+
+class TestChordArcBlocks:
+    """The row-block evaluation returns the dense (value, i, j) exactly."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 64, 255, 256, 257])
+    def test_regular_polygon_ties(self, n):
+        # a regular n-gon ties its antipodal pairs up to rounding, so the
+        # last bits and the tie-break decide (i, j)
+        c = h.circle(1.0, n)
+        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
+
+    @pytest.mark.parametrize("curve", [unit_square4(), h.square(1.0, 8),
+                                       h.star(1.0, 0.3, 5, 300),
+                                       h.barbell(1.0, 0.05, 400)],
+                             ids=["square4", "square8", "star", "barbell"])
+    def test_shapes(self, curve):
+        assert as_tuple(h.chord_arc_min(curve)) == dense_chord_arc(curve)
+
+    # n = 16384 // k - 1, 16384 // k, 16384 // k + 1: block edges just
+    # before, at and after a row
+    @pytest.mark.parametrize("n", [n for k in (16, 37, 64, 100)
+                                   for n in (16384 // k - 1, 16384 // k, 16384 // k + 1)])
+    def test_random_polygons_at_block_edges(self, n):
+        c = random_polygon(n, seed=n)
+        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
+
+    def test_exact_tie_across_blocks_keeps_the_first_pair(self):
+        # lattice square of side m through unit steps: s and L are exact
+        # integers, and exactly the two mid-side pairs reach chord / arc =
+        # m / 2m = 1/2, one in each of two different row blocks
+        m = 100
+        side = np.arange(m, dtype=float)
+        v = np.concatenate([
+            np.stack([side, np.zeros(m)], axis=1),
+            np.stack([np.full(m, m), side], axis=1),
+            np.stack([m - side, np.full(m, m)], axis=1),
+            np.stack([np.zeros(m), m - side], axis=1),
+        ])
+        c = h.PolyCurve(v)
+        rows = 16384 // c.n
+        assert (m // 2) // rows != (m + m // 2) // rows
+        res = h.chord_arc_min(c)
+        assert as_tuple(res) == dense_chord_arc(c) == (0.5, m // 2, 2 * m + m // 2)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_overflowing_coordinates(self, scale):
+        # inf chords at 1e155; inf arclengths and NaN ratios at 1e300, where
+        # both forms return the first NaN pair
+        c = h.PolyCurve(scale * h.star(1.0, 0.3, 5, 300).vertices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = as_tuple(h.chord_arc_min(c))
+            want = dense_chord_arc(c)
+        assert repr(got) == repr(want)
+
+    def test_memory_stays_o_n(self):
+        # the dense form allocates ~800 MB at this size
+        c = h.circle(1.0, 4096)
+        tracemalloc.start()
+        try:
+            h.chord_arc_min(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
+class TestChordArcInvariance:
+    """The monitor is a property of the curve as a set with its arclength:
+    rigid motions, cyclic re-indexing and reversal leave its value alone."""
+
+    CURVES = {
+        "star": h.star(1.0, 0.3, 5, 200),
+        "perturbed circle": h.PolyCurve(
+            h.circle(1.0, 211).vertices
+            * (1.0 + 0.05 * np.random.default_rng(7).standard_normal(211))[:, None]),
+    }
+
+    @pytest.fixture(params=sorted(CURVES))
+    def curve(self, request):
+        return self.CURVES[request.param]
+
+    def test_rotation_and_translation(self, curve):
+        base = h.chord_arc_min(curve).value
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            moved = h.PolyCurve(curve.vertices @ rot.T + rng.uniform(-5.0, 5.0, 2))
+            assert h.chord_arc_min(moved).value == pytest.approx(base, rel=1e-12)
+
+    def test_reindex(self, curve):
+        base = h.chord_arc_min(curve).value
+        for k in (1, 17, curve.n - 1):
+            assert h.chord_arc_min(h.reindex(curve, k)).value == pytest.approx(base, rel=1e-12)
+
+    def test_orientation_reversal(self, curve):
+        base = h.chord_arc_min(curve).value
+        flipped = h.PolyCurve(curve.vertices[::-1])
+        assert h.chord_arc_min(flipped).value == pytest.approx(base, rel=1e-12)
+
+    def test_unique_minimiser_follows_the_shift(self):
+        c = self.CURVES["perturbed circle"]
+        res = h.chord_arc_min(c)
+        ad = h.arc_data(c)
+        d = np.linalg.norm(c.vertices[:, None, :] - c.vertices[None, :, :], axis=2)
+        gap = np.abs(ad.s[:, None] - ad.s[None, :])
+        ratio = d / np.where(gap > 0, np.minimum(gap, ad.length - gap), 1.0)
+        np.fill_diagonal(ratio, 2.0)
+        # unique up to the (i, j) <-> (j, i) symmetry
+        assert np.count_nonzero(ratio <= res.value * (1 + 1e-9)) == 2
+        n = c.n
+        for k in (1, 17, n - 1):
+            moved = h.chord_arc_min(h.reindex(c, k))
+            assert (moved.i, moved.j) == tuple(sorted(((res.i - k) % n, (res.j - k) % n)))
 
 
 class TestReindex:

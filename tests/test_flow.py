@@ -99,6 +99,17 @@ class TestSingleSteps:
         assert len(traj.states) == 2
         assert np.array_equal(step(c, dt).vertices, traj.states[-1].vertices)
 
+    def test_non_finite_stage_state_ends_the_step(self):
+        # infinite coordinates, or finite ones whose edge norms overflow
+        Y = h.circle(1.0, 8).vertices.copy()
+        Y[3, 0] = np.inf
+        assert h1flow.flow._stage_velocity(Y) is None
+        assert h1flow.flow._stage_velocity(1e155 * h.circle(1.0, 8).vertices) is None
+        # past the cheap magnitude test, a finite length still goes on
+        big = 2e153 * h.circle(1.0, 8).vertices
+        assert np.array_equal(h1flow.flow._stage_velocity(big),
+                              h1flow.gradient.velocity(h.PolyCurve(big)))
+
     def test_rk4_single_step_matches_oracle(self, unit_circle_oracle):
         # n large enough that the spatial error clears the 1e-9 target
         dt = 1e-2
@@ -155,6 +166,36 @@ class TestRunFlow:
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
         assert len(traj.times) >= 1
         assert traj.times[0] == 0.0
+
+    def test_rk4_overflowing_stage_is_numerical_failure(self):
+        # the stage state's edge norms overflow; no warning may escape
+        traj = h.run_flow(h.circle(1e150, 64),
+                          h.FlowConfig(dt=0.1, t1=1.0, method="rk4"))
+        assert traj.termination is h.Termination.NUMERICAL_FAILURE
+        assert traj.times == (0.0,)
+        with pytest.raises(ValueError, match="finite"):
+            h.step_rk4(h.circle(1e150, 64), 0.1)
+
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_kernel_guard_mid_run_is_numerical_failure(self, method, record_every):
+        # with the length guard off the curve shrinks under the kernel's
+        # own guard, in a step or in a record; either ends the run instead
+        # of escaping from it
+        traj = h.run_flow(h.circle(1.0, 16),
+                          h.FlowConfig(dt=0.5, t1=60.0, method=method,
+                                       min_length_guard=0.0, record_every=record_every))
+        assert traj.termination is h.Termination.NUMERICAL_FAILURE
+        assert traj.records[-1].length >= h.MIN_KERNEL_LENGTH
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_programming_error_propagates(self, monkeypatch, method):
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(h1flow.flow, "velocity", broken)
+        with pytest.raises(ValueError, match="bug"):
+            h.run_flow(h.circle(1.0, 32), h.FlowConfig(dt=0.1, t1=0.2, method=method))
 
     def test_backward_rk4_past_exp_range(self):
         # L ~ 754 > 709: e^{L} overflows, so the kernel apply must segment.
