@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .curves import PolyCurve, total_length
+from .curves import PolyCurve
 from .errors import (
     ConstantMapGuard,
     DegenerateCurve,

@@ -3,7 +3,8 @@
 A curve is an ordered list of planar vertices with the closing edge implicit.
 Everything here is a pure function of the vertex array: arclength data, area,
 tangent/normal frames, discrete curvature, field norms in the du and ds
-measures, and the chord-arc embeddedness monitor.
+measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
+itself a curve, accepted in the curve's place, so a state is measured once.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class PolyCurve:
 
 
 @dataclass(frozen=True)
-class ArcData:
-    """Arclength coordinates: s cumulative (s[0] = 0), ds vertex weights, total
+class ArcData(PolyCurve):
+    """A measured curve: the vertices of a validated PolyCurve with their
+    arclength coordinates, s cumulative (s[0] = 0), ds vertex weights, total
     length, and the edges X_{i+1} - X_i with their (positive) lengths."""
 
     s: np.ndarray
@@ -55,6 +57,9 @@ class ArcData:
     length: float
     edges: np.ndarray
     edge_lengths: np.ndarray
+
+    def __post_init__(self):
+        """No revalidation: the vertices are those of a validated PolyCurve."""
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,19 @@ def total_length(curve: PolyCurve) -> float:
 
 def arc_data(curve: PolyCurve) -> ArcData:
     """Cumulative arclength s_i and the vertex quadrature weight
-    ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2.
+    ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2. A curve that is already
+    measured is returned as it is.
     """
+    if isinstance(curve, ArcData):
+        return curve
     ev = edge_vectors(curve)
     el = np.linalg.norm(ev, axis=1)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
     s = np.concatenate(([0.0], np.cumsum(el[:-1])))
     ds = 0.5 * (el + np.roll(el, 1))
-    return ArcData(s=s, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
+    return ArcData(vertices=curve.vertices, s=s, ds=ds, length=float(el.sum()),
+                   edges=ev, edge_lengths=el)
 
 
 def signed_area(curve: PolyCurve) -> float:

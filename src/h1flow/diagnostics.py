@@ -22,7 +22,7 @@ from .curves import (
     signed_area,
     sup_norm,
 )
-from .gradient import VelocityField, flow_velocity
+from .gradient import flow_velocity
 
 CSV_COLUMNS = (
     "t",
@@ -92,48 +92,43 @@ class MonotonicityReport:
         return all(v.passed for v in self.verdicts)
 
 
-def embeddedness_condition(curve: PolyCurve, _lhs: float | None = None) -> EmbeddednessCheck:
+def embeddedness_condition(curve: PolyCurve) -> EmbeddednessCheck:
     """Chord-arc minimum against the sufficient-condition threshold
     (L^2 sqrt(2 + |X|_inf^2) / 4) * exp(same); ok when the minimum clears it.
     """
-    lhs = chord_arc_min(curve).value if _lhs is None else _lhs
-    L = arc_data(curve).length
-    a = L * L * math.sqrt(2.0 + sup_norm(curve) ** 2) / 4.0
+    ad = arc_data(curve)
+    lhs = chord_arc_min(ad).value
+    L = ad.length
+    a = L * L * math.sqrt(2.0 + sup_norm(ad) ** 2) / 4.0
     rhs = a * math.exp(a) if a < 700.0 else math.inf
     return EmbeddednessCheck(ok=lhs > rhs, lhs=lhs, rhs=rhs)
 
 
-def record(curve: PolyCurve, t: float, velocity_field: VelocityField | None = None) -> DiagnosticsRecord:
-    """All monitors for one state. velocity_field, when given, must be this
-    state's flow_velocity; passing it saves computing it again here.
-    """
+def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
+    """All monitors for one state, from one measurement of its geometry."""
     ad = arc_data(curve)
-    area = signed_area(curve)
-    iso = ad.length ** 2 / (4.0 * math.pi * abs(area)) if area != 0.0 else math.inf
-    fd = frame_data(curve)
-    nm = norms(curve, curve.vertices)
-    edge_min = float(ad.edge_lengths.min())
-    ca = chord_arc_min(curve).value
-    max_k = float(np.abs(fd.curvature).max())
-    if velocity_field is None:
-        velocity_field = flow_velocity(curve)
-    emb = embeddedness_condition(curve, _lhs=ca)
+    area = signed_area(ad)
+    # a float64 square overflows to inf where a Python float power would raise
+    L2 = float(np.float64(ad.length) ** 2)
+    iso = L2 / (4.0 * math.pi * abs(area)) if area != 0.0 else math.inf
+    max_k = float(np.abs(frame_data(ad).curvature).max())
+    emb = embeddedness_condition(ad)
     # X_u in the uniform parametrization, |S^1| = 1
-    xu = math.sqrt(curve.n * (ad.edge_lengths ** 2).sum())
+    xu = math.sqrt(ad.n * (ad.edge_lengths ** 2).sum())
     return DiagnosticsRecord(
         t=float(t),
         length=ad.length,
         area=area,
         iso_ratio=iso,
-        deficit=ad.length ** 2 - 4.0 * math.pi * area,
-        linf=sup_norm(curve),
-        l2ds=nm.l2_ds,
+        deficit=L2 - 4.0 * math.pi * area,
+        linf=sup_norm(ad),
+        l2ds=norms(ad, ad.vertices).l2_ds,
         xu_l2=xu,
-        min_edge=edge_min,
-        chord_arc_min=ca,
+        min_edge=float(ad.edge_lengths.min()),
+        chord_arc_min=emb.lhs,
         max_abs_k=max_k,
         rescaled_max_k=math.exp(-t) * max_k,
-        grad_sq_h1ds=velocity_field.grad_norm_sq_h1ds,
+        grad_sq_h1ds=flow_velocity(ad).grad_norm_sq_h1ds,
         embeddedness_ok=emb.ok,
     )
 

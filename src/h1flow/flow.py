@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, total_length
-from .diagnostics import DiagnosticsRecord, record
+from .curves import PolyCurve, arc_data, total_length
+from .diagnostics import record
 from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
 
@@ -76,20 +76,21 @@ class Trajectory:
 
 def step_euler(curve: PolyCurve, h: float) -> PolyCurve:
     """X + h V(X). h may be negative."""
-    return PolyCurve(_advance(curve.vertices, h, "euler"))
+    return PolyCurve(_advance(curve, h, "euler"))
 
 
 def step_rk4(curve: PolyCurve, h: float) -> PolyCurve:
     """Classical 4-stage step; each stage applies the kernel of its own curve."""
-    return PolyCurve(_advance(curve.vertices, h, "rk4"))
+    return PolyCurve(_advance(curve, h, "rk4"))
 
 
-def _advance(X: np.ndarray, h: float, method: str) -> np.ndarray:
-    """One raw step on bare vertex arrays; no validation, so that non-finite
-    results surface as data instead of exceptions. An RK4 stage state whose
+def _advance(curve: PolyCurve, h: float, method: str) -> np.ndarray:
+    """One step to bare vertices, unvalidated so that non-finite results
+    surface as data instead of exceptions. An RK4 stage state whose
     coordinates or length are not finite ends the step with a NaN result,
     before any velocity is evaluated on it."""
-    k1 = velocity(PolyCurve(X))
+    X = curve.vertices
+    k1 = velocity(curve)
     if method == "euler":
         return X + h * k1
     ks = [k1]
@@ -105,15 +106,11 @@ def _advance(X: np.ndarray, h: float, method: str) -> np.ndarray:
 def _stage_velocity(Y: np.ndarray) -> np.ndarray | None:
     """Velocity at an RK4 stage state, or None when the state's coordinates
     or its length are not finite (its kernel apply would be NaN)."""
-    # coordinates under 1e153 keep every squared edge component under 4e306,
-    # so no edge norm can overflow; only larger states are checked further
-    if not abs(Y).max() < 1e153:
-        if not np.isfinite(Y).all():
-            return None
-        with np.errstate(over="ignore"):
-            if not math.isfinite(total_length(PolyCurve(Y))):
-                return None
-    return velocity(PolyCurve(Y))
+    if not np.isfinite(Y).all():
+        return None
+    with np.errstate(over="ignore"):
+        ad = arc_data(PolyCurve(Y))
+    return velocity(ad) if math.isfinite(ad.length) else None
 
 
 def _profile(state: PolyCurve, t: float) -> PolyCurve:
@@ -132,23 +129,23 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     h = cfg.signed_step
     nsteps = cfg.steps
 
-    first = _profile(initial, cfg.t0) if cfg.rescale_profile else initial
-    times = [cfg.t0]
-    states = [first]
     # a finite state can still overflow its norms; the record keeps them as
     # inf, and the loop below stops at the first non-finite length
     with np.errstate(over="ignore"):
-        recs = [record(first, cfg.t0)]
+        ad = arc_data(initial)
+        first = _profile(initial, cfg.t0) if cfg.rescale_profile else initial
+        recs = [record(first if cfg.rescale_profile else ad, cfg.t0)]
+    times = [cfg.t0]
+    states = [first]
     termination = Termination.COMPLETED
 
-    X = initial.vertices
     for k in range(1, nsteps + 1):
         try:
-            X = _advance(X, h, cfg.method)
+            X = _advance(ad, h, cfg.method)
         except (FloatingPointError, DegenerateCurve, ConstantMapGuard):
-            # a collapsed edge, a length under the kernel guard (reachable
-            # with min_length_guard = 0), or an error state set to "raise";
-            # non-finite stage states come back as NaN coordinates instead
+            # a collapsed edge in an RK4 stage, a length under the kernel
+            # guard (reachable with min_length_guard = 0), or an error state
+            # set to "raise"; non-finite stage states come back as NaN
             termination = Termination.NUMERICAL_FAILURE
             break
         t = cfg.t0 + k * h
@@ -157,23 +154,29 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             break
         state = PolyCurve(X)
         with np.errstate(over="ignore"):
-            L = total_length(state)
-        if not math.isfinite(L):
+            try:
+                ad = arc_data(state)
+            except DegenerateCurve:
+                # no velocity on a collapsed edge: the run ends here
+                short = total_length(state) <= cfg.min_length_guard
+                termination = Termination.LENGTH_GUARD if short else Termination.NUMERICAL_FAILURE
+                break
+        if not math.isfinite(ad.length):
             # finite coordinates can still overflow the edge norms; the
             # next velocity would be NaN, so the run has already failed
             termination = Termination.NUMERICAL_FAILURE
             break
-        guard = L <= cfg.min_length_guard
+        guard = ad.length <= cfg.min_length_guard
         if guard:
             termination = Termination.LENGTH_GUARD
-            if L < 1e-12:
+            if ad.length < 1e-12:
                 break
         if guard or k % cfg.record_every == 0 or k == nsteps:
             if cfg.rescale_profile:
                 state = _profile(state, t)
             try:
                 with np.errstate(over="ignore"):
-                    rec = record(state, t)
+                    rec = record(state if cfg.rescale_profile else ad, t)
             except (DegenerateCurve, ConstantMapGuard):
                 # recorded states must be immersed and longer than the kernel
                 # guard; otherwise the step has left the well-posed regime

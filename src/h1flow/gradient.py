@@ -29,9 +29,8 @@ def h1ds_inner(curve: PolyCurve, v, w) -> float:
     ad = arc_data(curve)
     dv = np.roll(v, -1, axis=0) - v
     dw = np.roll(w, -1, axis=0) - w
-    zero = float(np.einsum("ij,ij->", v * ad.ds[:, None], w))
     one = float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
-    return zero + one
+    return l2ds_inner(ad, v, w) + one
 
 
 def l2ds_inner(curve: PolyCurve, v, w) -> float:
@@ -60,9 +59,10 @@ def velocity(curve: PolyCurve) -> np.ndarray:
 
 def flow_velocity(curve: PolyCurve) -> VelocityField:
     """Velocity of the flow at every vertex plus the gradient norms."""
-    V = velocity(curve)
-    grad_sq = h1ds_inner(curve, V, V)
-    grad_l2 = float(np.sqrt(l2ds_inner(curve, V, V)))
+    ad = arc_data(curve)
+    V = velocity(ad)
+    grad_sq = h1ds_inner(ad, V, V)
+    grad_l2 = float(np.sqrt(l2ds_inner(ad, V, V)))
     return VelocityField(velocity=V, grad_norm_sq_h1ds=grad_sq, grad_norm_l2ds=grad_l2)
 
 

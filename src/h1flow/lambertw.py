@@ -94,8 +94,3 @@ class CircleSolution:
 
     def radius(self, t: float) -> float:
         return math.sqrt(lambert_w0_of_exp(self.c - 2.0 * t))
-
-
-def circle_radius(sol: CircleSolution, t: float) -> float:
-    """Radius of the exact circle solution at time t (t < 0 allowed)."""
-    return sol.radius(t)

@@ -54,15 +54,13 @@ def path_length_l2ds(path: CurvePath) -> float:
     dt = 1.0 / (m - 1)
     total = 0.0
     for k in range(m - 1):
-        left = path.frames[k]
+        left = arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
-        ds = arc_data(left).ds
         if path.mode == "quotient":
-            N = frame_data(left).normal
-            vn = np.einsum("ij,ij->i", v, N)
-            speed_sq = float((vn * vn * ds).sum())
+            vn = np.einsum("ij,ij->i", v, frame_data(left).normal)
+            speed_sq = float((vn * vn * left.ds).sum())
         else:
-            speed_sq = float((np.einsum("ij,ij->i", v, v) * ds).sum())
+            speed_sq = float((np.einsum("ij,ij->i", v, v) * left.ds).sum())
         total += np.sqrt(speed_sq) * dt
     return float(total)
 

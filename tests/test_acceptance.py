@@ -210,6 +210,9 @@ def test_ac15_symmetry_equivariance():
     shifted_final = h.run_flow(h.reindex(initial, 7), cfg)
     assert np.abs(np.roll(base_final, -7, axis=0)
                   - shifted_final.states[-1].vertices).max() <= 1e-12
+    reversed_final = h.run_flow(h.PolyCurve(initial.vertices[::-1]), cfg)
+    assert np.abs(base_final[::-1]
+                  - reversed_final.states[-1].vertices).max() <= 1e-12
 
 
 def test_ac16_reshaping_power_runs_out(square_trajs):

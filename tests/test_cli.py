@@ -91,6 +91,16 @@ class TestRuntimeErrors:
         assert rc == 2
         assert err == "error: flow stopped early: numerical_failure\n"
 
+    def test_length_square_overflow_prints_only_the_error(self, capsys):
+        # L ~ 6.3e154: L^2 overflows the double range in the first record,
+        # which must end the run like any other overflow
+        rc, out, err = run_cli(
+            ["flow", "--shape", "circle", "--size", "1e154", "--n", "64",
+             "--dt", "0.1", "--t1", "1"], capsys)
+        assert rc == 2
+        assert out.startswith("termination=numerical_failure t=0 ")
+        assert err == "error: flow stopped early: numerical_failure\n"
+
     @pytest.mark.parametrize("extra", [[], ["--rescale"]], ids=["raw", "rescale"])
     def test_rk4_overflow_stop_prints_only_the_error(self, capsys, extra):
         # the first RK4 stage state overflows its edge norms; the step ends

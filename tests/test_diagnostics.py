@@ -50,13 +50,6 @@ class TestRecord:
             h.record(c, 0.0).iso_ratio, rel=1e-12
         )
 
-    def test_velocity_field_reuse_identical(self):
-        c = h.star(1.0, 0.3, 5, 64)
-        vf = h.flow_velocity(c)
-        a = h.record(c, 1.5)
-        b = h.record(c, 1.5, velocity_field=vf)
-        assert a == b
-
     def test_ellipse_curvature_extreme(self):
         # max |k| of the 2:1 ellipse is a / b^2 = 4
         rec = h.record(h.ellipse(1.0, 0.5, 512), 0.0)

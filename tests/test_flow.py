@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.curves
 import h1flow.flow
 import h1flow.gradient
 from h1flow.errors import DegenerateCurve
@@ -105,7 +106,7 @@ class TestSingleSteps:
         Y[3, 0] = np.inf
         assert h1flow.flow._stage_velocity(Y) is None
         assert h1flow.flow._stage_velocity(1e155 * h.circle(1.0, 8).vertices) is None
-        # past the cheap magnitude test, a finite length still goes on
+        # a large state whose length is finite still goes on
         big = 2e153 * h.circle(1.0, 8).vertices
         assert np.array_equal(h1flow.flow._stage_velocity(big),
                               h1flow.gradient.velocity(h.PolyCurve(big)))
@@ -166,6 +167,43 @@ class TestRunFlow:
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
         assert len(traj.times) >= 1
         assert traj.times[0] == 0.0
+
+    def test_length_square_overflow_is_numerical_failure(self):
+        # L ~ 6.3e154, so L^2 in the first record overflows the double range
+        traj = h.run_flow(h.circle(1e154, 64), h.FlowConfig(dt=0.1, t1=1.0))
+        assert traj.termination is h.Termination.NUMERICAL_FAILURE
+        assert traj.times == (0.0,)
+        # the record keeps the overflowed square as a non-finite deficit
+        assert math.isfinite(traj.records[0].length)
+        assert not math.isfinite(traj.records[0].deficit)
+
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    @pytest.mark.parametrize("side, guard, expected", [
+        (1.0, 1e-8, h.Termination.NUMERICAL_FAILURE),
+        (1e-9, 1e-8, h.Termination.LENGTH_GUARD),
+    ], ids=["failure", "guard"])
+    def test_collapsed_edge_ends_the_run(self, monkeypatch, record_every,
+                                         side, guard, expected):
+        # a step that merges two vertices leaves no velocity to take; the
+        # length guard names it when the curve is that short
+        collapsed = h.square(side, 8).vertices.copy()
+        collapsed[1] = collapsed[0]
+        monkeypatch.setattr(h1flow.flow, "_advance", lambda *args: collapsed)
+        traj = h.run_flow(h.circle(1.0, 8),
+                          h.FlowConfig(dt=0.1, t1=1.0, min_length_guard=guard,
+                                       record_every=record_every))
+        assert traj.termination is expected
+        assert traj.times == (0.0,)
+
+    def test_rk4_forward_backward_round_trip(self):
+        # the flow is well posed in both directions, so running back from
+        # t = 1 returns to the initial curve up to the integrator's error
+        c = h.star(1.0, 0.3, 5, 64)
+        fwd = h.run_flow(c, h.FlowConfig(dt=0.01, t1=1.0, method="rk4"))
+        back = h.run_flow(fwd.states[-1],
+                          h.FlowConfig(dt=0.01, t0=1.0, t1=0.0, method="rk4"))
+        assert back.termination is h.Termination.COMPLETED
+        assert np.abs(back.states[-1].vertices - c.vertices).max() <= 1e-11
 
     def test_rk4_overflowing_stage_is_numerical_failure(self):
         # the stage state's edge norms overflow; no warning may escape
@@ -297,6 +335,33 @@ class TestWorkCounts:
         )
         assert len(traj.records) == 3
         assert len(calls) == len(traj.records)
+
+    def test_geometry_measured_once_per_state(self, monkeypatch):
+        # every function that takes a curve reuses the ArcData it is given
+        built = []
+        init = h1flow.curves.ArcData.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(h1flow.curves.ArcData, "__init__", counted)
+        c = h.star(1.0, 0.3, 5, 256)
+        h.record(c, 0.0)
+        assert len(built) == 1
+        built.clear()
+        h.flow_velocity(c)
+        assert len(built) == 1
+        frames = tuple(h.PolyCurve(s * c.vertices) for s in (1.0, 0.9, 0.8))
+        built.clear()
+        h.path_length_l2ds(h.CurvePath(frames=frames, mode="quotient"))
+        assert len(built) == 2
+        built.clear()
+        traj = h.run_flow(c, h.FlowConfig(dt=1e-3, t1=0.1, record_every=100))
+        assert len(traj.records) == 2
+        # the initial state and the 100 stepped ones
+        assert len(built) == 101
+        assert all(type(s) is h.PolyCurve for s in traj.states)
 
 
 class TestTrajectoryLength:

@@ -148,7 +148,3 @@ class TestCircleSolution:
             h.CircleSolution(0.0)
         with pytest.raises(ValueError):
             h.CircleSolution(-1.0)
-
-    def test_circle_radius_alias(self):
-        sol = h.CircleSolution(1.0)
-        assert h.circle_radius(sol, 2.0) == sol.radius(2.0)
