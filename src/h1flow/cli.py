@@ -175,9 +175,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConstantMapGuard, DegenerateCurve, OSError, OverflowError) as exc:
-        # guards and I/O failures are runtime errors; these subclass ValueError,
-        # so they must be tried before the generic usage-error branch
+    except (ConstantMapGuard, DegenerateCurve, OSError, OverflowError,
+            FloatingPointError) as exc:
+        # guards, I/O and numerical failures are runtime errors; the guards
+        # subclass ValueError, so they must be tried before the usage branch
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OutOfDomain, NonMonotoneTwist, MismatchedFrames) as exc:

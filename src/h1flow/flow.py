@@ -5,6 +5,11 @@ stage applies it afresh to its own state, in O(n) by exponential sweeps;
 nothing is cached across steps. Forward runs shrink, and the continuum
 solution exists for all time in both directions, so negative steps are
 ordinary.
+
+The flow acts on immersed curves of finite length. Every state it takes,
+the initial one, each RK4 stage and each stepped one, passes once through
+_measure, which returns its arclength data or refuses it; the Euler and
+RK4 steppers are internal to run_flow.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, arc_data, total_length
+from .curves import ArcData, PolyCurve, arc_data, total_length
 from .diagnostics import record
 from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
@@ -39,6 +44,10 @@ class FlowConfig:
     rescale_profile: bool = False
 
     def __post_init__(self):
+        for name in ("t0", "t1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.dt > 2.0:
@@ -74,43 +83,32 @@ class Trajectory:
         return len(self.times)
 
 
-def step_euler(curve: PolyCurve, h: float) -> PolyCurve:
-    """X + h V(X). h may be negative."""
-    return PolyCurve(_advance(curve, h, "euler"))
+def _measure(X: np.ndarray) -> ArcData:
+    """The measured state with vertices X: the one place where the flow
+    accepts a state or refuses it. Non-finite coordinates, or finite ones
+    whose length overflows, raise FloatingPointError; the flow has no
+    velocity there. A collapsed edge raises DegenerateCurve."""
+    if not np.isfinite(X).all():
+        raise FloatingPointError("curve coordinates are not finite")
+    with np.errstate(over="ignore"):
+        ad = arc_data(PolyCurve(X))
+    if not math.isfinite(ad.length):
+        raise FloatingPointError("curve length overflows the double range")
+    return ad
 
 
-def step_rk4(curve: PolyCurve, h: float) -> PolyCurve:
-    """Classical 4-stage step; each stage applies the kernel of its own curve."""
-    return PolyCurve(_advance(curve, h, "rk4"))
-
-
-def _advance(curve: PolyCurve, h: float, method: str) -> np.ndarray:
-    """One step to bare vertices, unvalidated so that non-finite results
-    surface as data instead of exceptions. An RK4 stage state whose
-    coordinates or length are not finite ends the step with a NaN result,
-    before any velocity is evaluated on it."""
-    X = curve.vertices
-    k1 = velocity(curve)
+def _advance(ad: ArcData, h: float, method: str) -> np.ndarray:
+    """One Euler or classical RK4 step from a measured state to bare
+    vertices; h may be negative. Each RK4 stage state is measured, and so
+    applies the kernel of its own curve, before its velocity is taken."""
+    X = ad.vertices
+    k1 = velocity(ad)
     if method == "euler":
         return X + h * k1
-    ks = [k1]
-    for c in (0.5 * h, 0.5 * h, h):
-        k = _stage_velocity(X + c * ks[-1])
-        if k is None:
-            return np.full_like(X, np.nan)
-        ks.append(k)
-    k1, k2, k3, k4 = ks
+    k2 = velocity(_measure(X + 0.5 * h * k1))
+    k3 = velocity(_measure(X + 0.5 * h * k2))
+    k4 = velocity(_measure(X + h * k3))
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _stage_velocity(Y: np.ndarray) -> np.ndarray | None:
-    """Velocity at an RK4 stage state, or None when the state's coordinates
-    or its length are not finite (its kernel apply would be NaN)."""
-    if not np.isfinite(Y).all():
-        return None
-    with np.errstate(over="ignore"):
-        ad = arc_data(PolyCurve(Y))
-    return velocity(ad) if math.isfinite(ad.length) else None
 
 
 def _profile(state: PolyCurve, t: float) -> PolyCurve:
@@ -121,18 +119,20 @@ def _profile(state: PolyCurve, t: float) -> PolyCurve:
 def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     """Integrate from t0 toward t1, recording every record_every steps plus the
     endpoints. Stops early when the length falls under the guard (LengthGuard)
-    or a step produces non-finite coordinates (NumericalFailure). With
+    or a step reaches a state that _measure refuses (NumericalFailure). With
     rescale_profile, the recorded states are those of asymptotic_profile.
+    An initial curve that _measure refuses raises its error, and one at or
+    below the length guard raises DegenerateCurve.
     """
-    if total_length(initial) <= cfg.min_length_guard:
-        raise DegenerateCurve("initial length at or below the guard")
     h = cfg.signed_step
     nsteps = cfg.steps
 
-    # a finite state can still overflow its norms; the record keeps them as
-    # inf, and the loop below stops at the first non-finite length
+    # a finite length can still overflow the record's norms; the record
+    # keeps them as inf
     with np.errstate(over="ignore"):
-        ad = arc_data(initial)
+        ad = _measure(initial.vertices)
+        if ad.length <= cfg.min_length_guard:
+            raise DegenerateCurve("initial length at or below the guard")
         first = _profile(initial, cfg.t0) if cfg.rescale_profile else initial
         recs = [record(first if cfg.rescale_profile else ad, cfg.t0)]
     times = [cfg.t0]
@@ -143,28 +143,21 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
         try:
             X = _advance(ad, h, cfg.method)
         except (FloatingPointError, DegenerateCurve, ConstantMapGuard):
-            # a collapsed edge in an RK4 stage, a length under the kernel
-            # guard (reachable with min_length_guard = 0), or an error state
-            # set to "raise"; non-finite stage states come back as NaN
+            # an RK4 stage state refused by _measure, a length under the
+            # kernel guard (reachable with min_length_guard = 0), or an
+            # error state set to "raise"
             termination = Termination.NUMERICAL_FAILURE
             break
         t = cfg.t0 + k * h
-        if not np.isfinite(X).all():
+        try:
+            ad = _measure(X)
+        except FloatingPointError:
             termination = Termination.NUMERICAL_FAILURE
             break
-        state = PolyCurve(X)
-        with np.errstate(over="ignore"):
-            try:
-                ad = arc_data(state)
-            except DegenerateCurve:
-                # no velocity on a collapsed edge: the run ends here
-                short = total_length(state) <= cfg.min_length_guard
-                termination = Termination.LENGTH_GUARD if short else Termination.NUMERICAL_FAILURE
-                break
-        if not math.isfinite(ad.length):
-            # finite coordinates can still overflow the edge norms; the
-            # next velocity would be NaN, so the run has already failed
-            termination = Termination.NUMERICAL_FAILURE
+        except DegenerateCurve:
+            # no velocity on a collapsed edge: the run ends here
+            short = total_length(PolyCurve(X)) <= cfg.min_length_guard
+            termination = Termination.LENGTH_GUARD if short else Termination.NUMERICAL_FAILURE
             break
         guard = ad.length <= cfg.min_length_guard
         if guard:
@@ -172,8 +165,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             if ad.length < 1e-12:
                 break
         if guard or k % cfg.record_every == 0 or k == nsteps:
-            if cfg.rescale_profile:
-                state = _profile(state, t)
+            state = _profile(ad, t) if cfg.rescale_profile else PolyCurve(ad.vertices)
             try:
                 with np.errstate(over="ignore"):
                     rec = record(state if cfg.rescale_profile else ad, t)

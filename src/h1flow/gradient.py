@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve, _as_field, arc_data
-from .kernel import KernelMatrix, apply_kernel, kernel_matrix
+from .kernel import apply_kernel, kernel_matrix
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,13 @@ def flow_velocity(curve: PolyCurve) -> VelocityField:
     return VelocityField(velocity=V, grad_norm_sq_h1ds=grad_sq, grad_norm_l2ds=grad_l2)
 
 
-def flow_velocity_centered(curve: PolyCurve, km: KernelMatrix | None = None) -> np.ndarray:
+def flow_velocity_centered(curve: PolyCurve) -> np.ndarray:
     """Verification alias: V_i = sum_j (X_i - X_j) G_ij ds_j.
 
     Expanding and using sum_j G_ij ds_j ~ -1 recovers the direct form, so
     the two agree up to the row-quadrature defect times |X_i|.
     """
-    if km is None:
-        km = kernel_matrix(curve)
+    km = kernel_matrix(curve)
     X = curve.vertices
     w = km.G * km.ds[None, :]
     return X * w.sum(axis=1)[:, None] - w @ X

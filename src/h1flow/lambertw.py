@@ -9,6 +9,7 @@ negative times, where e^{c-2t} overflows long before the radius does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import OutOfDomain
@@ -90,7 +91,14 @@ class CircleSolution:
         if not self.r0 > 0.0:
             raise ValueError("r0 must be positive")
         r0sq = self.r0 * self.r0
+        # a finite normal r0^2 keeps log(r0^2), and so c, finite and exact
+        if not sys.float_info.min <= r0sq < math.inf:
+            raise OutOfDomain(f"r0 = {self.r0!r}: r0^2 = {r0sq!r} is not a finite normal double")
         object.__setattr__(self, "c", r0sq + math.log(r0sq))
 
     def radius(self, t: float) -> float:
-        return math.sqrt(lambert_w0_of_exp(self.c - 2.0 * t))
+        y = self.c - 2.0 * t
+        # y = -inf is the limit r = 0; NaN and +inf have no radius
+        if not y < math.inf:
+            raise OutOfDomain(f"t = {t!r}: c - 2t = {y!r} has no finite radius")
+        return math.sqrt(lambert_w0_of_exp(y))

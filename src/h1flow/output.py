@@ -54,7 +54,7 @@ def _lerp_color(f: float) -> str:
     return f"#{r:02x}00{b:02x}"
 
 
-def write_svg(states, path, stroke_width: float | None = None) -> None:
+def write_svg(states, path) -> None:
     """One SVG per run: each state a closed, unfilled polyline, colored from
     blue (first) to red (last); viewBox is the padded union bounding box."""
     states = list(getattr(states, "states", states))
@@ -67,8 +67,7 @@ def write_svg(states, path, stroke_width: float | None = None) -> None:
     pad = 0.05 * span.max()
     x0, y0 = lo - pad
     w, h = hi - lo + 2 * pad
-    if stroke_width is None:
-        stroke_width = 0.004 * max(w, h)
+    stroke_width = 0.004 * max(w, h)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">',
         # curves use mathematical orientation; flip the y axis for display

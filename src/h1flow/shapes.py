@@ -28,6 +28,10 @@ class GeneratorSpec:
             raise ValueError(f"unknown shape {self.kind!r}")
         if self.kind != "file" and self.n < 3:
             raise ValueError("n must be >= 3")
+        for name in ("size", "size_b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.size <= 0.0 or (self.size_b is not None and self.size_b <= 0.0):
             raise ValueError("size parameters must be positive")
         if self.kind == "barbell" and not 0.0 < self.neck < self.size:

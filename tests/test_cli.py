@@ -64,6 +64,21 @@ class TestUsageErrors:
             ["distance", "--demo", "reparam", "--lambda", "2.0"], capsys)
         assert rc == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--t1", "nan"], "t1"),
+        (["--t1", "inf"], "t1"),
+        (["--t0", "nan", "--t1", "1"], "t0"),
+        (["--t0", "inf", "--steps", "2"], "t0"),
+        (["--size", "inf", "--t1", "1"], "size"),
+        (["--size", "nan", "--t1", "1"], "size"),
+        (["--shape", "ellipse", "--size-b", "inf", "--t1", "1"], "size_b"),
+    ])
+    def test_non_finite_input_named(self, capsys, argv, field):
+        rc, out, err = run_cli(["flow", "--n", "16", "--dt", "0.1"] + argv, capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {field} must be finite, got ")
+        assert err.count("\n") == 1
+
 
 class TestRuntimeErrors:
     def test_length_guard_stop(self, capsys):
@@ -111,6 +126,26 @@ class TestRuntimeErrors:
         assert rc == 2
         assert err == "error: flow stopped early: numerical_failure\n"
 
+    @pytest.mark.parametrize("size", ["1e158", "1e160", "1e300"])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_initial_length_overflow_prints_only_the_error(self, capsys, size, method):
+        # the initial edge norms overflow; the run is refused before any
+        # record, with no NumPy warning
+        rc, out, err = run_cli(
+            ["flow", "--shape", "circle", "--size", size, "--n", "64",
+             "--dt", "0.1", "--t1", "1", "--method", method], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: curve length overflows the double range\n"
+
+    def test_coincident_initial_vertices(self, tmp_path, capsys):
+        src = tmp_path / "dup.csv"
+        src.write_text("0,0\n0,0\n1,0\n0,1\n")
+        rc, out, err = run_cli(
+            ["flow", "--shape", "file", "--input", str(src), "--dt", "0.1",
+             "--t1", "1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: zero-length edge\n"
+
     def test_unwritable_output(self, capsys):
         rc, _, err = run_cli(
             ["flow", "--n", "32", "--dt", "0.1", "--steps", "1",
@@ -133,6 +168,24 @@ class TestOracle:
         rc, out, _ = run_cli(["oracle", "--t", "-1"], capsys)
         assert rc == 0
         assert out.strip() == "1.4859138708449164"
+
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--r0", "1e200", "--t", "0"], "r0"),
+        (["--r0", "1e-200", "--t", "0"], "r0"),
+        (["--t", "nan"], "t"),
+        (["--t=-1e308"], "t"),
+    ])
+    def test_out_of_domain_named(self, capsys, argv, name):
+        # r0^2 or c - 2t leaves the double range: no nan, no libm message
+        rc, out, err = run_cli(["oracle"] + argv, capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {name} = ")
+        assert err.count("\n") == 1
+
+    def test_far_forward_time_is_zero(self, capsys):
+        rc, out, _ = run_cli(["oracle", "--t", "1e308"], capsys)
+        assert rc == 0 and out == "0\n"
 
 
 class TestFlowCommand:

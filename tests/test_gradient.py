@@ -165,6 +165,23 @@ class TestFlowVelocity:
         v2 = h.flow_velocity(h.PolyCurve(c.vertices + a)).velocity
         assert np.abs(v2 - v1).max() <= 2e-3 * np.linalg.norm(a)
 
+    def test_circle_law_at_several_radii(self):
+        # the continuum circle moves inward at r / (1 + r^2); the polygon
+        # misses it by O(n^-2), so the n = 256/512 errors stand in a ratio
+        # of 4 and their Richardson value recovers the law
+        for r in (0.25, 0.5, 1.0, 2.0, 4.0):
+            exact = r / (1 + r * r)
+            speed = {}
+            for n in (256, 512):
+                c = h.circle(r, n)
+                V = h.flow_velocity(c).velocity
+                radial = np.einsum("ij,ij->i", V, c.vertices) / r
+                speed[n] = -float(radial.mean())
+            ratio = (speed[256] - exact) / (speed[512] - exact)
+            assert 3.99 <= ratio <= 4.01
+            richardson = (4 * speed[512] - speed[256]) / 3
+            assert abs(richardson - exact) <= 1e-6 * exact
+
     def test_centered_variant_agrees(self):
         for c in (h.circle(1.0, 128), h.star(1.0, 0.3, 5, 128)):
             direct = h.flow_velocity(c).velocity

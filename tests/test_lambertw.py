@@ -143,6 +143,24 @@ class TestCircleSolution:
         r_far = sol.radius(500.0)
         assert math.isfinite(r_far) and r_far >= 0.0
 
+    @pytest.mark.parametrize("r0", [1e155, 1e200, math.inf, 1e-155, 1e-200])
+    def test_rejects_r0_squared_outside_normal_range(self, r0):
+        with pytest.raises(OutOfDomain, match="r0"):
+            h.CircleSolution(r0)
+
+    @pytest.mark.parametrize("t", [math.nan, -1e308, -math.inf])
+    def test_rejects_time_without_finite_radius(self, t):
+        with pytest.raises(OutOfDomain, match="t = "):
+            h.CircleSolution(1.0).radius(t)
+
+    def test_range_edges_accepted(self):
+        # the smallest and largest r0 whose square is a normal double, and
+        # c - 2t = -inf, the limit r = 0
+        assert h.CircleSolution(1e154).radius(0.0) == 1e154
+        assert h.CircleSolution(1.5e-154).radius(0.0) == pytest.approx(1.5e-154, rel=1e-13)
+        assert h.CircleSolution(1.0).radius(1e308) == 0.0
+        assert h.CircleSolution(1.0).radius(math.inf) == 0.0
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             h.CircleSolution(0.0)

@@ -110,11 +110,6 @@ class TestSvg:
         # y in [4,6], pad 0.1: translate by y0 + h + y0 = 3.9 + 2.2 + 3.9
         assert "translate(0 10)" in text
 
-    def test_stroke_width_override(self, tmp_path):
-        p = tmp_path / "w.svg"
-        h.write_svg([h.circle(1.0, 16)], str(p), stroke_width=0.125)
-        assert 'stroke-width="0.125"' in p.read_text()
-
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             h.write_svg([], str(tmp_path / "x.svg"))
