@@ -4,27 +4,25 @@ Subcommands: `flow` runs the curve flow from a generated or loaded shape and
 emits CSV/SVG/JSON; `oracle` prints the exact circle radius at a time;
 `distance` runs the shape-space path demos (shrink, reparam, zigzag).
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure (guards, overflow,
-unreadable files). Errors print to stderr with an "error:" prefix.
+Exit codes: 0 success, 1 usage error (a ValueError, UsageError among them),
+2 runtime failure (a RuntimeFailure such as a guard, a numerical error, an
+unreadable or unwritable file). Errors print to stderr with an "error:"
+prefix; any other exception propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
 
 from .curves import PolyCurve
-from .errors import (
-    ConstantMapGuard,
-    DegenerateCurve,
-    MismatchedFrames,
-    NonMonotoneTwist,
-    OutOfDomain,
-)
-from .flow import FlowConfig, Termination, run_flow
+from .errors import RuntimeFailure, UsageError
+from .flow import METHODS, FlowConfig, Termination, run_flow
 from .lambertw import CircleSolution
 from .output import write_diagnostics_csv, write_svg, write_trajectory_json
 from .paths import (
@@ -36,40 +34,51 @@ from .paths import (
     zigzag_path,
     CurvePath,
 )
-from .shapes import GeneratorSpec, circle, generate
+from .shapes import KINDS, GeneratorSpec, circle, generate
 
 
-class _UsageError(Exception):
-    pass
+# an argument that starts like a negative number, such as -2e-2 or -inf, is
+# a value; argparse's own pattern has no exponent and takes -2e-2 for an
+# unknown option
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="h1flow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    f = sub.add_parser("flow", help="run the flow from a shape or input file")
-    f.add_argument("--shape", default="circle",
-                   choices=["circle", "square", "ellipse", "barbell", "star", "file"])
-    f.add_argument("--size", type=float, default=1.0)
-    f.add_argument("--size-b", type=float, default=None, help="ellipse semi-minor axis")
-    f.add_argument("--neck", type=float, default=0.25, help="barbell neck half-width")
-    f.add_argument("--amplitude", type=float, default=0.3, help="star modulation")
-    f.add_argument("--lobes", type=int, default=5, help="star lobe count")
-    f.add_argument("--n", type=int, default=200)
-    f.add_argument("--input", default=None, help="curve file for --shape file")
+    # flags named after a GeneratorSpec or FlowConfig field (dest) reach it
+    # only when given, so the dataclass default applies otherwise
+    f = sub.add_parser("flow", help="run the flow from a shape or input file",
+                       argument_default=argparse.SUPPRESS)
+    f.add_argument("--shape", dest="kind", default="circle", choices=KINDS)
+    f.add_argument("--size", type=float)
+    f.add_argument("--size-b", type=float, help="ellipse semi-minor axis")
+    f.add_argument("--neck", type=float, help="barbell neck half-width")
+    f.add_argument("--amplitude", type=float, help="star modulation")
+    f.add_argument("--lobes", type=int, help="star lobe count")
+    f.add_argument("--n", type=int)
+    f.add_argument("--input", dest="path", help="curve file for --shape file")
     f.add_argument("--dt", type=float, required=True)
-    f.add_argument("--steps", type=int, default=None)
-    f.add_argument("--t1", type=float, default=None)
-    f.add_argument("--t0", type=float, default=0.0)
-    f.add_argument("--method", choices=["euler", "rk4"], default="euler")
-    f.add_argument("--record-every", type=int, default=1)
-    f.add_argument("--rescale", action="store_true", help="emit the asymptotic profile")
-    f.add_argument("--guard", type=float, default=1e-8, help="minimum length guard")
+    f.add_argument("--steps", type=int)
+    f.add_argument("--t1", type=float)
+    f.add_argument("--t0", type=float)
+    f.add_argument("--method", choices=METHODS)
+    f.add_argument("--record-every", type=int)
+    f.add_argument("--rescale", dest="rescale_profile", action="store_true",
+                   help="emit the asymptotic profile")
+    f.add_argument("--guard", dest="min_length_guard", type=float,
+                   help="minimum length guard")
     f.add_argument("--out-csv", default=None)
     f.add_argument("--out-svg", default=None)
     f.add_argument("--out-json", default=None)
@@ -88,31 +97,19 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _given(cls, args):
+    """cls built from the given flags named after its fields."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
+
+
 def _cmd_flow(args) -> int:
-    spec = GeneratorSpec(
-        kind=args.shape,
-        n=args.n,
-        size=args.size,
-        size_b=args.size_b,
-        neck=args.neck,
-        amplitude=args.amplitude,
-        lobes=args.lobes,
-        path=args.input,
-    )
-    initial = generate(spec)
-    if (args.steps is None) == (args.t1 is None):
-        raise _UsageError("exactly one of --steps and --t1 is required")
-    t1 = args.t1 if args.t1 is not None else args.t0 + args.steps * args.dt
-    cfg = FlowConfig(
-        dt=args.dt,
-        t0=args.t0,
-        t1=t1,
-        method=args.method,
-        min_length_guard=args.guard,
-        record_every=args.record_every,
-        rescale_profile=args.rescale,
-    )
-    traj = run_flow(initial, cfg)
+    initial = generate(_given(GeneratorSpec, args))
+    if ("steps" in args) == ("t1" in args):
+        raise UsageError("exactly one of --steps and --t1 is required")
+    if "steps" in args:
+        args.t1 = getattr(args, "t0", FlowConfig.t0) + args.steps * args.dt
+    traj = run_flow(initial, _given(FlowConfig, args))
     if args.out_csv:
         write_diagnostics_csv(traj, args.out_csv)
     if args.out_svg:
@@ -160,28 +157,17 @@ def _cmd_distance(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "flow":
             return _cmd_flow(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_distance(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConstantMapGuard, DegenerateCurve, OSError, OverflowError,
-            FloatingPointError) as exc:
-        # guards, I/O and numerical failures are runtime errors; the guards
-        # subclass ValueError, so they must be tried before the usage branch
+    except (RuntimeFailure, FloatingPointError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OutOfDomain, NonMonotoneTwist, MismatchedFrames) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

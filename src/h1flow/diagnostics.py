@@ -1,15 +1,14 @@
 """Per-state scalar monitors and trajectory-level verdicts.
 
-The record bundles every monitored quantity for one curve at one time; the
-CSV emitter elsewhere writes them in a fixed column order. The monotonicity
-report turns the a-priori decay statements into pass/fail verdicts with an
-explicit slack.
+The record bundles every monitored quantity for one curve at one time; its
+fields, in order, are the CSV columns. The monotonicity report turns the
+a-priori decay statements into pass/fail verdicts with an explicit slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,23 +22,6 @@ from .curves import (
     sup_norm,
 )
 from .gradient import flow_velocity
-
-CSV_COLUMNS = (
-    "t",
-    "length",
-    "area",
-    "iso_ratio",
-    "deficit",
-    "linf",
-    "l2ds",
-    "xu_l2",
-    "min_edge",
-    "chord_arc_min",
-    "max_abs_k",
-    "rescaled_max_k",
-    "grad_sq_h1ds",
-    "embeddedness_ok",
-)
 
 
 @dataclass(frozen=True)
@@ -58,6 +40,9 @@ class DiagnosticsRecord:
     rescaled_max_k: float
     grad_sq_h1ds: float
     embeddedness_ok: bool
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .curves import ArcData, PolyCurve, arc_data, total_length
 from .diagnostics import record
 from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
+from .kernel import MIN_KERNEL_LENGTH
+
+METHODS = ("euler", "rk4")
 
 
 class Termination(enum.Enum):
@@ -44,7 +47,7 @@ class FlowConfig:
     rescale_profile: bool = False
 
     def __post_init__(self):
-        for name in ("t0", "t1"):
+        for name in ("dt", "t0", "t1"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -54,7 +57,7 @@ class FlowConfig:
             raise ValueError(f"dt = {self.dt} is unstable (the linearization has unit rate)")
         if self.dt > 0.5:
             warnings.warn(f"dt = {self.dt} is large for forward Euler; expect drift", stacklevel=2)
-        if self.method not in ("euler", "rk4"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if abs(self.t1 - self.t0) / self.dt > 1e8:
             raise ValueError("horizon / dt exceeds the step-count sanity bound")
@@ -162,7 +165,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
         guard = ad.length <= cfg.min_length_guard
         if guard:
             termination = Termination.LENGTH_GUARD
-            if ad.length < 1e-12:
+            if ad.length < MIN_KERNEL_LENGTH:
                 break
         if guard or k % cfg.record_every == 0 or k == nsteps:
             state = _profile(ad, t) if cfg.rescale_profile else PolyCurve(ad.vertices)

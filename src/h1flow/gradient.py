@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _as_field, arc_data
+from .curves import ArcData, PolyCurve, _as_field, arc_data
 from .kernel import apply_kernel, kernel_matrix
 
 
@@ -22,15 +22,20 @@ class VelocityField:
     grad_norm_l2ds: float
 
 
+def _edge_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
+    """sum_edges <v_{i+1} - v_i, w_{i+1} - w_i> / e_i, with e the edge length:
+    the first-order term of the H1(ds) inner product."""
+    dv = np.roll(v, -1, axis=0) - v
+    dw = np.roll(w, -1, axis=0) - w
+    return float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
+
+
 def h1ds_inner(curve: PolyCurve, v, w) -> float:
     """sum_i <v_i, w_i> ds_i + sum_edges <dv/de, dw/de> e, with e the edge length."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     ad = arc_data(curve)
-    dv = np.roll(v, -1, axis=0) - v
-    dw = np.roll(w, -1, axis=0) - w
-    one = float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
-    return l2ds_inner(ad, v, w) + one
+    return l2ds_inner(ad, v, w) + _edge_term(ad, v, w)
 
 
 def l2ds_inner(curve: PolyCurve, v, w) -> float:
@@ -46,8 +51,7 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
     """
     v = _as_field(curve, v)
     ad = arc_data(curve)
-    dv = np.roll(v, -1, axis=0) - v
-    return float((np.einsum("ij,ij->i", dv, ad.edges) / ad.edge_lengths).sum())
+    return _edge_term(ad, v, ad.vertices)
 
 
 def velocity(curve: PolyCurve) -> np.ndarray:

@@ -67,8 +67,8 @@ def kernel_matrix(curve: PolyCurve) -> KernelMatrix:
     O(n^2) time and memory. The flow itself uses apply_kernel."""
     ad = arc_data(curve)
     L = _kernel_length(ad)
-    d = np.abs(ad.s[:, None] - ad.s[None, :])
-    G = -(np.exp(d - L) + np.exp(-d)) / (2.0 * -np.expm1(-L))
+    # |s_i - s_j| < L, so greens_value's reduction mod L is exact
+    G = greens_value(L, ad.s[:, None], ad.s[None, :])
     return KernelMatrix(G=G, ds=ad.ds, length=L)
 
 

@@ -2,6 +2,7 @@
 import inspect
 
 import h1flow
+import h1flow.errors
 
 
 def test_every_export_resolves():
@@ -20,3 +21,15 @@ def test_every_public_function_and_class_is_exported():
         and (inspect.isfunction(value) or inspect.isclass(value))
     }
     assert public - set(h1flow.__all__) == set()
+
+
+def test_every_error_is_a_usage_error_or_a_runtime_failure():
+    # no class is both, and only usage errors are ValueErrors, so the CLI's
+    # exit code cannot depend on the order of its except clauses
+    usage, runtime = h1flow.UsageError, h1flow.RuntimeFailure
+    classes = [cls for cls in vars(h1flow.errors).values() if inspect.isclass(cls)]
+    assert len(classes) == 7
+    for cls in classes:
+        assert issubclass(cls, ValueError) == issubclass(cls, usage), cls
+        if cls not in (usage, runtime):
+            assert issubclass(cls, usage) != issubclass(cls, runtime), cls

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+from h1flow import cli
 from h1flow.cli import main
 
 
@@ -78,6 +79,51 @@ class TestUsageErrors:
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {field} must be finite, got ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
+    def test_non_finite_timestep_named(self, capsys, dt):
+        # named before the positivity and stability checks read it
+        rc, out, err = run_cli(["flow", "--dt", dt, "--t1", "1"], capsys)
+        assert rc == 1 and out == ""
+        assert err == f"error: dt must be finite, got {dt}\n"
+
+    @pytest.mark.parametrize("spaced, joined, out", [
+        (["flow", "--n", "16", "--dt", "0.01", "--t1", "-2e-2"],
+         ["flow", "--n", "16", "--dt", "0.01", "--t1=-2e-2"],
+         "termination=completed t=-0.02 length=6.3041175445376219\n"),
+        (["flow", "--n", "16", "--dt", "0.01", "--t0", "-2e-2", "--t1", "0"],
+         ["flow", "--n", "16", "--dt", "0.01", "--t0=-2e-2", "--t1", "0"],
+         "termination=completed t=0 length=6.1816416640223295\n"),
+        (["oracle", "--t", "-1e-3"], ["oracle", "--t=-1e-3"], "1.0004999999791744\n"),
+    ], ids=["t1", "t0", "oracle-t"])
+    def test_negative_exponent_notation_is_a_value(self, capsys, spaced, joined, out):
+        assert run_cli(joined, capsys) == (0, out, "")
+        assert run_cli(spaced, capsys) == (0, out, "")
+
+
+class TestExitCodes:
+    # every error class is exactly one of the two kinds, so the exit code
+    # cannot depend on the order of main's except clauses
+    @pytest.mark.parametrize("cls", h.RuntimeFailure.__subclasses__())
+    def test_runtime_failure_exits_2(self, monkeypatch, capsys, cls):
+        monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
+        assert run_cli(["oracle", "--t", "0"], capsys) == (2, "", "error: boom\n")
+
+    @pytest.mark.parametrize("cls", h.UsageError.__subclasses__())
+    def test_usage_error_exits_1(self, monkeypatch, capsys, cls):
+        monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
+        assert run_cli(["oracle", "--t", "0"], capsys) == (1, "", "error: boom\n")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_oracle", _raiser(ZeroDivisionError("bug")))
+        with pytest.raises(ZeroDivisionError, match="bug"):
+            main(["oracle", "--t", "0"])
+
+
+def _raiser(exc):
+    def command(args):
+        raise exc
+    return command
 
 
 class TestRuntimeErrors:
@@ -204,6 +250,14 @@ class TestFlowCommand:
         assert math.isclose(recs[0].length, 4.0, rel_tol=1e-12)
         assert all(b.length < a.length for a, b in zip(recs, recs[1:]))
         assert svg.read_text().count("<polygon") == 51
+
+    def test_defaults_are_the_library_defaults(self, capsys):
+        rc, out, _ = run_cli(["flow", "--dt", "0.1", "--t1", "0.1"], capsys)
+        traj = h.run_flow(h.generate(h.GeneratorSpec("circle")),
+                          h.FlowConfig(dt=0.1, t1=0.1))
+        last = traj.records[-1]
+        assert rc == 0
+        assert out == f"termination=completed t={last.t:.17g} length={last.length:.17g}\n"
 
     def test_steps_horizon(self, capsys):
         rc, out, _ = run_cli(
