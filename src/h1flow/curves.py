@@ -87,12 +87,30 @@ class ChordArcResult:
     j: int
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Length of the 2-vectors on the last axis, sqrt(x*x + y*y). NumPy's
+    linalg norm over that axis computes sqrt(add.reduce(v*v)) over the same
+    two entries, so the bits agree; this skips its per-call overhead."""
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1])
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """a[i+1] cyclically along the first axis (a roll by -1), from two slices."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """a[i-1] cyclically along the first axis (a roll by 1), from two slices."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
 def edge_vectors(curve: PolyCurve) -> np.ndarray:
-    return np.roll(curve.vertices, -1, axis=0) - curve.vertices
+    return _next(curve.vertices) - curve.vertices
 
 
 def edge_lengths(curve: PolyCurve) -> np.ndarray:
-    return np.linalg.norm(edge_vectors(curve), axis=1)
+    return _norm(edge_vectors(curve))
 
 
 def total_length(curve: PolyCurve) -> float:
@@ -108,11 +126,11 @@ def arc_data(curve: PolyCurve) -> ArcData:
     if isinstance(curve, ArcData):
         return curve
     ev = edge_vectors(curve)
-    el = np.linalg.norm(ev, axis=1)
+    el = _norm(ev)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
     s = np.concatenate(([0.0], np.cumsum(el[:-1])))
-    ds = 0.5 * (el + np.roll(el, 1))
+    ds = 0.5 * (el + _prev(el))
     return ArcData(vertices=curve.vertices, s=s, ds=ds, length=float(el.sum()),
                    edges=ev, edge_lengths=el)
 
@@ -121,9 +139,8 @@ def signed_area(curve: PolyCurve) -> float:
     """Shoelace area; positive for counterclockwise orientation."""
     x = curve.vertices[:, 0]
     y = curve.vertices[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    return float(0.5 * np.sum(x * yn - xn * y))
+    nxt = _next(curve.vertices)
+    return float(0.5 * np.sum(x * nxt[:, 1] - nxt[:, 0] * y))
 
 
 def frame_data(curve: PolyCurve) -> FrameData:
@@ -134,20 +151,26 @@ def frame_data(curve: PolyCurve) -> FrameData:
     divided by ds_i.
     """
     ad = arc_data(curve)
+    u, t, normal = _unit_frames(ad)
+    return FrameData(tangent=t, normal=normal, curvature=_turning(u) / ad.ds)
+
+
+def _unit_frames(ad: ArcData):
+    """Unit edges u, unit vertex tangents T and normals N = rot90(T) of a
+    measured curve, without the curvature of frame_data."""
     u = ad.edges / ad.edge_lengths[:, None]
-    t = u + np.roll(u, 1, axis=0)
-    tn = np.linalg.norm(t, axis=1)
+    t = u + _prev(u)
+    tn = _norm(t)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
     t = t / tn[:, None]
-    normal = np.stack([-t[:, 1], t[:, 0]], axis=1)
-    return FrameData(tangent=t, normal=normal, curvature=_turning(u) / ad.ds)
+    return u, t, np.stack([-t[:, 1], t[:, 0]], axis=1)
 
 
 def _turning(u: np.ndarray) -> np.ndarray:
     """Signed turning angle at each vertex from the incoming to the outgoing
     unit edge, given the unit edge vectors u."""
-    prev = np.roll(u, 1, axis=0)
+    prev = _prev(u)
     cross = prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0]
     dot = np.einsum("ij,ij->i", prev, u)
     return np.arctan2(cross, dot)
@@ -177,7 +200,7 @@ def norms(curve: PolyCurve, field) -> FieldNorms:
     mag2 = np.einsum("ij,ij->i", f, f)
     linf = float(np.sqrt(mag2.max()))
     l2_du = float(np.sqrt(mag2.sum() / n))
-    df = np.roll(f, -1, axis=0) - f
+    df = _next(f) - f
     dmag2 = np.einsum("ij,ij->i", df, df)
     # du edge measure 1/n, difference quotient df * n
     h1_du = float(np.sqrt(mag2.sum() / n + n * dmag2.sum()))
@@ -189,7 +212,7 @@ def norms(curve: PolyCurve, field) -> FieldNorms:
 
 
 def sup_norm(curve: PolyCurve) -> float:
-    return float(np.linalg.norm(curve.vertices, axis=1).max())
+    return float(_norm(curve.vertices).max())
 
 
 def chord_arc_min(curve: PolyCurve) -> ChordArcResult:

@@ -55,10 +55,11 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if self.dt > 2.0:
             raise ValueError(f"dt = {self.dt} is unstable (the linearization has unit rate)")
-        if self.dt > 0.5:
-            warnings.warn(f"dt = {self.dt} is large for forward Euler; expect drift", stacklevel=2)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.dt > 0.5 and self.method == "euler":
+            # level 3: the caller of the dataclass-generated __init__
+            warnings.warn(f"dt = {self.dt} is large for forward Euler; expect drift", stacklevel=3)
         if abs(self.t1 - self.t0) / self.dt > 1e8:
             raise ValueError("horizon / dt exceeds the step-count sanity bound")
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
@@ -130,9 +131,9 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     h = cfg.signed_step
     nsteps = cfg.steps
 
-    # a finite length can still overflow the record's norms; the record
-    # keeps them as inf
-    with np.errstate(over="ignore"):
+    # a finite length can still overflow the record's norms and area; the
+    # record keeps them as inf or nan, and the first step then fails
+    with np.errstate(over="ignore", invalid="ignore"):
         ad = _measure(initial.vertices)
         if ad.length <= cfg.min_length_guard:
             raise DegenerateCurve("initial length at or below the guard")
@@ -144,11 +145,12 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
 
     for k in range(1, nsteps + 1):
         try:
-            X = _advance(ad, h, cfg.method)
+            with np.errstate(over="raise", invalid="raise"):
+                X = _advance(ad, h, cfg.method)
         except (FloatingPointError, DegenerateCurve, ConstantMapGuard):
             # an RK4 stage state refused by _measure, a length under the
-            # kernel guard (reachable with min_length_guard = 0), or an
-            # error state set to "raise"
+            # kernel guard (reachable with min_length_guard = 0), or a
+            # velocity that overflows or turns invalid
             termination = Termination.NUMERICAL_FAILURE
             break
         t = cfg.t0 + k * h
@@ -170,7 +172,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
         if guard or k % cfg.record_every == 0 or k == nsteps:
             state = _profile(ad, t) if cfg.rescale_profile else PolyCurve(ad.vertices)
             try:
-                with np.errstate(over="ignore"):
+                with np.errstate(over="ignore", invalid="ignore"):
                     rec = record(state if cfg.rescale_profile else ad, t)
             except (DegenerateCurve, ConstantMapGuard):
                 # recorded states must be immersed and longer than the kernel

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ArcData, PolyCurve, _as_field, arc_data
+from .curves import ArcData, PolyCurve, _as_field, _next, arc_data
 from .kernel import apply_kernel, kernel_matrix
 
 
@@ -25,8 +25,8 @@ class VelocityField:
 def _edge_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
     """sum_edges <v_{i+1} - v_i, w_{i+1} - w_i> / e_i, with e the edge length:
     the first-order term of the H1(ds) inner product."""
-    dv = np.roll(v, -1, axis=0) - v
-    dw = np.roll(w, -1, axis=0) - w
+    dv = _next(v) - v
+    dw = _next(w) - w
     return float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import PolyCurve, arc_data, edge_lengths, frame_data
+from .curves import PolyCurve, _unit_frames, arc_data, edge_lengths
 from .errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
 
 MODES = ("full", "quotient")
@@ -57,7 +57,7 @@ def path_length_l2ds(path: CurvePath) -> float:
         left = arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
         if path.mode == "quotient":
-            vn = np.einsum("ij,ij->i", v, frame_data(left).normal)
+            vn = np.einsum("ij,ij->i", v, _unit_frames(left)[2])
             speed_sq = float((vn * vn * left.ds).sum())
         else:
             speed_sq = float((np.einsum("ij,ij->i", v, v) * left.ds).sum())
@@ -148,7 +148,8 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         raise ValueError(f"teeth must be >= 1 and divide n/2 (n = {n}, teeth = {teeth})")
     mu = _schedule_weights(n, teeth)
     m = len(base.frames)
-    stack = np.stack([f.vertices for f in base.frames])  # (m, n, 2)
+    # frame k, vertex i is row k * n + i
+    flat = np.concatenate([f.vertices for f in base.frames])
     rows = np.arange(n)
     out = []
     out_frames = 4 * (m - 1) + 1
@@ -158,7 +159,8 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         pos = phase * (m - 1)
         idx = np.minimum(pos.astype(int), m - 2)
         w = (pos - idx)[:, None]
-        verts = stack[idx, rows] * (1.0 - w) + stack[idx + 1, rows] * w
+        at = idx * n + rows
+        verts = np.take(flat, at, axis=0) * (1.0 - w) + np.take(flat, at + n, axis=0) * w
         out.append(PolyCurve(verts))
     return CurvePath(frames=tuple(out), mode="full")
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output files, and printed results."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,18 @@ class TestRuntimeErrors:
         assert rc == 2
         assert err == "error: flow stopped early: numerical_failure\n"
 
+    @pytest.mark.parametrize("size", ["3e154", "1e155", "1.3e155"])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_area_overflow_prints_only_the_error(self, capsys, size, method):
+        # the length is finite, but x * y overflows: the first record keeps
+        # its area as nan, and the first step ends the run
+        rc, out, err = run_cli(
+            ["flow", "--shape", "circle", "--size", size, "--n", "64",
+             "--dt", "0.1", "--t1", "1", "--method", method], capsys)
+        assert rc == 2
+        assert out.startswith("termination=numerical_failure t=0 ")
+        assert err == "error: flow stopped early: numerical_failure\n"
+
     @pytest.mark.parametrize("size", ["1e158", "1e160", "1e300"])
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_initial_length_overflow_prints_only_the_error(self, capsys, size, method):
@@ -258,6 +274,19 @@ class TestFlowCommand:
         last = traj.records[-1]
         assert rc == 0
         assert out == f"termination=completed t={last.t:.17g} length={last.length:.17g}\n"
+
+    def test_large_rk4_step_prints_no_warning(self):
+        # a new process, so that a warning would reach its stderr
+        src = str(Path(h.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "h1flow.cli", "flow", "--n", "16", "--dt", "1",
+             "--t1", "1", "--method", "rk4"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("termination=completed t=1 ")
+        assert proc.stderr == ""
 
     def test_steps_horizon(self, capsys):
         rc, out, _ = run_cli(

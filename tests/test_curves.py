@@ -6,11 +6,53 @@ import numpy as np
 import pytest
 
 import h1flow as h
+from h1flow.curves import _next, _norm, _prev
 from h1flow.errors import DegenerateCurve
 
 
 def unit_square4():
     return h.PolyCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+
+
+def _primitive_inputs():
+    """1-D and (n, 2) arrays, n = 3 among them, with entries whose squares
+    overflow, infinities of both signs and NaN of both signs."""
+    rng = np.random.default_rng(7)
+    special = np.array([1e155, -1e155, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0])
+    mixed = rng.standard_normal((40, 2))
+    mixed.flat[rng.choice(80, size=16, replace=False)] = np.resize(special, 16)
+    return {
+        "pair": np.array([3.0, 4.0]),
+        "pair-special": np.array([1e155, -np.nan]),
+        "line3": rng.standard_normal(3),
+        "line-special": special,
+        "n3": rng.standard_normal((3, 2)),
+        "n3-special": special[:6].reshape(3, 2),
+        "n64": rng.standard_normal((64, 2)),
+        "mixed": mixed,
+        "all-pairs": np.array([[a, b] for a in special for b in special]),
+    }
+
+
+class TestPrimitives:
+    """The private length and shift helpers give the bits of the NumPy calls
+    they replace."""
+
+    @pytest.mark.parametrize("name", [k for k, v in _primitive_inputs().items()
+                                      if v.shape[-1] == 2])
+    def test_norm_is_linalg_norm(self, name):
+        v = _primitive_inputs()[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _norm(v), np.linalg.norm(v, axis=-1)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("name", list(_primitive_inputs()))
+    def test_shifts_are_roll(self, name):
+        a = _primitive_inputs()[name]
+        for got, want in ((_next(a), np.roll(a, -1, axis=0)), (_prev(a), np.roll(a, 1, axis=0))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPolyCurve:

@@ -1,5 +1,6 @@
 """Time integration: single steps, full runs, terminations, profiles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,15 @@ class TestFlowConfig:
             h.FlowConfig(dt=2.5, t1=10.0)
 
     def test_warns_on_large_dt(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="forward Euler") as caught:
             h.FlowConfig(dt=1.0, t1=5.0)
+        # the warning names the line that built the config
+        assert caught[0].filename == __file__
+
+    def test_rk4_large_dt_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h.FlowConfig(dt=1.0, t1=5.0, method="rk4")
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

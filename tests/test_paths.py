@@ -6,6 +6,7 @@ import pytest
 
 import h1flow as h
 from h1flow.errors import MismatchedFrames, NonMonotoneTwist
+from h1flow.paths import _schedule_weights
 
 
 def translation_path(n=64, d=2.0, frames=9):
@@ -16,6 +17,27 @@ def translation_path(n=64, d=2.0, frames=9):
         for tk in np.linspace(0.0, 1.0, frames)
     )
     return h.CurvePath(frames=fs, mode="full")
+
+
+def twist_path(n=64, lam=0.5, frames=9):
+    """The reparam demo of the CLI: one smooth twist bump."""
+    delta = lam * n / (2.0 * math.pi) * np.sin(2.0 * math.pi * np.arange(n) / n)
+    return h.reparam_path(h.circle(1.0, n), delta, frames)
+
+
+def quotient_length_via_frame_data(path):
+    """The quotient path length with the normals of frame_data: the reference
+    for path_length_l2ds, which takes the same normals without computing
+    the curvature."""
+    m = len(path.frames)
+    dt = 1.0 / (m - 1)
+    total = 0.0
+    for k in range(m - 1):
+        left = h.arc_data(path.frames[k])
+        v = (path.frames[k + 1].vertices - left.vertices) / dt
+        vn = np.einsum("ij,ij->i", v, h.frame_data(left).normal)
+        total += np.sqrt(float((vn * vn * left.ds).sum())) * dt
+    return float(total)
 
 
 class TestCurvePath:
@@ -67,6 +89,16 @@ class TestPathLength:
         full = h.path_length_l2ds(p)
         quot = h.path_length_l2ds(h.as_mode(p, "quotient"))
         assert quot == pytest.approx(full, rel=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        translation_path,
+        lambda: h.shrink_path(h.star(1.0, 0.3, 5, 64), 0.5, 9),
+        twist_path,
+        lambda: h.zigzag_path(translation_path(n=64, frames=9), 2),
+    ], ids=["translation", "shrink", "reparam", "zigzag"])
+    def test_quotient_normals_are_those_of_frame_data(self, make):
+        path = h.as_mode(make(), "quotient")
+        assert h.path_length_l2ds(path) == quotient_length_via_frame_data(path)
 
     def test_reversal_symmetry(self):
         p = translation_path()
@@ -192,6 +224,24 @@ class TestZigzagPath:
         assert len(z.frames) == 4 * (9 - 1) + 1
         assert np.allclose(z.frames[0].vertices, base.frames[0].vertices)
         assert np.allclose(z.frames[-1].vertices, base.frames[-1].vertices)
+
+    def test_frames_are_the_blend_of_the_gathered_base_frames(self):
+        # the flat (m * n, 2) gather gives the bits of 2-D fancy indexing
+        # into the (m, n, 2) stack of base frames
+        n, m = 64, 9
+        base = translation_path(n=n, frames=m)
+        stack = np.stack([f.vertices for f in base.frames])
+        mu = _schedule_weights(n, 2)
+        rows = np.arange(n)
+        z = h.zigzag_path(base, 2)
+        for j, frame in enumerate(z.frames):
+            t = j / (len(z.frames) - 1)
+            phase = (1.0 - mu) * min(2.0 * t, 1.0) + mu * max(2.0 * t - 1.0, 0.0)
+            pos = phase * (m - 1)
+            idx = np.minimum(pos.astype(int), m - 2)
+            w = (pos - idx)[:, None]
+            expect = stack[idx, rows] * (1.0 - w) + stack[idx + 1, rows] * w
+            assert frame.vertices.tobytes() == expect.tobytes()
 
     def test_detour_costs_more_in_full_mode(self):
         base = translation_path(n=64, d=2.0, frames=9)
