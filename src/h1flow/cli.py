@@ -2,19 +2,20 @@
 
 Subcommands: `flow` runs the curve flow from a generated or loaded shape and
 emits CSV/SVG/JSON; `oracle` prints the exact circle radius at a time;
-`distance` runs the shape-space path demos (shrink, reparam, zigzag).
+`distance` runs the shape-space path demos (shrink, reparam, zigzag). The
+output module reads and writes every file and formats every printed float.
 
-Exit codes: 0 success, 1 usage error (a ValueError, UsageError among them),
-2 runtime failure (a RuntimeFailure such as a guard, a numerical error, an
-unreadable or unwritable file). Errors print to stderr with an "error:"
-prefix; any other exception propagates.
+Exit codes: 0 success, 1 usage error (a ValueError, UsageError among them,
+such as a bad flag or a malformed curve file), 2 runtime failure (a
+RuntimeFailure such as a guard, a numerical error, an unreadable or
+unwritable file). Errors print to stderr with an "error:" prefix; any other
+exception propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 
@@ -24,16 +25,15 @@ from .curves import PolyCurve
 from .errors import RuntimeFailure, UsageError
 from .flow import METHODS, FlowConfig, Termination, run_flow
 from .lambertw import CircleSolution
-from .output import write_diagnostics_csv, write_svg, write_trajectory_json
-from .paths import (
-    as_mode,
-    path_length_l2ds,
+from .output import (
+    _fmt,
     path_to_json,
-    reparam_path,
-    shrink_path,
-    zigzag_path,
-    CurvePath,
+    write_diagnostics_csv,
+    write_json,
+    write_svg,
+    write_trajectory_json,
 )
+from .paths import CurvePath, as_mode, path_length_l2ds, reparam_path, shrink_path, zigzag_path
 from .shapes import KINDS, GeneratorSpec, circle, generate
 
 
@@ -117,7 +117,7 @@ def _cmd_flow(args) -> int:
     if args.out_json:
         write_trajectory_json(traj, args.out_json)
     last = traj.records[-1]
-    print(f"termination={traj.termination.value} t={last.t:.17g} length={last.length:.17g}")
+    print(f"termination={traj.termination.value} t={_fmt(last.t)} length={_fmt(last.length)}")
     if traj.termination is not Termination.COMPLETED:
         print(f"error: flow stopped early: {traj.termination.value}", file=sys.stderr)
         return 2
@@ -126,7 +126,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sol = CircleSolution(r0=args.r0)
-    print("%.17g" % sol.radius(args.t))
+    print(_fmt(sol.radius(args.t)))
     return 0
 
 
@@ -148,11 +148,9 @@ def _cmd_distance(args) -> int:
         label = f"zigzag teeth={args.teeth} frames={len(path.frames)}"
     full = path_length_l2ds(as_mode(path, "full"))
     quot = path_length_l2ds(as_mode(path, "quotient"))
-    print(f"{label} full={full:.17g} quotient={quot:.17g}")
+    print(f"{label} full={_fmt(full)} quotient={_fmt(quot)}")
     if args.out_json:
-        with open(args.out_json, "w", newline="\n") as fh:
-            json.dump(path_to_json(path), fh)
-            fh.write("\n")
+        write_json(path_to_json(path), args.out_json)
     return 0
 
 

@@ -5,12 +5,13 @@ Everything here is a pure function of the vertex array: arclength data, area,
 tangent/normal frames, discrete curvature, field norms in the du and ds
 measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
 itself a curve, accepted in the curve's place, so a state is measured once.
+The two terms of the discrete H1(ds) inner product, the L2(ds) sum and the
+edge term, are written here once; gradient, diagnostics and paths use them.
+Reading and writing curves is the business of the output module.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,20 @@ def _as_field(curve: PolyCurve, field) -> np.ndarray:
     return f
 
 
+def _l2ds_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
+    """sum_i <v_i, w_i> ds_i on a measured curve: the L2(ds) inner product and
+    the zeroth-order term of the H1(ds) one. v and w are (n, d) fields."""
+    return float((np.einsum("ij,ij->i", v, w) * ad.ds).sum())
+
+
+def _edge_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
+    """sum_edges <v_{i+1} - v_i, w_{i+1} - w_i> / e_i, with e the edge length:
+    the first-order term of the H1(ds) inner product on a measured curve."""
+    dv = _next(v) - v
+    dw = dv if w is v else _next(w) - w
+    return float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
+
+
 def norms(curve: PolyCurve, field) -> FieldNorms:
     """Norms of a per-vertex planar field in the five metrics.
 
@@ -205,9 +220,9 @@ def norms(curve: PolyCurve, field) -> FieldNorms:
     # du edge measure 1/n, difference quotient df * n
     h1_du = float(np.sqrt(mag2.sum() / n + n * dmag2.sum()))
     ad = arc_data(curve)
-    l2_ds_sq = float((mag2 * ad.ds).sum())
+    l2_ds_sq = _l2ds_term(ad, f, f)
     l2_ds = float(np.sqrt(l2_ds_sq))
-    h1_ds = float(np.sqrt(l2_ds_sq + (dmag2 / ad.edge_lengths).sum()))
+    h1_ds = float(np.sqrt(l2_ds_sq + _edge_term(ad, f, f)))
     return FieldNorms(linf=linf, l2_du=l2_du, l2_ds=l2_ds, h1_du=h1_du, h1_ds=h1_ds)
 
 
@@ -258,23 +273,3 @@ def reindex(curve: PolyCurve, shift: int) -> PolyCurve:
     """Cyclic re-indexing: vertex i of the result is vertex i+shift of the input."""
     return PolyCurve(np.roll(curve.vertices, -shift, axis=0))
 
-
-def write_curve(curve: PolyCurve, path) -> None:
-    """x,y pairs, one per line, 17 significant digits, LF line ends."""
-    with open(path, "w", newline="\n") as fh:
-        for x, y in curve.vertices:
-            fh.write("%.17g,%.17g\n" % (x, y))
-
-
-def read_curve(path) -> PolyCurve:
-    """Read a curve from CSV (x,y per line) or JSON ({"vertices": [[x,y],...]})."""
-    text = open(path).read()
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        return PolyCurve(np.asarray(data["vertices"], dtype=float))
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    return PolyCurve(np.array([[float(a), float(b)] for a, b in rows]))
-
-
-def curve_to_json(curve: PolyCurve) -> dict:
-    return {"vertices": [[x, y] for x, y in curve.vertices.tolist()]}

@@ -14,10 +14,10 @@ import numpy as np
 
 from .curves import (
     PolyCurve,
+    _l2ds_term,
     arc_data,
     chord_arc_min,
     frame_data,
-    norms,
     signed_area,
     sup_norm,
 )
@@ -107,7 +107,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
         iso_ratio=iso,
         deficit=L2 - 4.0 * math.pi * area,
         linf=sup_norm(ad),
-        l2ds=norms(ad, ad.vertices).l2_ds,
+        l2ds=math.sqrt(_l2ds_term(ad, ad.vertices, ad.vertices)),
         xu_l2=xu,
         min_edge=float(ad.edge_lengths.min()),
         chord_arc_min=emb.lhs,

@@ -2,7 +2,9 @@
 
 The velocity at vertex i is V_i = -X_i - sum_j X_j G_ij ds_j, the direct
 transcription of the discrete scheme. A centered variant exists purely for
-cross-checks; the two differ by the row-quadrature defect times |X|.
+cross-checks; the two differ by the row-quadrature defect times |X|. The
+inner products and the first variation of length are built from the L2(ds)
+sum and the edge term of the curves module, which norms shares.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ArcData, PolyCurve, _as_field, _next, arc_data
+from .curves import PolyCurve, _as_field, _edge_term, _l2ds_term, arc_data
 from .kernel import apply_kernel, kernel_matrix
 
 
@@ -22,27 +24,19 @@ class VelocityField:
     grad_norm_l2ds: float
 
 
-def _edge_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
-    """sum_edges <v_{i+1} - v_i, w_{i+1} - w_i> / e_i, with e the edge length:
-    the first-order term of the H1(ds) inner product."""
-    dv = _next(v) - v
-    dw = _next(w) - w
-    return float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
-
-
 def h1ds_inner(curve: PolyCurve, v, w) -> float:
     """sum_i <v_i, w_i> ds_i + sum_edges <dv/de, dw/de> e, with e the edge length."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     ad = arc_data(curve)
-    return l2ds_inner(ad, v, w) + _edge_term(ad, v, w)
+    return _l2ds_term(ad, v, w) + _edge_term(ad, v, w)
 
 
 def l2ds_inner(curve: PolyCurve, v, w) -> float:
+    """sum_i <v_i, w_i> ds_i."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
-    ds = arc_data(curve).ds
-    return float(np.einsum("ij,ij->", v * ds[:, None], w))
+    return _l2ds_term(arc_data(curve), v, w)
 
 
 def length_directional_derivative(curve: PolyCurve, v) -> float:

@@ -1,21 +1,86 @@
-"""CSV, SVG, and JSON emission for runs and paths.
+"""Every file format of the package, read and written.
 
+A curve is CSV (one x,y pair per line) or JSON ({"vertices": [[x, y], ...]});
+a path is JSON, its frames in the curve's form plus its mode; a run goes out
+as diagnostics CSV, SVG and trajectory JSON, its states in the curve's form.
 All floats go out with 17 significant digits so that a read-back is
 bit-exact; newlines are LF regardless of platform.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
 
+from .curves import PolyCurve
 from .diagnostics import CSV_COLUMNS, DiagnosticsRecord
+from .errors import UsageError
 from .flow import Trajectory
+from .paths import CurvePath
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
+
+
+def write_json(data, path) -> None:
+    """data as one line of JSON and a newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+
+
+def curve_to_json(curve: PolyCurve) -> dict:
+    return {"vertices": curve.vertices.tolist()}
+
+
+def _curve_from_json(data, source) -> PolyCurve:
+    """The curve of a {"vertices": [[x, y], ...]} object; source names the
+    object in an error."""
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise UsageError(f'{source}: no "vertices" list')
+    return PolyCurve(np.asarray(data["vertices"], dtype=float))
+
+
+def write_curve(curve: PolyCurve, path) -> None:
+    """x,y pairs, one per line, 17 significant digits, LF line ends."""
+    with open(path, "w", newline="\n") as fh:
+        for x, y in curve.vertices:
+            fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+
+
+def read_curve(path) -> PolyCurve:
+    """Read a curve from CSV (x,y per line) or JSON ({"vertices": [[x,y],...]}).
+    A malformed file raises UsageError naming the file, and the line for CSV."""
+    with open(path) as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+        return _curve_from_json(data, path)
+    pairs = []
+    for line, row in enumerate(csv.reader(text.splitlines()), 1):
+        if not row:
+            continue
+        try:
+            x, y = map(float, row)
+        except ValueError:
+            raise UsageError(f"{path}, line {line}: expected two numbers x,y") from None
+        pairs.append([x, y])
+    return PolyCurve(np.array(pairs))
+
+
+def path_to_json(path: CurvePath) -> dict:
+    return {"frames": [curve_to_json(f) for f in path.frames], "mode": path.mode}
+
+
+def path_from_json(data: dict) -> CurvePath:
+    frames = tuple(_curve_from_json(f, f"frame {k}") for k, f in enumerate(data["frames"]))
+    return CurvePath(frames=frames, mode=data.get("mode", "full"))
 
 
 def write_diagnostics_csv(records, path) -> None:
@@ -90,7 +155,7 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     return {
         "times": list(traj.times),
         "termination": traj.termination.value,
-        "states": [{"vertices": s.vertices.tolist()} for s in traj.states],
+        "states": [curve_to_json(s) for s in traj.states],
         "records": [
             {c: getattr(r, c) for c in CSV_COLUMNS} for r in traj.records
         ],
@@ -98,6 +163,4 @@ def trajectory_to_json(traj: Trajectory) -> dict:
 
 
 def write_trajectory_json(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(trajectory_to_json(traj), fh)
-        fh.write("\n")
+    write_json(trajectory_to_json(traj), path)

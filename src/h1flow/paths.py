@@ -4,7 +4,8 @@ A path is a finite frame sequence sampled at uniform times in [0, 1]. The
 length functional integrates the L2(ds) speed with a left-endpoint rule; in
 quotient mode the velocity is first projected onto the left frame's normals,
 which is what makes reparametrization-heavy paths cheap and underlies the
-vanishing-distance demonstrations (shrink, twist, zigzag).
+vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
+L2(ds) sum of the curves module, the one that gradient and norms use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import PolyCurve, _unit_frames, arc_data, edge_lengths
+from .curves import PolyCurve, _l2ds_term, _unit_frames, arc_data, edge_lengths
 from .errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
 
 MODES = ("full", "quotient")
@@ -57,11 +58,9 @@ def path_length_l2ds(path: CurvePath) -> float:
         left = arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
         if path.mode == "quotient":
-            vn = np.einsum("ij,ij->i", v, _unit_frames(left)[2])
-            speed_sq = float((vn * vn * left.ds).sum())
-        else:
-            speed_sq = float((np.einsum("ij,ij->i", v, v) * left.ds).sum())
-        total += np.sqrt(speed_sq) * dt
+            # the normal component, as an (n, 1) field
+            v = np.einsum("ij,ij->i", v, _unit_frames(left)[2])[:, None]
+        total += np.sqrt(_l2ds_term(left, v, v)) * dt
     return float(total)
 
 
@@ -164,14 +163,3 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         out.append(PolyCurve(verts))
     return CurvePath(frames=tuple(out), mode="full")
 
-
-def path_to_json(path: CurvePath) -> dict:
-    return {
-        "frames": [{"vertices": f.vertices.tolist()} for f in path.frames],
-        "mode": path.mode,
-    }
-
-
-def path_from_json(data: dict) -> CurvePath:
-    frames = tuple(PolyCurve(np.asarray(f["vertices"], dtype=float)) for f in data["frames"])
-    return CurvePath(frames=frames, mode=data.get("mode", "full"))

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, read_curve
+from .curves import PolyCurve
+from .output import read_curve
 
 KINDS = ("circle", "square", "ellipse", "barbell", "star", "file")
 

@@ -91,6 +91,25 @@ class TestUsageErrors:
         assert rc == 1 and out == ""
         assert err == f"error: dt must be finite, got {dt}\n"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.json", '{"points": [[0, 0], [1, 0], [0, 1]]}', ': no "vertices" list'),
+        ("bad.csv", "0,0\n1,0,2\n0,1\n", ", line 2: expected two numbers x,y"),
+        ("bad.csv", "0,0\n\n1,zero\n0,1\n", ", line 3: expected two numbers x,y"),
+    ], ids=["json-no-vertices", "csv-three-values", "csv-not-a-number"])
+    def test_malformed_curve_file_named(self, tmp_path, capsys, name, text, message):
+        p = tmp_path / name
+        p.write_text(text)
+        argv = ["flow", "--shape", "file", "--input", str(p), "--dt", "0.1", "--t1", "1"]
+        assert run_cli(argv, capsys) == (1, "", f"error: {p}{message}\n")
+
+    def test_undecodable_json_curve_named(self, tmp_path, capsys):
+        p = tmp_path / "cut.json"
+        p.write_text('{"vertices": [[0, 0], [1, 0]')
+        argv = ["flow", "--shape", "file", "--input", str(p), "--dt", "0.1", "--t1", "1"]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {p}: Expecting ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("spaced, joined, out", [
         (["flow", "--n", "16", "--dt", "0.01", "--t1", "-2e-2"],
          ["flow", "--n", "16", "--dt", "0.01", "--t1=-2e-2"],

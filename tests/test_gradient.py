@@ -19,22 +19,29 @@ def corpus():
     ]
 
 
+def shared_form_cases():
+    """(curve, field) pairs: seeded fields and the position field on a star
+    and an ellipse."""
+    rng = np.random.default_rng(2)
+    for c in (h.star(1.0, 0.3, 5, 256), h.ellipse(1.0, 0.5, 200)):
+        yield c, rng.standard_normal((c.n, 2))
+        yield c, c.vertices
+
+
 class TestInnerProducts:
+    # the inner products, the norms and the record share one L2(ds) sum and
+    # one edge term, so they agree bit for bit
     def test_h1ds_matches_norm(self):
-        rng = np.random.default_rng(2)
-        c = h.star(1.0, 0.3, 5, 64)
-        v = rng.standard_normal((64, 2))
-        assert h.h1ds_inner(c, v, v) == pytest.approx(
-            h.norms(c, v).h1_ds ** 2, rel=1e-12
-        )
+        for c, v in shared_form_cases():
+            assert h.norms(c, v).h1_ds == math.sqrt(h.h1ds_inner(c, v, v))
 
     def test_l2ds_matches_norm(self):
-        rng = np.random.default_rng(3)
-        c = h.star(1.0, 0.3, 5, 64)
-        v = rng.standard_normal((64, 2))
-        assert h.l2ds_inner(c, v, v) == pytest.approx(
-            h.norms(c, v).l2_ds ** 2, rel=1e-12
-        )
+        for c, v in shared_form_cases():
+            assert h.norms(c, v).l2_ds == math.sqrt(h.l2ds_inner(c, v, v))
+
+    def test_record_l2ds_is_the_norm(self):
+        for c in (h.star(1.0, 0.3, 5, 256), h.ellipse(1.0, 0.5, 200)):
+            assert h.record(c, 0.25).l2ds == h.norms(c, c.vertices).l2_ds
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(4)

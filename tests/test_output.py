@@ -1,6 +1,8 @@
 """Emission layer: diagnostics CSV round-trip, SVG rendering, JSON export."""
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +136,19 @@ class TestTrajectoryJson:
         h.write_trajectory_json(short_traj, str(p))
         doc = json.loads(p.read_text())
         assert doc == h.trajectory_to_json(short_traj)
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_output_reads_and_writes_formats():
+    # every file format lives in h1flow.output
+    src = Path(h.__file__).parent
+    importers = sorted(p.name for p in src.glob("*.py")
+                       if {"json", "csv"} & set(_imported_modules(p)))
+    assert importers == ["output.py"]

@@ -280,3 +280,9 @@ class TestPathJson:
         d = h.path_to_json(translation_path(n=16, frames=3))
         del d["mode"]
         assert h.path_from_json(d).mode == "full"
+
+    def test_frame_without_vertices_named(self):
+        d = h.path_to_json(translation_path(n=16, frames=3))
+        d["frames"][1] = {"points": d["frames"][1]["vertices"]}
+        with pytest.raises(h.UsageError, match='^frame 1: no "vertices" list$'):
+            h.path_from_json(d)

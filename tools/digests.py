@@ -136,6 +136,10 @@ CLI_CASES = [
     (["flow", "--shape", "file", "--input", "{tmp}/missing.csv", "--dt", "0.1",
       "--t1", "1"], {}),
     (["flow", "--frobnicate", "--dt", "0.1", "--t1", "1"], {}),
+    (["flow", "--shape", "file", "--input", "{tmp}/bad.json", "--dt", "0.1", "--t1", "1"],
+     {"bad.json": '{"points": [[0, 0], [1, 0], [0, 1]]}'}),
+    (["flow", "--shape", "file", "--input", "{tmp}/bad.csv", "--dt", "0.1", "--t1", "1"],
+     {"bad.csv": "0,0\n1,0,2\n0,1\n"}),
 ]
 
 
