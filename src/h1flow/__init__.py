@@ -8,6 +8,8 @@ circle solution through the Lambert W function, diagnostics, and
 path-length computations in the space of curves.
 """
 
+from types import ModuleType as _ModuleType
+
 from .curves import (
     ArcData,
     ChordArcResult,
@@ -92,80 +94,6 @@ from .paths import (
 )
 from .shapes import GeneratorSpec, barbell, circle, ellipse, generate, square, star
 
-__all__ = [
-    "ArcData",
-    "ChordArcResult",
-    "CircleSolution",
-    "ConstantMapGuard",
-    "CSV_COLUMNS",
-    "CurvePath",
-    "DegenerateCurve",
-    "DiagnosticsRecord",
-    "EmbeddednessCheck",
-    "FieldNorms",
-    "FlowConfig",
-    "FrameData",
-    "GeneratorSpec",
-    "KernelMatrix",
-    "MIN_KERNEL_LENGTH",
-    "MismatchedFrames",
-    "MonitorVerdict",
-    "MonotonicityReport",
-    "NonMonotoneTwist",
-    "OutOfDomain",
-    "PolyCurve",
-    "RuntimeFailure",
-    "Termination",
-    "Trajectory",
-    "UsageError",
-    "VelocityField",
-    "arc_data",
-    "as_mode",
-    "asymptotic_profile",
-    "barbell",
-    "chord_arc_min",
-    "circle",
-    "convolve_kernel",
-    "curve_to_json",
-    "edge_lengths",
-    "edge_vectors",
-    "ellipse",
-    "embeddedness_condition",
-    "flow_velocity",
-    "flow_velocity_centered",
-    "frame_data",
-    "generate",
-    "greens_value",
-    "h1ds_inner",
-    "kernel_matrix",
-    "l2ds_inner",
-    "lambert_w0",
-    "lambert_w0_of_exp",
-    "length_directional_derivative",
-    "monotonicity_report",
-    "norms",
-    "path_from_json",
-    "path_length_l2ds",
-    "path_to_json",
-    "read_curve",
-    "read_diagnostics_csv",
-    "record",
-    "reindex",
-    "reparam_path",
-    "row_quadrature_defect",
-    "run_flow",
-    "shrink_path",
-    "signed_area",
-    "square",
-    "star",
-    "sup_norm",
-    "total_length",
-    "trajectory_h1ds_length",
-    "trajectory_to_json",
-    "turning_angles",
-    "write_curve",
-    "write_diagnostics_csv",
-    "write_svg",
-    "write_trajectory_json",
-    "zigzag_path",
-]
+# the import block above is the one list of exports: every public name it binds
+__all__ = [name for name, value in list(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

@@ -9,7 +9,9 @@ ordinary.
 The flow acts on immersed curves of finite length. Every state it takes,
 the initial one, each RK4 stage and each stepped one, passes once through
 _measure, which returns its arclength data or refuses it; the Euler and
-RK4 steppers are internal to run_flow.
+RK4 steppers are internal to run_flow. Every state a run keeps, and its
+record, come from _kept, which forms the rescaled profile when asked;
+asymptotic_profile applies the same _kept to a finished trajectory.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import ArcData, PolyCurve, arc_data, total_length
-from .diagnostics import record
+from .diagnostics import DiagnosticsRecord, record
 from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
 from .kernel import MIN_KERNEL_LENGTH
@@ -83,9 +85,6 @@ class Trajectory:
     records: tuple
     termination: Termination
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def _measure(X: np.ndarray) -> ArcData:
     """The measured state with vertices X: the one place where the flow
@@ -115,9 +114,15 @@ def _advance(ad: ArcData, h: float, method: str) -> np.ndarray:
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _profile(state: PolyCurve, t: float) -> PolyCurve:
-    """Y(t) = e^t (X(t) - X(t, vertex 0)); vertex 0 of Y is the origin."""
-    return PolyCurve(math.exp(t) * (state.vertices - state.vertices[0]))
+def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, DiagnosticsRecord]:
+    """The state a run keeps at time t, with its record. With rescale it is
+    the profile Y(t) = e^t (X(t) - X(t, vertex 0)), whose vertex 0 is the
+    origin; otherwise it is the curve itself, as a bare PolyCurve."""
+    X = curve.vertices
+    if rescale:
+        state = PolyCurve(math.exp(t) * (X - X[0]))
+        return state, record(state, t)
+    return PolyCurve(X), record(curve, t)
 
 
 def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
@@ -130,6 +135,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     """
     h = cfg.signed_step
     nsteps = cfg.steps
+    rescale = cfg.rescale_profile
 
     # a finite length can still overflow the record's norms and area; the
     # record keeps them as inf or nan, and the first step then fails
@@ -137,10 +143,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
         ad = _measure(initial.vertices)
         if ad.length <= cfg.min_length_guard:
             raise DegenerateCurve("initial length at or below the guard")
-        first = _profile(initial, cfg.t0) if cfg.rescale_profile else initial
-        recs = [record(first if cfg.rescale_profile else ad, cfg.t0)]
+        state, rec = _kept(ad, cfg.t0, rescale)
     times = [cfg.t0]
-    states = [first]
+    states = [state]
+    recs = [rec]
     termination = Termination.COMPLETED
 
     for k in range(1, nsteps + 1):
@@ -170,10 +176,9 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             if ad.length < MIN_KERNEL_LENGTH:
                 break
         if guard or k % cfg.record_every == 0 or k == nsteps:
-            state = _profile(ad, t) if cfg.rescale_profile else PolyCurve(ad.vertices)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    rec = record(state if cfg.rescale_profile else ad, t)
+                    state, rec = _kept(ad, t, rescale)
             except (DegenerateCurve, ConstantMapGuard):
                 # recorded states must be immersed and longer than the kernel
                 # guard; otherwise the step has left the well-posed regime
@@ -196,20 +201,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
 
 
 def asymptotic_profile(traj: Trajectory) -> Trajectory:
-    """Replace each state X(t) by Y(t) = e^t (X(t) - X(t, vertex 0)) and
-    recompute its diagnostics. Vertex 0 of every profile state is the origin."""
-    states = []
-    recs = []
-    for t, state in zip(traj.times, traj.states):
-        prof = _profile(state, t)
-        states.append(prof)
-        recs.append(record(prof, t))
-    return Trajectory(
-        times=traj.times,
-        states=tuple(states),
-        records=tuple(recs),
-        termination=traj.termination,
-    )
+    """The trajectory with each state X(t) replaced by its profile Y(t) and
+    its record recomputed, as run_flow keeps them with rescale_profile."""
+    kept = [_kept(state, t, True) for t, state in zip(traj.times, traj.states)]
+    return replace(traj, states=tuple(s for s, _ in kept), records=tuple(r for _, r in kept))
 
 
 def trajectory_h1ds_length(traj: Trajectory, return_partials: bool = False):

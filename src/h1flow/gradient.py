@@ -9,6 +9,7 @@ sum and the edge term of the curves module, which norms shares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,9 @@ def flow_velocity(curve: PolyCurve) -> VelocityField:
     """Velocity of the flow at every vertex plus the gradient norms."""
     ad = arc_data(curve)
     V = velocity(ad)
-    grad_sq = h1ds_inner(ad, V, V)
-    grad_l2 = float(np.sqrt(l2ds_inner(ad, V, V)))
-    return VelocityField(velocity=V, grad_norm_sq_h1ds=grad_sq, grad_norm_l2ds=grad_l2)
+    l2 = _l2ds_term(ad, V, V)
+    return VelocityField(velocity=V, grad_norm_sq_h1ds=l2 + _edge_term(ad, V, V),
+                         grad_norm_l2ds=math.sqrt(l2))
 
 
 def flow_velocity_centered(curve: PolyCurve) -> np.ndarray:

@@ -36,12 +36,20 @@ def curve_to_json(curve: PolyCurve) -> dict:
     return {"vertices": curve.vertices.tolist()}
 
 
+def _curve(vertices, source) -> PolyCurve:
+    """PolyCurve(vertices); source names the vertices in an error."""
+    try:
+        return PolyCurve(vertices)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
 def _curve_from_json(data, source) -> PolyCurve:
     """The curve of a {"vertices": [[x, y], ...]} object; source names the
     object in an error."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise UsageError(f'{source}: no "vertices" list')
-    return PolyCurve(np.asarray(data["vertices"], dtype=float))
+    return _curve(data["vertices"], source)
 
 
 def write_curve(curve: PolyCurve, path) -> None:
@@ -71,7 +79,7 @@ def read_curve(path) -> PolyCurve:
         except ValueError:
             raise UsageError(f"{path}, line {line}: expected two numbers x,y") from None
         pairs.append([x, y])
-    return PolyCurve(np.array(pairs))
+    return _curve(pairs, path)
 
 
 def path_to_json(path: CurvePath) -> dict:

@@ -1,4 +1,8 @@
-"""Initial-curve generators for the experiments and the CLI."""
+"""Initial-curve generators for the experiments and the CLI.
+
+Each generator takes all of its parameters; the default shape (n, size,
+neck, amplitude, lobes) is written once, in GeneratorSpec.
+"""
 
 from __future__ import annotations
 
@@ -41,12 +45,12 @@ class GeneratorSpec:
             raise ValueError("kind='file' needs a path")
 
 
-def circle(radius: float = 1.0, n: int = 200) -> PolyCurve:
+def circle(radius: float, n: int) -> PolyCurve:
     th = 2.0 * np.pi * np.arange(n) / n
     return PolyCurve(radius * np.stack([np.cos(th), np.sin(th)], axis=1))
 
 
-def square(side: float = 1.0, n: int = 200) -> PolyCurve:
+def square(side: float, n: int) -> PolyCurve:
     """Centered axis-aligned square traversed counterclockwise from the corner
     (side/2, -side/2); n must be divisible by 4."""
     if n % 4 != 0:
@@ -66,12 +70,12 @@ def square(side: float = 1.0, n: int = 200) -> PolyCurve:
     return PolyCurve(verts)
 
 
-def ellipse(a: float = 1.0, b: float = 0.5, n: int = 200) -> PolyCurve:
+def ellipse(a: float, b: float, n: int) -> PolyCurve:
     th = 2.0 * np.pi * np.arange(n) / n
     return PolyCurve(np.stack([a * np.cos(th), b * np.sin(th)], axis=1))
 
 
-def star(radius: float = 1.0, amplitude: float = 0.3, lobes: int = 5, n: int = 200) -> PolyCurve:
+def star(radius: float, amplitude: float, lobes: int, n: int) -> PolyCurve:
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
     th = 2.0 * np.pi * np.arange(n) / n
@@ -79,7 +83,7 @@ def star(radius: float = 1.0, amplitude: float = 0.3, lobes: int = 5, n: int = 2
     return PolyCurve(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
 
 
-def barbell(radius: float = 1.0, neck: float = 0.25, n: int = 200) -> PolyCurve:
+def barbell(radius: float, neck: float, n: int) -> PolyCurve:
     """Two circles of the given radius centered at (+-2 radius, 0), joined by a
     straight neck at y = +-neck between the tangency angles. Vertices are laid
     out by equal arclength steps along the boundary walk, starting on the right

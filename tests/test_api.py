@@ -14,6 +14,13 @@ def test_no_export_repeats():
     assert len(h1flow.__all__) == len(set(h1flow.__all__))
 
 
+def test_no_module_or_private_name_is_exported():
+    # __all__ is derived from the package namespace, which also binds the
+    # submodules and private helpers
+    assert [name for name in h1flow.__all__
+            if name.startswith("_") or inspect.ismodule(getattr(h1flow, name))] == []
+
+
 def test_every_public_function_and_class_is_exported():
     public = {
         name for name, value in vars(h1flow).items()

@@ -95,7 +95,16 @@ class TestUsageErrors:
         ("bad.json", '{"points": [[0, 0], [1, 0], [0, 1]]}', ': no "vertices" list'),
         ("bad.csv", "0,0\n1,0,2\n0,1\n", ", line 2: expected two numbers x,y"),
         ("bad.csv", "0,0\n\n1,zero\n0,1\n", ", line 3: expected two numbers x,y"),
-    ], ids=["json-no-vertices", "csv-three-values", "csv-not-a-number"])
+        ("wide.json", '{"vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1]]}',
+         ": vertices must be an (n, 2) array"),
+        # after the file name, NumPy's own text
+        ("ragged.json", '{"vertices": [[0, 0], [1, 0, 1], [0, 1]]}',
+         ": setting an array element with a sequence. The requested array has an inhomogeneous"
+         " shape after 1 dimensions. The detected shape was (3,) + inhomogeneous part."),
+        ("two.csv", "0,0\n1,0\n", ": a closed curve needs at least 3 vertices"),
+        ("empty.csv", "", ": vertices must be an (n, 2) array"),
+    ], ids=["json-no-vertices", "csv-three-values", "csv-not-a-number", "json-three-columns",
+            "json-ragged", "csv-two-rows", "csv-empty"])
     def test_malformed_curve_file_named(self, tmp_path, capsys, name, text, message):
         p = tmp_path / name
         p.write_text(text)

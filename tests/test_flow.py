@@ -378,6 +378,10 @@ class TestAsymptoticProfile:
         assert flagged.termination is manual.termination
         assert flagged.records == manual.records
 
+    def test_profile_of_empty_trajectory_is_empty(self):
+        empty = h.Trajectory(times=(), states=(), records=(), termination=h.Termination.COMPLETED)
+        assert h.asymptotic_profile(empty) == empty
+
     def test_profile_length_bounded(self, circle_t4_profile):
         # e^t L(t) settles instead of shrinking to zero
         Ls = [r.length for r in circle_t4_profile.records]
@@ -410,7 +414,7 @@ class TestWorkCounts:
 
     def test_rk4_gradient_norms_once_per_record(self, monkeypatch):
         # the RK4 stages need the velocity only; the norms are for the records
-        calls = _count_calls(monkeypatch, h1flow.gradient, "h1ds_inner")
+        calls = _count_calls(monkeypatch, h1flow.gradient, "_edge_term")
         traj = h.run_flow(
             h.circle(1.0, 32),
             h.FlowConfig(dt=0.05, t1=0.5, method="rk4", record_every=5),

@@ -98,9 +98,9 @@ class TestEllipse:
 class TestStar:
     def test_amplitude_range(self):
         with pytest.raises(ValueError):
-            h.star(1.0, -0.1)
+            h.star(1.0, -0.1, 5, 64)
         with pytest.raises(ValueError):
-            h.star(1.0, 1.0)
+            h.star(1.0, 1.0, 5, 64)
 
     def test_zero_amplitude_is_circle(self):
         assert np.allclose(h.star(1.0, 0.0, 5, 64).vertices,

@@ -140,6 +140,12 @@ CLI_CASES = [
      {"bad.json": '{"points": [[0, 0], [1, 0], [0, 1]]}'}),
     (["flow", "--shape", "file", "--input", "{tmp}/bad.csv", "--dt", "0.1", "--t1", "1"],
      {"bad.csv": "0,0\n1,0,2\n0,1\n"}),
+    *[(["flow", "--shape", "file", "--input", "{tmp}/" + name, "--dt", "0.1", "--t1", "1"],
+       {name: text}) for name, text in (
+        ("wide.json", '{"vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1]]}'),
+        ("ragged.json", '{"vertices": [[0, 0], [1, 0, 1], [0, 1]]}'),
+        ("two.csv", "0,0\n1,0\n"),
+        ("empty.csv", ""))],
 ]
 
 
