@@ -6,12 +6,15 @@ nothing is cached across steps. Forward runs shrink, and the continuum
 solution exists for all time in both directions, so negative steps are
 ordinary.
 
-The flow acts on immersed curves of finite length. Every state it takes,
-the initial one, each RK4 stage and each stepped one, passes once through
-_measure, which returns its arclength data or refuses it; the Euler and
-RK4 steppers are internal to run_flow. Every state a run keeps, and its
-record, come from _kept, which forms the rescaled profile when asked;
-asymptotic_profile applies the same _kept to a finished trajectory.
+The flow acts on immersed curves of finite length. Every state it takes or
+keeps, the initial one, each RK4 stage, each stepped one and each rescaled
+profile, passes once through _measure, which returns its arclength data or
+refuses it; the Euler and RK4 steppers are internal to run_flow. Every
+state a run keeps, and its record, come from _kept, which forms and
+measures the rescaled profile when asked; asymptotic_profile applies the
+same _kept to a finished trajectory. A step of run_flow is one try: the
+first refusal in it ends the run, at the length guard or as a numerical
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .curves import ArcData, PolyCurve, arc_data, total_length
 from .diagnostics import DiagnosticsRecord, record
 from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
-from .kernel import MIN_KERNEL_LENGTH
 
 METHODS = ("euler", "rk4")
 
@@ -117,79 +119,68 @@ def _advance(ad: ArcData, h: float, method: str) -> np.ndarray:
 def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, DiagnosticsRecord]:
     """The state a run keeps at time t, with its record. With rescale it is
     the profile Y(t) = e^t (X(t) - X(t, vertex 0)), whose vertex 0 is the
-    origin; otherwise it is the curve itself, as a bare PolyCurve."""
+    origin, measured by _measure; a refusal, or an e^t past the double
+    range, raises naming the profile and t. Otherwise it is the curve
+    itself, as a bare PolyCurve. A finite state can still overflow the
+    record's norms and area; the record keeps them as inf or nan."""
     X = curve.vertices
-    if rescale:
-        state = PolyCurve(math.exp(t) * (X - X[0]))
-        return state, record(state, t)
-    return PolyCurve(X), record(curve, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rescale:
+            try:
+                curve = _measure(math.exp(t) * (X - X[0]))
+            except (OverflowError, FloatingPointError, DegenerateCurve) as exc:
+                kind = DegenerateCurve if isinstance(exc, DegenerateCurve) else FloatingPointError
+                raise kind(f"rescaled profile at t={t!r}: {exc}") from None
+        return PolyCurve(curve.vertices), record(curve, t)
 
 
 def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     """Integrate from t0 toward t1, recording every record_every steps plus the
-    endpoints. Stops early when the length falls under the guard (LengthGuard)
-    or a step reaches a state that _measure refuses (NumericalFailure). With
-    rescale_profile, the recorded states are those of asymptotic_profile.
-    An initial curve that _measure refuses raises its error, and one at or
-    below the length guard raises DegenerateCurve.
+    endpoints. Stops early at a step whose state, an RK4 stage of it, or its
+    kept state or record is refused: as LENGTH_GUARD when the stepped state
+    is at or under the length guard (recorded if its record can be formed),
+    as NUMERICAL_FAILURE otherwise. With rescale_profile, the recorded states
+    are those of asymptotic_profile. An initial curve that _measure or _kept
+    refuses raises its error, and one at or below the length guard raises
+    DegenerateCurve.
     """
     h = cfg.signed_step
     nsteps = cfg.steps
     rescale = cfg.rescale_profile
 
-    # a finite length can still overflow the record's norms and area; the
-    # record keeps them as inf or nan, and the first step then fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        ad = _measure(initial.vertices)
-        if ad.length <= cfg.min_length_guard:
-            raise DegenerateCurve("initial length at or below the guard")
-        state, rec = _kept(ad, cfg.t0, rescale)
+    ad = _measure(initial.vertices)
+    if ad.length <= cfg.min_length_guard:
+        raise DegenerateCurve("initial length at or below the guard")
+    state, rec = _kept(ad, cfg.t0, rescale)
     times = [cfg.t0]
     states = [state]
     recs = [rec]
     termination = Termination.COMPLETED
 
+    short = False
     for k in range(1, nsteps + 1):
+        t = cfg.t0 + k * h
+        X = None  # the stepped vertices, until _measure accepts them
         try:
             with np.errstate(over="raise", invalid="raise"):
                 X = _advance(ad, h, cfg.method)
-        except (FloatingPointError, DegenerateCurve, ConstantMapGuard):
-            # an RK4 stage state refused by _measure, a length under the
-            # kernel guard (reachable with min_length_guard = 0), or a
-            # velocity that overflows or turns invalid
-            termination = Termination.NUMERICAL_FAILURE
-            break
-        t = cfg.t0 + k * h
-        try:
-            ad = _measure(X)
-        except FloatingPointError:
-            termination = Termination.NUMERICAL_FAILURE
-            break
-        except DegenerateCurve:
-            # no velocity on a collapsed edge: the run ends here
-            short = total_length(PolyCurve(X)) <= cfg.min_length_guard
+            ad, X = _measure(X), None
+            short = ad.length <= cfg.min_length_guard
+            if short or k % cfg.record_every == 0 or k == nsteps:
+                state, rec = _kept(ad, t, rescale)
+                times.append(t)
+                states.append(state)
+                recs.append(rec)
+            if short:
+                termination = Termination.LENGTH_GUARD
+                break
+        except (FloatingPointError, DegenerateCurve, ConstantMapGuard) as exc:
+            # no velocity on an RK4 stage, on the stepped state or on its kept
+            # state; only a stepped state refused for a collapsed edge has
+            # its length read again
+            if X is not None and isinstance(exc, DegenerateCurve):
+                short = total_length(PolyCurve(X)) <= cfg.min_length_guard
             termination = Termination.LENGTH_GUARD if short else Termination.NUMERICAL_FAILURE
-            break
-        guard = ad.length <= cfg.min_length_guard
-        if guard:
-            termination = Termination.LENGTH_GUARD
-            if ad.length < MIN_KERNEL_LENGTH:
-                break
-        if guard or k % cfg.record_every == 0 or k == nsteps:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    state, rec = _kept(ad, t, rescale)
-            except (DegenerateCurve, ConstantMapGuard):
-                # recorded states must be immersed and longer than the kernel
-                # guard; otherwise the step has left the well-posed regime
-                # (at the length guard: drop the state)
-                if not guard:
-                    termination = Termination.NUMERICAL_FAILURE
-                break
-            times.append(t)
-            states.append(state)
-            recs.append(rec)
-        if guard:
             break
 
     return Trajectory(

@@ -236,6 +236,22 @@ class TestRuntimeErrors:
         assert rc == 2 and out == ""
         assert err == "error: zero-length edge\n"
 
+    @pytest.mark.parametrize("args, cause", [
+        ("--shape circle --size 1 --n 16 --t0 700 --t1 712",
+         "700.0: curve length overflows the double range"),
+        ("--shape star --n 64 --t0 -800 --t1 -790", "-800.0: zero-length edge"),
+        ("--shape circle --size 1e10 --n 16 --t0 700 --t1 712",
+         "700.0: curve coordinates are not finite"),
+        # e^t itself leaves the double range past t = 709.78
+        ("--shape circle --size 1e-150 --n 16 --guard 0 --t0 710 --t1 712",
+         "710.0: math range error"),
+    ], ids=["length-overflow", "underflow-to-a-point", "coordinates-overflow", "exp-overflow"])
+    def test_refused_initial_profile_named(self, capsys, args, cause):
+        # e^t0 (X - X0) is measured like any state the run keeps; its
+        # refusal names the profile and t0 and is a runtime failure
+        argv = ["flow"] + args.split() + ["--dt", "0.5", "--rescale"]
+        assert run_cli(argv, capsys) == (2, "", f"error: rescaled profile at t={cause}\n")
+
     def test_unwritable_output(self, capsys):
         rc, _, err = run_cli(
             ["flow", "--n", "32", "--dt", "0.1", "--steps", "1",

@@ -1,6 +1,7 @@
 """Time integration: single steps, full runs, terminations, profiles."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,29 @@ class TestRunFlow:
         assert traj.termination is expected
         assert traj.times == (0.0,)
 
+    @pytest.mark.parametrize("rescale, records", [(True, 2), (False, 1)], ids=["profile", "raw"])
+    def test_state_at_the_guard_kept_when_its_record_forms(self, rescale, records):
+        # one Euler step of dt ~ 1 takes the length from 6.2e-6 to 6.2e-13,
+        # under the kernel guard: the curve's own record cannot be formed,
+        # its profile's, e^t times as long, can
+        dt = 0.9999999
+        with pytest.warns(UserWarning):
+            cfg = h.FlowConfig(dt=dt, t1=3 * dt, rescale_profile=rescale)
+        traj = h.run_flow(h.circle(1e-6, 16), cfg)
+        assert traj.termination is h.Termination.LENGTH_GUARD
+        assert len(traj.records) == records
+        if rescale:
+            assert traj.records[-1].length == pytest.approx(1.7e-12, rel=1e-2)
+
+    def test_profile_past_exp_range_is_numerical_failure(self, monkeypatch):
+        # e^t overflows past t = 709.78: the stepped record ends the run
+        monkeypatch.setattr(h1flow.flow, "_advance", lambda *args: h.circle(1.0, 16).vertices)
+        traj = h.run_flow(h.circle(1e-160, 16),
+                          h.FlowConfig(dt=0.5, t0=709.5, t1=711.0, min_length_guard=0.0,
+                                       rescale_profile=True))
+        assert traj.termination is h.Termination.NUMERICAL_FAILURE
+        assert traj.times == (709.5,)
+
     def test_translation_moves_the_centre_by_the_row_defect(self):
         # The continuum flow commutes with translations. The discrete one
         # does not: on X + a the velocity gains -a (1 + sum_j G_ij ds_j),
@@ -381,6 +405,12 @@ class TestAsymptoticProfile:
     def test_profile_of_empty_trajectory_is_empty(self):
         empty = h.Trajectory(times=(), states=(), records=(), termination=h.Termination.COMPLETED)
         assert h.asymptotic_profile(empty) == empty
+
+    def test_overflowing_profile_named(self):
+        traj = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.1, t1=0.1))
+        with pytest.raises(FloatingPointError,
+                           match=r"^rescaled profile at t=700\.0: curve length overflows"):
+            h.asymptotic_profile(replace(traj, times=(700.0, 700.1)))
 
     def test_profile_length_bounded(self, circle_t4_profile):
         # e^t L(t) settles instead of shrinking to zero

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
-from h1flow.errors import MismatchedFrames, NonMonotoneTwist
+from h1flow.errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
 from h1flow.paths import _schedule_weights
 
 
@@ -48,6 +48,12 @@ class TestCurvePath:
     def test_frame_sizes_must_agree(self):
         with pytest.raises(MismatchedFrames):
             h.CurvePath(frames=(h.circle(1.0, 16), h.circle(1.0, 32)))
+
+    def test_frame_with_repeated_vertex_rejected(self):
+        ring = h.circle(1.0, 16).vertices.copy()
+        ring[1] = ring[0]
+        with pytest.raises(DegenerateCurve, match="^degenerate frame in path$"):
+            h.CurvePath(frames=(h.circle(1.0, 16), h.PolyCurve(ring)))
 
     def test_mode_validated(self):
         with pytest.raises(ValueError):
@@ -286,3 +292,9 @@ class TestPathJson:
         d["frames"][1] = {"points": d["frames"][1]["vertices"]}
         with pytest.raises(h.UsageError, match='^frame 1: no "vertices" list$'):
             h.path_from_json(d)
+
+    @pytest.mark.parametrize("data", [{"mode": "full"}, [{"vertices": [[0, 0], [1, 0], [0, 1]]}]],
+                             ids=["no-frames-key", "json-list"])
+    def test_missing_frame_list_named(self, data):
+        with pytest.raises(h.UsageError, match='^no "frames" list$'):
+            h.path_from_json(data)

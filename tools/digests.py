@@ -146,6 +146,12 @@ CLI_CASES = [
         ("ragged.json", '{"vertices": [[0, 0], [1, 0, 1], [0, 1]]}'),
         ("two.csv", "0,0\n1,0\n"),
         ("empty.csv", ""))],
+    # rescaled profiles refused at t0
+    *[(["flow"] + args.split() + ["--dt", "0.5", "--rescale"], {}) for args in (
+        "--shape circle --size 1 --n 16 --t0 700 --t1 712",
+        "--shape star --n 64 --t0 -800 --t1 -790",
+        "--shape circle --size 1e10 --n 16 --t0 700 --t1 712",
+        "--shape circle --size 1e-150 --n 16 --guard 0 --t0 710 --t1 712")],
 ]
 
 
