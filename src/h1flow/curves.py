@@ -236,13 +236,14 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     Ties resolve to the lexicographically lowest (i, j) pair. The value lies
     in (0, 1]; small values flag near self-contact.
 
-    Rows are taken in blocks i0:i1 against the columns i0+1:n, about
-    _CHORD_BLOCK pairs or one row at a time, so memory is O(n). Only j > i
-    is evaluated: the ratio is exactly symmetric (X_i - X_j negates
-    X_j - X_i, and the gap is an absolute value), so the lowest tied (i, j)
-    lies in that triangle. argmin keeps the first minimum of a block, and a
-    later block wins only when strictly smaller, or NaN, which argmin over
-    all pairs would pick.
+    Rows are taken in blocks i0:i0+rows against the columns i0+1:n, about
+    _CHORD_BLOCK pairs or one row at a time, so memory is O(n). A pair is
+    evaluated where its gap s_j - s_i is positive: s increases, so these
+    are the pairs j > i whose separation is representable, and a pair whose
+    gap rounds to zero is skipped. The ratio is exactly symmetric, so the
+    lowest tied (i, j) lies in that triangle. argmin keeps the first
+    minimum of a block, and a later block wins only when strictly smaller,
+    or NaN, which argmin over all pairs would pick.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -251,15 +252,12 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     rows = max(1, _CHORD_BLOCK // n)
     best = None
     for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        dx = x[i0:i1, None] - x[None, i0 + 1:]
-        dy = y[i0:i1, None] - y[None, i0 + 1:]
+        dx = x[i0:i0 + rows, None] - x[None, i0 + 1:]
+        dy = y[i0:i0 + rows, None] - y[None, i0 + 1:]
         chord = np.sqrt(dx * dx + dy * dy)
-        gap = np.abs(ad.s[i0:i1, None] - ad.s[None, i0 + 1:])
+        gap = ad.s[None, i0 + 1:] - ad.s[i0:i0 + rows, None]
         arc = np.minimum(gap, ad.length - gap)
-        # column c of row r is the pair (i0 + r, i0 + 1 + c): upper iff c >= r
-        upper = np.arange(n - 1 - i0)[None, :] >= np.arange(i1 - i0)[:, None]
-        ratio = np.divide(chord, arc, out=np.full(chord.shape, np.inf), where=upper)
+        ratio = np.divide(chord, arc, out=np.full(chord.shape, np.inf), where=gap > 0.0)
         r, c = divmod(int(np.argmin(ratio)), ratio.shape[1])
         value = ratio[r, c]
         if best is None or not value >= best.value:

@@ -93,10 +93,13 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
     """All monitors for one state, from one measurement of its geometry."""
     ad = arc_data(curve)
     area = signed_area(ad)
-    # a float64 square overflows to inf where a Python float power would raise
-    L2 = float(np.float64(ad.length) ** 2)
+    L2 = ad.length * ad.length
     iso = L2 / (4.0 * math.pi * abs(area)) if area != 0.0 else math.inf
     max_k = float(np.abs(frame_data(ad).curvature).max())
+    try:
+        rescaled_k = math.exp(-t) * max_k
+    except OverflowError:  # e^-t past the double range: the product is inf
+        rescaled_k = math.inf
     emb = embeddedness_condition(ad)
     # X_u in the uniform parametrization, |S^1| = 1
     xu = math.sqrt(ad.n * (ad.edge_lengths ** 2).sum())
@@ -112,7 +115,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
         min_edge=float(ad.edge_lengths.min()),
         chord_arc_min=emb.lhs,
         max_abs_k=max_k,
-        rescaled_max_k=math.exp(-t) * max_k,
+        rescaled_max_k=rescaled_k,
         grad_sq_h1ds=flow_velocity(ad).grad_norm_sq_h1ds,
         embeddedness_ok=emb.ok,
     )

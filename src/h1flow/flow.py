@@ -120,8 +120,9 @@ def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, Diagnos
     """The state a run keeps at time t, with its record. With rescale it is
     the profile Y(t) = e^t (X(t) - X(t, vertex 0)), whose vertex 0 is the
     origin, measured by _measure; a refusal, or an e^t past the double
-    range, raises naming the profile and t. Otherwise it is the curve
-    itself, as a bare PolyCurve. A finite state can still overflow the
+    range, raises naming the profile and t. Y is already rescaled, so its
+    record's rescaled_max_k is its own max_abs_k. Otherwise the state is the
+    curve itself, as a bare PolyCurve. A finite state can still overflow the
     record's norms and area; the record keeps them as inf or nan."""
     X = curve.vertices
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,7 +132,10 @@ def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, Diagnos
             except (OverflowError, FloatingPointError, DegenerateCurve) as exc:
                 kind = DegenerateCurve if isinstance(exc, DegenerateCurve) else FloatingPointError
                 raise kind(f"rescaled profile at t={t!r}: {exc}") from None
-        return PolyCurve(curve.vertices), record(curve, t)
+        rec = record(curve, t)
+    if rescale:
+        rec = replace(rec, rescaled_max_k=rec.max_abs_k)
+    return PolyCurve(curve.vertices), rec
 
 
 def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
@@ -151,10 +155,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     ad = _measure(initial.vertices)
     if ad.length <= cfg.min_length_guard:
         raise DegenerateCurve("initial length at or below the guard")
-    state, rec = _kept(ad, cfg.t0, rescale)
-    times = [cfg.t0]
-    states = [state]
-    recs = [rec]
+    kept = [(cfg.t0, *_kept(ad, cfg.t0, rescale))]
     termination = Termination.COMPLETED
 
     short = False
@@ -167,10 +168,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             ad, X = _measure(X), None
             short = ad.length <= cfg.min_length_guard
             if short or k % cfg.record_every == 0 or k == nsteps:
-                state, rec = _kept(ad, t, rescale)
-                times.append(t)
-                states.append(state)
-                recs.append(rec)
+                kept.append((t, *_kept(ad, t, rescale)))
             if short:
                 termination = Termination.LENGTH_GUARD
                 break
@@ -183,12 +181,8 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             termination = Termination.LENGTH_GUARD if short else Termination.NUMERICAL_FAILURE
             break
 
-    return Trajectory(
-        times=tuple(times),
-        states=tuple(states),
-        records=tuple(recs),
-        termination=termination,
-    )
+    times, states, records = zip(*kept)
+    return Trajectory(times=times, states=states, records=records, termination=termination)
 
 
 def asymptotic_profile(traj: Trajectory) -> Trajectory:

@@ -332,6 +332,13 @@ class TestFlowCommand:
         assert proc.stdout.startswith("termination=completed t=1 ")
         assert proc.stderr == ""
 
+    def test_run_past_the_exp_range(self, capsys):
+        # records at t <= -710, where e^-t leaves the double range
+        rc, out, err = run_cli(["flow", "--shape", "circle", "--n", "16", "--t0", "-709",
+                                "--dt", "0.5", "--t1", "-711"], capsys)
+        assert rc == 0 and err == ""
+        assert out.startswith("termination=completed t=-711 ")
+
     def test_steps_horizon(self, capsys):
         rc, out, _ = run_cli(
             ["flow", "--n", "32", "--dt", "0.1", "--steps", "5"], capsys)

@@ -301,6 +301,14 @@ class TestChordArcBlocks:
         res = h.chord_arc_min(c)
         assert as_tuple(res) == dense_chord_arc(c) == (0.5, m // 2, 2 * m + m // 2)
 
+    def test_edge_below_the_arclength_ulp(self):
+        # s_1 = s_2 = 1, so the pair (1, 2) has no representable gap and is
+        # skipped; the dense reference divides by that zero gap, so the
+        # value is compared with the literal
+        c = h.PolyCurve([[0, 0], [1, 0], [1, 1e-17], [1, 1], [0, 1]])
+        assert as_tuple(h.chord_arc_min(c)) == (math.sqrt(2.0) / 2.0, 0, 3)
+        assert h.record(c, 0.0).chord_arc_min == math.sqrt(2.0) / 2.0
+
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_overflowing_coordinates(self, scale):
         # inf chords at 1e155; inf arclengths and NaN ratios at 1e300, where

@@ -239,6 +239,18 @@ class TestRunFlow:
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
         assert traj.times == (709.5,)
 
+    def test_records_past_the_exp_range(self):
+        # the flow is autonomous, so t is only a label; below t = -709.78
+        # e^-t leaves the double range and the rescaled curvature reads inf
+        traj = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.5, t0=-709, t1=-711))
+        assert traj.termination is h.Termination.COMPLETED
+        assert traj.times == (-709, -709.5, -710.0, -710.5, -711.0)
+        for t, rec in zip(traj.times[:2], traj.records):
+            assert rec.rescaled_max_k == math.exp(-t) * rec.max_abs_k < math.inf
+        assert [r.rescaled_max_k for r in traj.records[2:]] == [math.inf] * 3
+        far = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.5, t0=-800, t1=-799))
+        assert far.termination is h.Termination.COMPLETED
+
     def test_translation_moves_the_centre_by_the_row_defect(self):
         # The continuum flow commutes with translations. The discrete one
         # does not: on X + a the velocity gains -a (1 + sum_j G_ij ds_j),
@@ -401,6 +413,20 @@ class TestAsymptoticProfile:
         assert flagged.times == manual.times
         assert flagged.termination is manual.termination
         assert flagged.records == manual.records
+
+    @pytest.mark.parametrize("curve", [h.circle(1.0, 128), h.star(1.0, 0.3, 5, 128)],
+                             ids=["circle", "star"])
+    def test_rescaled_curvature_is_the_profile_curvature(self, curve):
+        # Y = e^t (X - X_0) has curvature e^-t k(X), so a profile's record
+        # carries its own curvature, not one rescaled a second time
+        cfg = h.FlowConfig(dt=0.01, t1=2.0, method="rk4", record_every=50)
+        raw = h.run_flow(curve, cfg)
+        for prof in (h.run_flow(curve, replace(cfg, rescale_profile=True)),
+                     h.asymptotic_profile(raw)):
+            assert prof.times == raw.times
+            for a, b in zip(raw.records, prof.records):
+                assert b.rescaled_max_k == b.max_abs_k
+                assert b.rescaled_max_k == pytest.approx(a.rescaled_max_k, rel=1e-12)
 
     def test_profile_of_empty_trajectory_is_empty(self):
         empty = h.Trajectory(times=(), states=(), records=(), termination=h.Termination.COMPLETED)

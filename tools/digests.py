@@ -48,6 +48,7 @@ from h1flow.kernel import apply_kernel  # noqa: E402
 # (argv, input files). "{tmp}" in an argument is the invocation's own
 # directory, where its input files are written and its outputs are read.
 _DUPLICATE_VERTEX = "0,0\n0,0\n1,0\n0,1\n"
+_SUB_ULP_EDGE = "0,0\n1,0\n1,1e-17\n1,1\n0,1\n"
 CLI_CASES = [
     # README
     (["flow", "--shape", "square", "--size", "1", "--n", "200", "--dt", "0.2",
@@ -152,6 +153,16 @@ CLI_CASES = [
         "--shape star --n 64 --t0 -800 --t1 -790",
         "--shape circle --size 1e10 --n 16 --t0 700 --t1 712",
         "--shape circle --size 1e-150 --n 16 --guard 0 --t0 710 --t1 712")],
+    # records at t below -709.78, where e^-t leaves the double range
+    (["flow", "--shape", "circle", "--n", "16", "--t0", "-709", "--dt", "0.5",
+      "--t1", "-711"], {}),
+    # an edge shorter than the arclength's ulp: its ends have the same s
+    (["flow", "--shape", "file", "--input", "{tmp}/subulp.csv", "--dt", "0.01",
+      "--steps", "1"], {"subulp.csv": _SUB_ULP_EDGE}),
+    # the rescaled curvature column of a profile run
+    (["flow", "--shape", "star", "--n", "64", "--dt", "0.05", "--t1", "1",
+      "--record-every", "5", "--rescale", "--out-csv", "{tmp}/p.csv",
+      "--out-json", "{tmp}/p.json"], {}),
 ]
 
 
