@@ -28,6 +28,7 @@ from .lambertw import CircleSolution
 from .output import (
     _fmt,
     path_to_json,
+    read_curve,
     write_diagnostics_csv,
     write_json,
     write_svg,
@@ -61,7 +62,7 @@ def _build_parser() -> _Parser:
     # only when given, so the dataclass default applies otherwise
     f = sub.add_parser("flow", help="run the flow from a shape or input file",
                        argument_default=argparse.SUPPRESS)
-    f.add_argument("--shape", dest="kind", default="circle", choices=KINDS)
+    f.add_argument("--shape", dest="kind", default="circle", choices=(*KINDS, "file"))
     f.add_argument("--size", type=float)
     f.add_argument("--size-b", type=float, help="ellipse semi-minor axis")
     f.add_argument("--neck", type=float, help="barbell neck half-width")
@@ -104,7 +105,13 @@ def _given(cls, args):
 
 
 def _cmd_flow(args) -> int:
-    initial = generate(_given(GeneratorSpec, args))
+    # a curve file is read as it is: no shape flag reaches it
+    if args.kind != "file":
+        initial = generate(_given(GeneratorSpec, args))
+    elif "path" in args:
+        initial = read_curve(args.path)
+    else:
+        raise UsageError("--shape file needs --input")
     if ("steps" in args) == ("t1" in args):
         raise UsageError("exactly one of --steps and --t1 is required")
     if "steps" in args:
@@ -136,8 +143,10 @@ def _cmd_distance(args) -> int:
         path = shrink_path(base, args.lam, args.frames)
         label = f"shrink lambda={args.lam:g} frames={args.frames}"
     elif args.demo == "reparam":
-        # one smooth twist bump, a quarter period wide
-        delta = args.lam * args.n / (2.0 * np.pi) * np.sin(2.0 * np.pi * np.arange(args.n) / args.n)
+        # one smooth twist bump, a quarter period wide; an infinite lambda
+        # gives inf * sin(0) = nan, a twist that reparam_path refuses
+        with np.errstate(invalid="ignore"):
+            delta = args.lam * args.n / (2.0 * np.pi) * np.sin(2.0 * np.pi * np.arange(args.n) / args.n)
         path = reparam_path(base, delta, args.frames)
         label = f"reparam lambda={args.lam:g} frames={args.frames}"
     else:

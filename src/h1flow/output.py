@@ -87,7 +87,7 @@ def path_to_json(path: CurvePath) -> dict:
 
 
 def path_from_json(data: dict) -> CurvePath:
-    if not isinstance(data, dict) or "frames" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("frames"), list):
         raise UsageError('no "frames" list')
     frames = tuple(_curve_from_json(f, f"frame {k}") for k, f in enumerate(data["frames"]))
     return CurvePath(frames=frames, mode=data.get("mode", "full"))

@@ -91,7 +91,8 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     """Path that slides the parametrization: frame k samples the polygon at
     index i + t_k * twist_i. The twist is a per-vertex index displacement whose
     endpoint i + twist_i must stay strictly increasing (an orientation-
-    preserving circle bijection); anything else raises NonMonotoneTwist.
+    preserving circle bijection); anything else, a non-finite twist among
+    them, raises NonMonotoneTwist.
     """
     if frames < 2:
         raise ValueError("frames must be >= 2")
@@ -99,6 +100,9 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     n = curve.n
     if delta.shape != (n,):
         raise NonMonotoneTwist(f"twist must have {n} entries")
+    if not np.isfinite(delta).all():
+        # a NaN fails no order test below, and inf - inf warns
+        raise NonMonotoneTwist("twist must be finite")
     target = np.arange(n) + delta
     if np.any(np.diff(target) <= 0.0) or target[-1] - target[0] >= n:
         raise NonMonotoneTwist("i + twist_i must be strictly increasing around the circle")

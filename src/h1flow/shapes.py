@@ -1,7 +1,9 @@
 """Initial-curve generators for the experiments and the CLI.
 
-Each generator takes all of its parameters; the default shape (n, size,
-neck, amplitude, lobes) is written once, in GeneratorSpec.
+Each generator turns its parameters into a polygon and does nothing else: it
+reads no file (a curve file is read by output.read_curve). Each takes all of
+its parameters; the default shape (n, size, neck, amplitude, lobes) is
+written once, in GeneratorSpec.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve
-from .output import read_curve
 
-KINDS = ("circle", "square", "ellipse", "barbell", "star", "file")
+KINDS = ("circle", "square", "ellipse", "barbell", "star")
 
 
 @dataclass(frozen=True)
@@ -26,12 +27,11 @@ class GeneratorSpec:
     neck: float = 0.25         # barbell neck half-width
     amplitude: float = 0.3     # star radial modulation
     lobes: int = 5             # star lobe count
-    path: str | None = None    # input file for kind="file"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown shape {self.kind!r}")
-        if self.kind != "file" and self.n < 3:
+        if self.n < 3:
             raise ValueError("n must be >= 3")
         for name in ("size", "size_b"):
             value = getattr(self, name)
@@ -41,8 +41,6 @@ class GeneratorSpec:
             raise ValueError("size parameters must be positive")
         if self.kind == "barbell" and not 0.0 < self.neck < self.size:
             raise ValueError("neck half-width must lie in (0, radius)")
-        if self.kind == "file" and not self.path:
-            raise ValueError("kind='file' needs a path")
 
 
 def circle(radius: float, n: int) -> PolyCurve:
@@ -56,18 +54,11 @@ def square(side: float, n: int) -> PolyCurve:
     if n % 4 != 0:
         raise ValueError("square needs n divisible by 4")
     u = np.arange(n) / n * 4.0  # perimeter position in side units
-    verts = np.empty((n, 2))
+    k = u.astype(int)           # side k runs from corner[k] along heading[k]
     h = side / 2.0
-    for i, p in enumerate(u):
-        if p < 1.0:
-            verts[i] = (h, -h + side * p)
-        elif p < 2.0:
-            verts[i] = (h - side * (p - 1.0), h)
-        elif p < 3.0:
-            verts[i] = (-h, h - side * (p - 2.0))
-        else:
-            verts[i] = (-h + side * (p - 3.0), -h)
-    return PolyCurve(verts)
+    corner = np.array([[h, -h], [h, h], [-h, h], [-h, -h]])
+    heading = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
+    return PolyCurve(corner[k] + heading[k] * (side * (u - k))[:, None])
 
 
 def ellipse(a: float, b: float, n: int) -> PolyCurve:
@@ -92,30 +83,21 @@ def barbell(radius: float, neck: float, n: int) -> PolyCurve:
     r = radius
     cx = 2.0 * r
     alpha = math.asin(neck / r)
-    arc_span = 2.0 * math.pi - 2.0 * alpha          # each lobe
-    seg_len = 2.0 * (cx - r * math.cos(alpha))      # each neck segment
-    pieces = [r * arc_span, seg_len, r * arc_span, seg_len]
-    total = sum(pieces)
-    bounds = np.concatenate(([0.0], np.cumsum(pieces)))
-    targets = np.arange(n) / n * total
-    verts = np.empty((n, 2))
+    arc = r * (2.0 * math.pi - 2.0 * alpha)         # each lobe
     xj = cx - r * math.cos(alpha)                   # junction |x|
-    for i, s in enumerate(targets):
-        if s < bounds[1]:
-            # right lobe, from angle -(pi - alpha) counterclockwise through 0
-            phi = -(math.pi - alpha) + s / r
-            verts[i] = (cx + r * math.cos(phi), r * math.sin(phi))
-        elif s < bounds[2]:
-            # top neck, right to left
-            verts[i] = (xj - (s - bounds[1]), neck)
-        elif s < bounds[3]:
-            # left lobe, from angle alpha counterclockwise through pi
-            phi = alpha + (s - bounds[2]) / r
-            verts[i] = (-cx + r * math.cos(phi), r * math.sin(phi))
-        else:
-            # bottom neck, left to right
-            verts[i] = (-xj + (s - bounds[3]), -neck)
-    return PolyCurve(verts)
+    # pieces 0 to 3: right lobe, top neck, left lobe, bottom neck
+    bounds = np.cumsum([0.0, arc, 2.0 * xj, arc, 2.0 * xj])
+    s = np.arange(n) / n * bounds[-1]
+    k = np.searchsorted(bounds, s, "right") - 1
+    d = s - bounds[k]
+    # the right lobe starts at angle -(pi - alpha), the left one at alpha;
+    # both run counterclockwise
+    phi = np.where(k == 0, -(math.pi - alpha), alpha) + d / r
+    lobe = np.stack([(1 - k) * cx + r * np.cos(phi), r * np.sin(phi)], axis=1)
+    # the top neck runs right to left, the bottom one left to right
+    top = k == 1
+    bar = np.stack([np.where(top, xj - d, d - xj), np.where(top, neck, -neck)], axis=1)
+    return PolyCurve(np.where((k % 2 == 0)[:, None], lobe, bar))
 
 
 def generate(spec: GeneratorSpec) -> PolyCurve:
@@ -128,6 +110,4 @@ def generate(spec: GeneratorSpec) -> PolyCurve:
         return ellipse(spec.size, b, spec.n)
     if spec.kind == "star":
         return star(spec.size, spec.amplitude, spec.lobes, spec.n)
-    if spec.kind == "barbell":
-        return barbell(spec.size, spec.neck, spec.n)
-    return read_curve(spec.path)
+    return barbell(spec.size, spec.neck, spec.n)

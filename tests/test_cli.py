@@ -54,9 +54,8 @@ class TestUsageErrors:
         assert rc == 1 and err.startswith("error:")
 
     def test_file_shape_needs_input(self, capsys):
-        rc, _, err = run_cli(
-            ["flow", "--shape", "file", "--dt", "0.1", "--t1", "1.0"], capsys)
-        assert rc == 1 and err.startswith("error:")
+        argv = ["flow", "--shape", "file", "--dt", "0.1", "--t1", "1.0"]
+        assert run_cli(argv, capsys) == (1, "", "error: --shape file needs --input\n")
 
     def test_zigzag_teeth_must_divide(self, capsys):
         rc, _, err = run_cli(
@@ -68,6 +67,12 @@ class TestUsageErrors:
         rc, _, err = run_cli(
             ["distance", "--demo", "reparam", "--lambda", "2.0"], capsys)
         assert rc == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_reparam_non_finite_lambda_rejected(self, capsys, lam):
+        # the one error line, with no NumPy warning before it
+        argv = ["distance", "--demo", "reparam", "--lambda", lam]
+        assert run_cli(argv, capsys) == (1, "", "error: twist must be finite\n")
 
     @pytest.mark.parametrize("argv, field", [
         (["--t1", "nan"], "t1"),
@@ -389,6 +394,14 @@ class TestFlowCommand:
             ["flow", "--shape", "file", "--input", str(src), "--dt", "0.1",
              "--steps", "2"], capsys)
         assert rc == 0 and out.startswith("termination=completed")
+
+    def test_file_input_reads_no_shape_flags(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        h.write_curve(h.circle(1.0, 48), str(src))
+        argv = ["flow", "--shape", "file", "--input", str(src), "--dt", "0.1", "--steps", "2"]
+        plain = run_cli(argv, capsys)
+        flagged = run_cli(argv + ["--size", "-1", "--n", "2", "--neck", "5"], capsys)
+        assert flagged == plain and plain[0] == 0
 
 
 class TestDistanceCommand:

@@ -175,6 +175,11 @@ class TestReparamPath:
             h.reparam_path(c, self.twist(n, n), 5)  # folds back
         with pytest.raises(NonMonotoneTwist):
             h.reparam_path(c, np.zeros(n - 1), 5)  # wrong size
+        for bad in (np.nan, np.inf):
+            # a NaN passes every order test; refused before any arithmetic,
+            # so with no RuntimeWarning (an error under the suite's filters)
+            with pytest.raises(NonMonotoneTwist, match="^twist must be finite$"):
+                h.reparam_path(c, np.full(n, bad), 5)
 
     def test_full_mode_scaling_three_halves(self):
         # the integrand carries |x'|^3: scaling the curve by lam scales the
@@ -293,8 +298,9 @@ class TestPathJson:
         with pytest.raises(h.UsageError, match='^frame 1: no "vertices" list$'):
             h.path_from_json(d)
 
-    @pytest.mark.parametrize("data", [{"mode": "full"}, [{"vertices": [[0, 0], [1, 0], [0, 1]]}]],
-                             ids=["no-frames-key", "json-list"])
+    @pytest.mark.parametrize("data", [{"mode": "full"}, [{"vertices": [[0, 0], [1, 0], [0, 1]]}],
+                                      {"frames": 5}, {"frames": None}],
+                             ids=["no-frames-key", "json-list", "frames-number", "frames-null"])
     def test_missing_frame_list_named(self, data):
         with pytest.raises(h.UsageError, match='^no "frames" list$'):
             h.path_from_json(data)

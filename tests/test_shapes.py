@@ -29,10 +29,10 @@ class TestGeneratorSpec:
             h.GeneratorSpec(kind="barbell", size=1.0, neck=1.0)
         h.GeneratorSpec(kind="barbell", size=1.0, neck=0.999)  # boundary ok
 
-    def test_file_kind_needs_path(self):
-        with pytest.raises(ValueError):
+    def test_file_is_not_a_kind(self):
+        # a curve file is read by read_curve, not generated
+        with pytest.raises(ValueError, match="^unknown shape 'file'$"):
             h.GeneratorSpec(kind="file")
-        h.GeneratorSpec(kind="file", path="x.csv", n=1)  # n unused for files
 
     def test_frozen(self):
         spec = h.GeneratorSpec(kind="circle")
@@ -184,13 +184,6 @@ class TestGenerate:
         b = h.GeneratorSpec(kind="barbell", n=120, size=2.0, neck=0.5)
         assert np.array_equal(h.generate(b).vertices,
                               h.barbell(2.0, 0.5, 120).vertices)
-
-    def test_file_kind_reads_curve(self, tmp_path):
-        src = h.star(1.0, 0.3, 5, 40)
-        p = tmp_path / "star.csv"
-        h.write_curve(src, str(p))
-        out = h.generate(h.GeneratorSpec(kind="file", path=str(p)))
-        assert np.allclose(out.vertices, src.vertices, rtol=0, atol=0)
 
     def test_all_defaults_embedded(self):
         for kind in ("circle", "square", "ellipse", "star", "barbell"):

@@ -16,7 +16,8 @@ Groups:
 - zigzag: the quotient and full lengths of conftest's zigzag_lengths;
 - scalars: reference values of the geometry, kernel, gradient, diagnostics
   and path functions on a star (n = 256) and an ellipse (n = 200) with
-  seeded random fields;
+  seeded random fields, and the vertices of squares and barbells at a few
+  (n, size, neck);
 - cli: exit code, stdout, stderr and output files of the README commands,
   every argv in tests/test_cli.py and further error cases. Each invocation
   runs in this process and shows each warning as a new process would. The invocation's directory reads "{tmp}" and the checkout's path
@@ -73,6 +74,7 @@ CLI_CASES = [
     (["flow", "--shape", "file", "--dt", "0.1", "--t1", "1.0"], {}),
     (["distance", "--demo", "zigzag", "--teeth", "3", "--n", "256"], {}),
     (["distance", "--demo", "reparam", "--lambda", "2.0"], {}),
+    *[(["distance", "--demo", "reparam", "--lambda", lam], {}) for lam in ("nan", "inf", "-inf")],
     *[(["flow", "--n", "16", "--dt", "0.1"] + extra, {}) for extra in (
         ["--t1", "nan"], ["--t1", "inf"], ["--t0", "nan", "--t1", "1"],
         ["--t0", "inf", "--steps", "2"], ["--size", "inf", "--t1", "1"],
@@ -121,6 +123,8 @@ CLI_CASES = [
       "--rescale", "--out-svg", "{tmp}/p.svg"], {}),
     (["flow", "--shape", "file", "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "2"],
      {"in.csv": None}),
+    (["flow", "--shape", "file", "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "2",
+      "--size", "-1", "--n", "2", "--neck", "5"], {"in.csv": None}),
     (["distance", "--demo", "shrink", "--lambda", "0.5", "--frames", "33", "--n", "256"], {}),
     (["distance", "--demo", "shrink", "--lambda", "0.25", "--frames", "4097", "--n", "128"], {}),
     (["distance", "--demo", "zigzag", "--teeth", "4", "--frames", "33", "--n", "256"], {}),
@@ -253,6 +257,13 @@ def reference_scalars() -> dict:
                         ("reparam", h.reparam_path(base, twist, 17))):
         for mode in ("full", "quotient"):
             out[f"{label}.path_length_l2ds.{mode}"] = h.path_length_l2ds(h.as_mode(path, mode))
+    # n = 4 puts one vertex on each square corner and barbell piece; odd n
+    # and thin or wide necks move vertices off the piece bounds
+    for side, n in ((1.0, 4), (1.0, 200), (3.0, 1000)):
+        out[f"square({side}, {n})"] = h.square(side, n).vertices
+    for radius, neck, n in ((1.0, 0.25, 4), (1.0, 0.25, 7), (1.0, 0.25, 200),
+                            (2.0, 1e-6, 201), (3.0, 2.99, 1001)):
+        out[f"barbell({radius}, {neck}, {n})"] = h.barbell(radius, neck, n).vertices
     out["CSV_COLUMNS"] = h.CSV_COLUMNS
     return out
 
