@@ -54,25 +54,36 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+def count(text: str) -> int:
+    """A step count: a non-negative integer within the float range, so that
+    the horizon t0 + steps * dt is a float. FlowConfig bounds the count."""
+    if not 0 <= (steps := int(text)) <= sys.float_info.max:
+        raise ValueError(text)
+    return steps
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="h1flow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     # flags named after a GeneratorSpec or FlowConfig field (dest) reach it
-    # only when given, so the dataclass default applies otherwise
+    # only when given, so the dataclass default applies otherwise (--shape's
+    # too: an argparse default would hide it from the either-or check)
     f = sub.add_parser("flow", help="run the flow from a shape or input file",
                        argument_default=argparse.SUPPRESS)
-    f.add_argument("--shape", dest="kind", default="circle", choices=(*KINDS, "file"))
+    start = f.add_mutually_exclusive_group()
+    start.add_argument("--shape", dest="kind", choices=KINDS)
+    start.add_argument("--input", dest="path", help="curve file, read as it is")
     f.add_argument("--size", type=float)
     f.add_argument("--size-b", type=float, help="ellipse semi-minor axis")
     f.add_argument("--neck", type=float, help="barbell neck half-width")
     f.add_argument("--amplitude", type=float, help="star modulation")
     f.add_argument("--lobes", type=int, help="star lobe count")
     f.add_argument("--n", type=int)
-    f.add_argument("--input", dest="path", help="curve file for --shape file")
     f.add_argument("--dt", type=float, required=True)
-    f.add_argument("--steps", type=int)
-    f.add_argument("--t1", type=float)
+    horizon = f.add_mutually_exclusive_group(required=True)
+    horizon.add_argument("--steps", type=count)
+    horizon.add_argument("--t1", type=float)
     f.add_argument("--t0", type=float)
     f.add_argument("--method", choices=METHODS)
     f.add_argument("--record-every", type=int)
@@ -106,14 +117,7 @@ def _given(cls, args):
 
 def _cmd_flow(args) -> int:
     # a curve file is read as it is: no shape flag reaches it
-    if args.kind != "file":
-        initial = generate(_given(GeneratorSpec, args))
-    elif "path" in args:
-        initial = read_curve(args.path)
-    else:
-        raise UsageError("--shape file needs --input")
-    if ("steps" in args) == ("t1" in args):
-        raise UsageError("exactly one of --steps and --t1 is required")
+    initial = read_curve(args.path) if "path" in args else generate(_given(GeneratorSpec, args))
     if "steps" in args:
         args.t1 = getattr(args, "t0", FlowConfig.t0) + args.steps * args.dt
     traj = run_flow(initial, _given(FlowConfig, args))

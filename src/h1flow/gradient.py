@@ -1,10 +1,11 @@
 """Flow velocity (minus the H1(ds) gradient of length) and related forms.
 
-The velocity at vertex i is V_i = -X_i - sum_j X_j G_ij ds_j, the direct
-transcription of the discrete scheme. A centered variant exists purely for
-cross-checks; the two differ by the row-quadrature defect times |X|. The
-inner products and the first variation of length are built from the L2(ds)
-sum and the edge term of the curves module, which norms shares.
+The velocity is V = K*X - X with (K*X)_i = sum_j K_ij ds_j X_j and the
+positive kernel K = -G, the discrete scheme as written, with no linear solve.
+A centered variant exists purely for cross-checks; the two differ by the
+row-quadrature defect times |X|. The inner products and the first variation
+of length are built from the L2(ds) sum and the edge term of the curves
+module, which norms shares.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve, _as_field, _edge_term, _l2ds_term, arc_data
-from .kernel import apply_kernel, kernel_matrix
+from .kernel import convolve_kernel, kernel_matrix
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,10 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
 
 
 def velocity(curve: PolyCurve) -> np.ndarray:
-    """Velocity of the flow at every vertex, without the gradient norms; the
-    stepper's stages call this."""
+    """V = K*X - X at every vertex, without the gradient norms; the stepper's
+    stages call this."""
     X = curve.vertices
-    return -X - apply_kernel(arc_data(curve), X)
+    return convolve_kernel(curve, X) - X
 
 
 def flow_velocity(curve: PolyCurve) -> VelocityField:

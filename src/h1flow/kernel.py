@@ -4,15 +4,15 @@ G(s, s~) = cosh(|s - s~| - L/2) / (2 sinh(-L/2)), evaluated in the
 equivalent form -(e^{d-L} + e^{-d}) / (2 (1 - e^{-L})) with d = |s - s~| in
 [0, L], which stays in range for every positive L.
 
-The flow applies G without forming a matrix. The kernel is semiseparable
-(Vandebril, Van Barel & Mastronardi, *Matrix Computations and Semiseparable
-Matrices*, 2008): with g = ds f, sum_j G_ij g_j = -(P + Q - g) / 2, where P
-is the causal cyclic sum of e^{-((s_i - s_j) mod L)} g_j / (1 - e^{-L}) and
-Q its anti-causal mirror. Each is one O(n) exponential sweep, a cumulative
-sum of e^{s - c} g scaled by e^{-(s - c)}. On a curve longer than
-SWEEP_SPAN, e^{s - c} would leave the double range, so the sweep runs in
-segments of span below SWEEP_SPAN, each carrying its last partial sum into
-the next with the decay factor across the gap.
+The flow applies the positive kernel K = -G through convolve_kernel, with no
+matrix. The kernel is semiseparable (Vandebril, Van Barel & Mastronardi,
+*Matrix Computations and Semiseparable Matrices*, 2008): with g = ds f,
+sum_j K_ij g_j = (P + Q - g) / 2, where P is the causal cyclic sum of
+e^{-((s_i - s_j) mod L)} g_j / (1 - e^{-L}) and Q its anti-causal mirror.
+Each is one O(n) exponential sweep, a cumulative sum of e^{s - c} g scaled
+by e^{-(s - c)}. On a curve longer than SWEEP_SPAN, e^{s - c} would leave
+the double range, so the sweep runs in segments of span below SWEEP_SPAN,
+each carrying its last partial sum, decayed across the gap, into the next.
 
 kernel_matrix assembles the dense n x n matrix: the reference the sweep is
 tested against, and the input of the row-quadrature and centered-form checks.
@@ -64,7 +64,7 @@ def _kernel_length(ad: ArcData) -> float:
 
 def kernel_matrix(curve: PolyCurve) -> KernelMatrix:
     """Dense reference: G_ij at all vertex pairs of a non-degenerate curve,
-    O(n^2) time and memory. The flow itself uses apply_kernel."""
+    O(n^2) time and memory. The flow itself uses convolve_kernel."""
     ad = arc_data(curve)
     L = _kernel_length(ad)
     # |s_i - s_j| < L, so greens_value's reduction mod L is exact
@@ -113,23 +113,18 @@ def _periodic_sums(s: np.ndarray, g: np.ndarray, L: float):
             q + np.exp(s - L)[:, None] * (wrap * q[0]))
 
 
-def apply_kernel(ad: ArcData, f: np.ndarray) -> np.ndarray:
-    """sum_j G_ij ds_j f_j = -(P + Q - g) / 2 with g = ds f, in O(n) time and
-    memory: the one place a kernel is applied to a vertex field. ad is the arc
-    data of the curve, f has n rows."""
-    L = _kernel_length(ad)
-    g = ad.ds[:, None] * np.reshape(f, (ad.s.size, -1))
-    P, Q = _periodic_sums(ad.s, g, L)
-    return (-0.5 * (P + Q - g)).reshape(np.shape(f))
-
-
 def convolve_kernel(curve: PolyCurve, field) -> np.ndarray:
-    """(field * K)_i = sum_j field_j (-G_ij) ds_j, the positive-kernel smoothing."""
+    """(field * K)_i = sum_j K_ij ds_j field_j for the positive kernel K = -G:
+    (P + Q - g) / 2 with g = ds field, in O(n) time and memory, the one place
+    the kernel is applied to a vertex field (one row per vertex)."""
     f = np.asarray(field, dtype=float)
     ad = arc_data(curve)
-    if f.shape[0] != curve.n:
+    if f.shape[0] != ad.n:
         raise ValueError("field length must match vertex count")
-    return -apply_kernel(ad, f)
+    L = _kernel_length(ad)
+    g = ad.ds[:, None] * f.reshape(ad.n, -1)
+    P, Q = _periodic_sums(ad.s, g, L)
+    return (0.5 * (P + Q - g)).reshape(f.shape)
 
 
 def row_quadrature_defect(km: KernelMatrix) -> float:

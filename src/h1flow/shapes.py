@@ -2,7 +2,7 @@
 
 Each generator turns its parameters into a polygon and does nothing else: it
 reads no file (a curve file is read by output.read_curve). Each takes all of
-its parameters; the default shape (n, size, neck, amplitude, lobes) is
+its parameters; the default shape (kind, n, size, neck, amplitude, lobes) is
 written once, in GeneratorSpec.
 """
 
@@ -20,7 +20,7 @@ KINDS = ("circle", "square", "ellipse", "barbell", "star")
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    kind: str
+    kind: str = "circle"
     n: int = 200
     size: float = 1.0          # radius / side / semi-major axis
     size_b: float | None = None  # ellipse semi-minor axis (default size/2)
@@ -44,8 +44,7 @@ class GeneratorSpec:
 
 
 def circle(radius: float, n: int) -> PolyCurve:
-    th = 2.0 * np.pi * np.arange(n) / n
-    return PolyCurve(radius * np.stack([np.cos(th), np.sin(th)], axis=1))
+    return ellipse(radius, radius, n)
 
 
 def square(side: float, n: int) -> PolyCurve:

@@ -53,9 +53,23 @@ class TestUsageErrors:
              "--t1", "1.0"], capsys)
         assert rc == 1 and err.startswith("error:")
 
-    def test_file_shape_needs_input(self, capsys):
-        argv = ["flow", "--shape", "file", "--dt", "0.1", "--t1", "1.0"]
-        assert run_cli(argv, capsys) == (1, "", "error: --shape file needs --input\n")
+    @pytest.mark.parametrize("shape", ["star", "circle"])
+    def test_shape_and_input_are_exclusive(self, tmp_path, capsys, shape):
+        # circle, the shape a run takes when neither is given, is refused too
+        src = tmp_path / "in.csv"
+        h.write_curve(h.circle(1.0, 48), str(src))
+        argv = ["flow", "--shape", shape, "--input", str(src), "--dt", "0.1", "--steps", "1",
+                "--out-csv", str(tmp_path / "out.csv")]
+        assert run_cli(argv, capsys) == (
+            1, "", "error: argument --input: not allowed with argument --shape\n")
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("steps", ["-3", "1" * 400, "2.5"],
+                             ids=["negative", "400-digits", "fraction"])
+    def test_steps_is_a_count(self, capsys, steps):
+        argv = ["flow", "--n", "16", "--dt", "0.1", "--steps", steps]
+        assert run_cli(argv, capsys) == (
+            1, "", f"error: argument --steps: invalid count value: '{steps}'\n")
 
     def test_zigzag_teeth_must_divide(self, capsys):
         rc, _, err = run_cli(
@@ -113,13 +127,13 @@ class TestUsageErrors:
     def test_malformed_curve_file_named(self, tmp_path, capsys, name, text, message):
         p = tmp_path / name
         p.write_text(text)
-        argv = ["flow", "--shape", "file", "--input", str(p), "--dt", "0.1", "--t1", "1"]
+        argv = ["flow", "--input", str(p), "--dt", "0.1", "--t1", "1"]
         assert run_cli(argv, capsys) == (1, "", f"error: {p}{message}\n")
 
     def test_undecodable_json_curve_named(self, tmp_path, capsys):
         p = tmp_path / "cut.json"
         p.write_text('{"vertices": [[0, 0], [1, 0]')
-        argv = ["flow", "--shape", "file", "--input", str(p), "--dt", "0.1", "--t1", "1"]
+        argv = ["flow", "--input", str(p), "--dt", "0.1", "--t1", "1"]
         rc, out, err = run_cli(argv, capsys)
         assert (rc, out) == (1, "")
         assert err.startswith(f"error: {p}: Expecting ") and err.count("\n") == 1
@@ -236,7 +250,7 @@ class TestRuntimeErrors:
         src = tmp_path / "dup.csv"
         src.write_text("0,0\n0,0\n1,0\n0,1\n")
         rc, out, err = run_cli(
-            ["flow", "--shape", "file", "--input", str(src), "--dt", "0.1",
+            ["flow", "--input", str(src), "--dt", "0.1",
              "--t1", "1"], capsys)
         assert rc == 2 and out == ""
         assert err == "error: zero-length edge\n"
@@ -318,7 +332,7 @@ class TestFlowCommand:
 
     def test_defaults_are_the_library_defaults(self, capsys):
         rc, out, _ = run_cli(["flow", "--dt", "0.1", "--t1", "0.1"], capsys)
-        traj = h.run_flow(h.generate(h.GeneratorSpec("circle")),
+        traj = h.run_flow(h.generate(h.GeneratorSpec()),
                           h.FlowConfig(dt=0.1, t1=0.1))
         last = traj.records[-1]
         assert rc == 0
@@ -388,17 +402,19 @@ class TestFlowCommand:
         assert 1.5 < float(vb[2]) < 4.0
 
     def test_file_input_round_trip(self, tmp_path, capsys):
+        # --input alone flows the file, not the default shape
         src = tmp_path / "in.csv"
-        h.write_curve(h.circle(1.0, 48), str(src))
-        rc, out, _ = run_cli(
-            ["flow", "--shape", "file", "--input", str(src), "--dt", "0.1",
-             "--steps", "2"], capsys)
-        assert rc == 0 and out.startswith("termination=completed")
+        h.write_curve(h.star(1.0, 0.3, 5, 48), str(src))
+        rc, out, _ = run_cli(["flow", "--input", str(src), "--dt", "0.1", "--steps", "2"],
+                             capsys)
+        last = h.run_flow(h.read_curve(str(src)), h.FlowConfig(dt=0.1, t1=0.2)).records[-1]
+        assert (rc, out) == (0, f"termination=completed t={last.t:.17g} "
+                                f"length={last.length:.17g}\n")
 
     def test_file_input_reads_no_shape_flags(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         h.write_curve(h.circle(1.0, 48), str(src))
-        argv = ["flow", "--shape", "file", "--input", str(src), "--dt", "0.1", "--steps", "2"]
+        argv = ["flow", "--input", str(src), "--dt", "0.1", "--steps", "2"]
         plain = run_cli(argv, capsys)
         flagged = run_cli(argv + ["--size", "-1", "--n", "2", "--neck", "5"], capsys)
         assert flagged == plain and plain[0] == 0

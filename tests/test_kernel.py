@@ -6,7 +6,6 @@ import pytest
 
 import h1flow as h
 from h1flow.errors import ConstantMapGuard, OutOfDomain
-from h1flow.kernel import apply_kernel
 
 
 class TestGreensValue:
@@ -138,8 +137,9 @@ SHAPES = {
 
 
 class TestApplyKernel:
-    # at L >= 1e3, e^{s} overflows past s ~ 709 on all but three n = 3 curves,
-    # so these cases pass only with a segmented sweep
+    # convolve_kernel, the one kernel apply, against the dense product
+    # -(G ds) f; at L >= 1e3, e^{s} overflows past s ~ 709 on all but three
+    # n = 3 curves, so these cases pass only with a segmented sweep
     @pytest.mark.parametrize("length", [1e-6, 1.0, 1e2, 1e3, 1e4])
     @pytest.mark.parametrize("n", [3, 64, 512])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -148,8 +148,8 @@ class TestApplyKernel:
         c = h.PolyCurve(base.vertices * (length / h.total_length(base)))
         f = np.random.default_rng(n).standard_normal((c.n, 2))
         km = h.kernel_matrix(c)
-        dense = (km.G * km.ds[None, :]) @ f
-        swept = apply_kernel(h.arc_data(c), f)
+        dense = -(km.G * km.ds[None, :]) @ f
+        swept = h.convolve_kernel(c, f)
         assert np.isfinite(swept).all()
         err = np.abs(swept - dense).max() / np.abs(dense).max()
         assert err <= 1e-13

@@ -48,6 +48,8 @@ class TestLambertW0:
 
     def test_branch_point(self):
         assert h.lambert_w0(-1 / math.e) == pytest.approx(-1.0, abs=1e-6)
+        # just below -1/e, within the rounding slop at the branch point
+        assert h.lambert_w0(-math.exp(-1.0) * (1.0 + 1e-13)) == -1.0
 
     def test_below_branch_rejected(self):
         with pytest.raises(OutOfDomain):

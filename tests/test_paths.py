@@ -136,6 +136,8 @@ class TestShrinkPath:
         for lam in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 h.shrink_path(c, lam, 5)
+        with pytest.raises(ValueError, match="^frames must be >= 2$"):
+            h.shrink_path(c, 0.5, 1)
         # lam = 1 is the constant path
         assert h.path_length_l2ds(h.shrink_path(c, 1.0, 5)) == pytest.approx(0.0,
                                                                              abs=1e-14)
@@ -175,6 +177,8 @@ class TestReparamPath:
             h.reparam_path(c, self.twist(n, n), 5)  # folds back
         with pytest.raises(NonMonotoneTwist):
             h.reparam_path(c, np.zeros(n - 1), 5)  # wrong size
+        with pytest.raises(ValueError, match="^frames must be >= 2$"):
+            h.reparam_path(c, np.zeros(n), 1)
         for bad in (np.nan, np.inf):
             # a NaN passes every order test; refused before any arithmetic,
             # so with no RuntimeWarning (an error under the suite's filters)

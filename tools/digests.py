@@ -44,7 +44,6 @@ import numpy as np  # noqa: E402
 import h1flow as h  # noqa: E402
 from h1flow import cli  # noqa: E402
 from h1flow.gradient import velocity  # noqa: E402
-from h1flow.kernel import apply_kernel  # noqa: E402
 
 # (argv, input files). "{tmp}" in an argument is the invocation's own
 # directory, where its input files are written and its outputs are read.
@@ -72,6 +71,10 @@ CLI_CASES = [
     (["flow", "--dt", "-0.1", "--t1", "1.0"], {}),
     (["flow", "--shape", "square", "--n", "30", "--dt", "0.1", "--t1", "1.0"], {}),
     (["flow", "--shape", "file", "--dt", "0.1", "--t1", "1.0"], {}),
+    *[(["flow", "--shape", shape, "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "1",
+        "--out-csv", "{tmp}/out.csv"], {"in.csv": None}) for shape in ("star", "circle")],
+    *[(["flow", "--n", "16", "--dt", "0.1", "--steps", steps], {})
+      for steps in ("-3", "1" * 400, "2.5")],
     (["distance", "--demo", "zigzag", "--teeth", "3", "--n", "256"], {}),
     (["distance", "--demo", "reparam", "--lambda", "2.0"], {}),
     *[(["distance", "--demo", "reparam", "--lambda", lam], {}) for lam in ("nan", "inf", "-inf")],
@@ -96,7 +99,7 @@ CLI_CASES = [
       for method in ("euler", "rk4")],
     (["flow", "--shape", "circle", "--size", "1e150", "--n", "64", "--dt", "0.1",
       "--t1", "1", "--method", "rk4", "--rescale"], {}),
-    (["flow", "--shape", "file", "--input", "{tmp}/dup.csv", "--dt", "0.1", "--t1", "1"],
+    (["flow", "--input", "{tmp}/dup.csv", "--dt", "0.1", "--t1", "1"],
      {"dup.csv": _DUPLICATE_VERTEX}),
     (["flow", "--n", "32", "--dt", "0.1", "--steps", "1", "--out-csv",
       "/no/such/dir/out.csv"], {}),
@@ -121,9 +124,9 @@ CLI_CASES = [
     (["flow", "--n", "32", "--dt", "0.1", "--steps", "3", "--out-json", "{tmp}/t.json"], {}),
     (["flow", "--n", "64", "--dt", "0.05", "--t1", "2.0", "--record-every", "8",
       "--rescale", "--out-svg", "{tmp}/p.svg"], {}),
-    (["flow", "--shape", "file", "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "2"],
+    (["flow", "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "2"],
      {"in.csv": None}),
-    (["flow", "--shape", "file", "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "2",
+    (["flow", "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "2",
       "--size", "-1", "--n", "2", "--neck", "5"], {"in.csv": None}),
     (["distance", "--demo", "shrink", "--lambda", "0.5", "--frames", "33", "--n", "256"], {}),
     (["distance", "--demo", "shrink", "--lambda", "0.25", "--frames", "4097", "--n", "128"], {}),
@@ -138,14 +141,13 @@ CLI_CASES = [
     (["flow", "--n", "16", "--dt", "3", "--t1", "1"], {}),
     (["flow", "--n", "16", "--dt", "1e-9", "--t1", "1"], {}),
     (["flow", "--shape", "barbell", "--neck", "2", "--dt", "0.1", "--t1", "1"], {}),
-    (["flow", "--shape", "file", "--input", "{tmp}/missing.csv", "--dt", "0.1",
-      "--t1", "1"], {}),
+    (["flow", "--input", "{tmp}/missing.csv", "--dt", "0.1", "--t1", "1"], {}),
     (["flow", "--frobnicate", "--dt", "0.1", "--t1", "1"], {}),
-    (["flow", "--shape", "file", "--input", "{tmp}/bad.json", "--dt", "0.1", "--t1", "1"],
+    (["flow", "--input", "{tmp}/bad.json", "--dt", "0.1", "--t1", "1"],
      {"bad.json": '{"points": [[0, 0], [1, 0], [0, 1]]}'}),
-    (["flow", "--shape", "file", "--input", "{tmp}/bad.csv", "--dt", "0.1", "--t1", "1"],
+    (["flow", "--input", "{tmp}/bad.csv", "--dt", "0.1", "--t1", "1"],
      {"bad.csv": "0,0\n1,0,2\n0,1\n"}),
-    *[(["flow", "--shape", "file", "--input", "{tmp}/" + name, "--dt", "0.1", "--t1", "1"],
+    *[(["flow", "--input", "{tmp}/" + name, "--dt", "0.1", "--t1", "1"],
        {name: text}) for name, text in (
         ("wide.json", '{"vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1]]}'),
         ("ragged.json", '{"vertices": [[0, 0], [1, 0, 1], [0, 1]]}'),
@@ -161,8 +163,8 @@ CLI_CASES = [
     (["flow", "--shape", "circle", "--n", "16", "--t0", "-709", "--dt", "0.5",
       "--t1", "-711"], {}),
     # an edge shorter than the arclength's ulp: its ends have the same s
-    (["flow", "--shape", "file", "--input", "{tmp}/subulp.csv", "--dt", "0.01",
-      "--steps", "1"], {"subulp.csv": _SUB_ULP_EDGE}),
+    (["flow", "--input", "{tmp}/subulp.csv", "--dt", "0.01", "--steps", "1"],
+     {"subulp.csv": _SUB_ULP_EDGE}),
     # the rescaled curvature column of a profile run
     (["flow", "--shape", "star", "--n", "64", "--dt", "0.05", "--t1", "1",
       "--record-every", "5", "--rescale", "--out-csv", "{tmp}/p.csv",
@@ -244,8 +246,7 @@ def reference_scalars() -> dict:
             "velocity": velocity(c), "flow_velocity_centered": h.flow_velocity_centered(c),
             "h1ds_inner": h.h1ds_inner(c, v, w), "l2ds_inner": h.l2ds_inner(c, v, w),
             "length_directional_derivative": h.length_directional_derivative(c, v),
-            "kernel_matrix": (km.G, km.ds, km.length), "apply_kernel": apply_kernel(ad, v),
-            "convolve_kernel": h.convolve_kernel(c, v),
+            "kernel_matrix": (km.G, km.ds, km.length), "convolve_kernel": h.convolve_kernel(c, v),
             "row_quadrature_defect": h.row_quadrature_defect(km),
             "embeddedness_condition": repr(emb), "record": repr(h.record(c, 0.25)),
         }
