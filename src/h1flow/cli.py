@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage error (a ValueError, UsageError among them,
 such as a bad flag or a malformed curve file), 2 runtime failure (a
 RuntimeFailure such as a guard, a numerical error, an unreadable or
 unwritable file). Errors print to stderr with an "error:" prefix; any other
-exception propagates.
+exception propagates. A run with a large forward Euler step prints a
+"warning:" line that names --dt.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -109,18 +111,28 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _given(cls, args):
-    """cls built from the given flags named after its fields."""
+def _given(cls, args) -> dict:
+    """The given flags named after the fields of cls, in command-line order."""
     names = {field.name for field in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in vars(args).items() if k in names})
+    return {k: v for k, v in vars(args).items() if k in names}
 
 
 def _cmd_flow(args) -> int:
-    # a curve file is read as it is: no shape flag reaches it
-    initial = read_curve(args.path) if "path" in args else generate(_given(GeneratorSpec, args))
+    shape = _given(GeneratorSpec, args)
+    if "path" in args and shape:
+        # a curve file is read as it is: a shape flag with it is refused
+        flag = "--" + next(iter(shape)).replace("_", "-")
+        raise UsageError(f"argument {flag}: not allowed with argument --input")
+    initial = read_curve(args.path) if "path" in args else generate(GeneratorSpec(**shape))
     if "steps" in args:
         args.t1 = getattr(args, "t0", FlowConfig.t0) + args.steps * args.dt
-    traj = run_flow(initial, _given(FlowConfig, args))
+    # FlowConfig's one warning, of a large Euler step, names the line that
+    # built it; the command names the flag instead
+    with warnings.catch_warnings(record=True) as caught:
+        config = FlowConfig(**_given(FlowConfig, args))
+    for warning in caught:
+        print(f"warning: argument --dt: {warning.message}", file=sys.stderr)
+    traj = run_flow(initial, config)
     if args.out_csv:
         write_diagnostics_csv(traj, args.out_csv)
     if args.out_svg:

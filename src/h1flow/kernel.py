@@ -9,10 +9,10 @@ matrix. The kernel is semiseparable (Vandebril, Van Barel & Mastronardi,
 *Matrix Computations and Semiseparable Matrices*, 2008): with g = ds f,
 sum_j K_ij g_j = (P + Q - g) / 2, where P is the causal cyclic sum of
 e^{-((s_i - s_j) mod L)} g_j / (1 - e^{-L}) and Q its anti-causal mirror.
-Each is one O(n) exponential sweep, a cumulative sum of e^{s - c} g scaled
-by e^{-(s - c)}. On a curve longer than SWEEP_SPAN, e^{s - c} would leave
-the double range, so the sweep runs in segments of span below SWEEP_SPAN,
-each carrying its last partial sum, decayed across the gap, into the next.
+Both come from one O(n) sweep of cumulative sums over segments anchored at
+c, of span below SWEEP_SPAN so that e^{s - c} stays in the double range,
+joined by carries across each cut and closed around the turn by one factor.
+A curve with s_{n-1} < SWEEP_SPAN is one segment.
 
 kernel_matrix assembles the dense n x n matrix: the reference the sweep is
 tested against, and the input of the row-quadrature and centered-form checks.
@@ -72,51 +72,49 @@ def kernel_matrix(curve: PolyCurve) -> KernelMatrix:
     return KernelMatrix(G=G, ds=ad.ds, length=L)
 
 
-def _causal_sums(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """a_i = sum_{j <= i} e^{-(t_i - t_j)} g_j for increasing t from t_0 = 0,
-    in segments cut at multiples of SWEEP_SPAN: at most min(n, t_{n-1} /
-    SWEEP_SPAN + 1) of them. Each segment's cumsum(e^{t - c} g) / e^{t - c} is
-    anchored at its first point c and starts from the previous segment's last
-    value times e^{-gap}."""
-    cuts = np.flatnonzero(np.diff(np.floor(t / SWEEP_SPAN))) + 1
-    out = np.empty_like(g)
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, t.size]):
-        e = np.exp(t[a:b] - t[a])[:, None]
-        terms = e * g[a:b]
-        if a > 0:
-            terms[0] += np.exp(t[a - 1] - t[a]) * out[a - 1]
-        out[a:b] = np.add.accumulate(terms, axis=0) / e
-    return out
-
-
 def _periodic_sums(s: np.ndarray, g: np.ndarray, L: float):
     """P_i = sum_j e^{-((s_i - s_j) mod L)} g_j / (1 - e^{-L}) and its mirror
     Q_i = sum_j e^{-((s_j - s_i) mod L)} g_j / (1 - e^{-L}), for s from s_0 = 0.
 
-    Within one turn, p is a cumulative sum and q a reverse one (a total minus
-    a prefix would cancel). The other turns add e^{-(s_i + gap)} p_{n-1} and
-    e^{-(L - s_i)} q_0, times 1 / (1 - e^{-L}), with gap = L - s_{n-1}.
+    The segments [a, b) start at s_0 and at the first point past each
+    multiple of SWEEP_SPAN. Anchored at c = s_a, a segment has e = e^{s - c},
+    the cumulative sum cp of e g and the reverse one cq of g / e (a total
+    minus a prefix would cancel). Across each cut, cp_{a-1} decayed to the
+    next anchor enters the next segment's cp, and cq_b decayed to this anchor
+    enters this one's cq. Then cp_{n-1} is the turn's sum at the last anchor
+    c_last and cq_0 its sum at s_0, and with gap = L - s_{n-1} one
+    close = e^{-gap} / ((1 - e^{-L}) e_{n-1}) adds the other turns: close
+    cp_{n-1} fp to cp and close cq_0 fq to cq, with fp = e^{-c} and
+    fq = e^{c - c_last}. Then P = cp / e and Q = e cq.
     """
-    gap = L - s[-1]
-    wrap = 1.0 / -math.expm1(-L)
-    if s[-1] < SWEEP_SPAN:
-        # one anchor at s_0 = 0; the closing edge is no longer than the rest
-        # of the polygon, so gap <= s_{n-1} and e^{-gap} does not underflow
-        e = np.exp(s)[:, None]
-        cp = np.add.accumulate(e * g, axis=0)
-        cq = np.add.accumulate((g / e)[::-1], axis=0)[::-1]
-        close = wrap * math.exp(-gap) / e[-1]
-        return (cp + close * cp[-1]) / e, e * (cq + close * cq[0])
-    p = _causal_sums(s, g)
-    q = _causal_sums(s[-1] - s[::-1], g[::-1])[::-1]
-    return (p + np.exp(-(s + gap))[:, None] * (wrap * p[-1]),
-            q + np.exp(s - L)[:, None] * (wrap * q[0]))
+    n = s.size
+    if s[-1] < SWEEP_SPAN:  # one segment, anchored at c = c_last = 0
+        bounds, t, fp, fq = [(0, n)], s, 1.0, 1.0
+    else:
+        starts = [0, *np.flatnonzero(np.diff(s // SWEEP_SPAN)) + 1]
+        bounds = list(zip(starts, [*starts[1:], n]))
+        c = np.repeat(s[starts], np.diff([*starts, n]))
+        t, fp, fq = s - c, np.exp(-c)[:, None], np.exp(c - c[-1])[:, None]
+    e = np.exp(t)[:, None]
+    cp, cq = e * g, g / e
+    for a, b in bounds:
+        np.add.accumulate(cp[a:b], axis=0, out=cp[a:b])
+        np.add.accumulate(cq[a:b][::-1], axis=0, out=cq[a:b][::-1])
+    for (a0, _), (a, b) in zip(bounds, bounds[1:]):
+        cp[a:b] += math.exp(s[a0] - s[a]) * cp[a - 1]
+    for a, b in reversed(bounds[:-1]):
+        cq[a:b] += math.exp(s[a] - s[b]) * cq[b]
+    close = 1.0 / -math.expm1(-L) * math.exp(-(L - s[-1])) / e[-1, 0]
+    cp += close * fp * cp[-1]
+    cq += close * fq * cq[0]
+    return cp / e, e * cq
 
 
 def convolve_kernel(curve: PolyCurve, field) -> np.ndarray:
     """(field * K)_i = sum_j K_ij ds_j field_j for the positive kernel K = -G:
-    (P + Q - g) / 2 with g = ds field, in O(n) time and memory, the one place
-    the kernel is applied to a vertex field (one row per vertex)."""
+    (P + Q - g) / 2 with g = ds field, P and Q from one anchored-segment
+    sweep with carries, in O(n) time and memory; the one place the kernel is
+    applied to a vertex field (one row per vertex)."""
     f = np.asarray(field, dtype=float)
     ad = arc_data(curve)
     if f.shape[0] != ad.n:

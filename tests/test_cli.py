@@ -338,18 +338,33 @@ class TestFlowCommand:
         assert rc == 0
         assert out == f"termination=completed t={last.t:.17g} length={last.length:.17g}\n"
 
-    def test_large_rk4_step_prints_no_warning(self):
+    @staticmethod
+    def _new_process(argv):
         # a new process, so that a warning would reach its stderr
         src = str(Path(h.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "h1flow.cli", "flow", "--n", "16", "--dt", "1",
-             "--t1", "1", "--method", "rk4"],
-            capture_output=True, text=True, env=env, check=False)
+        return subprocess.run([sys.executable, "-m", "h1flow.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+
+    def test_large_rk4_step_prints_no_warning(self):
+        proc = self._new_process(["flow", "--n", "16", "--dt", "1", "--t1", "1",
+                                  "--method", "rk4"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("termination=completed t=1 ")
         assert proc.stderr == ""
+
+    def test_large_euler_step_warning_names_the_flag(self):
+        # one line, with no source path or line number of the package
+        proc = self._new_process(["flow", "--n", "16", "--dt", "1", "--t1", "1",
+                                  "--method", "euler"])
+        with pytest.warns(UserWarning, match="forward Euler"):
+            config = h.FlowConfig(dt=1.0, t1=1.0)
+        last = h.run_flow(h.generate(h.GeneratorSpec(n=16)), config).records[-1]
+        assert (proc.returncode, proc.stdout) == (
+            0, f"termination=completed t={last.t:.17g} length={last.length:.17g}\n")
+        assert proc.stderr == (
+            "warning: argument --dt: dt = 1.0 is large for forward Euler; expect drift\n")
 
     def test_run_past_the_exp_range(self, capsys):
         # records at t <= -710, where e^-t leaves the double range
@@ -412,12 +427,18 @@ class TestFlowCommand:
                                 f"length={last.length:.17g}\n")
 
     def test_file_input_reads_no_shape_flags(self, tmp_path, capsys):
+        # a curve file is read as it is: a shape flag with it is a usage
+        # error that names the first one given, and nothing is written
         src = tmp_path / "in.csv"
         h.write_curve(h.circle(1.0, 48), str(src))
-        argv = ["flow", "--input", str(src), "--dt", "0.1", "--steps", "2"]
-        plain = run_cli(argv, capsys)
-        flagged = run_cli(argv + ["--size", "-1", "--n", "2", "--neck", "5"], capsys)
-        assert flagged == plain and plain[0] == 0
+        argv = ["flow", "--input", str(src), "--dt", "0.1", "--steps", "2",
+                "--out-csv", str(tmp_path / "out.csv")]
+        for flags, first in ((["--size", "-1", "--n", "2", "--neck", "5"], "--size"),
+                             (["--n", "48", "--size-b", "1"], "--n"),
+                             (["--lobes", "5"], "--lobes")):
+            assert run_cli(argv + flags, capsys) == (
+                1, "", f"error: argument {first}: not allowed with argument --input\n")
+        assert list(tmp_path.iterdir()) == [src]
 
 
 class TestDistanceCommand:

@@ -139,8 +139,10 @@ SHAPES = {
 class TestApplyKernel:
     # convolve_kernel, the one kernel apply, against the dense product
     # -(G ds) f; at L >= 1e3, e^{s} overflows past s ~ 709 on all but three
-    # n = 3 curves, so these cases pass only with a segmented sweep
-    @pytest.mark.parametrize("length", [1e-6, 1.0, 1e2, 1e3, 1e4])
+    # n = 3 curves, so these cases pass only with a segmented sweep. L = 2.6e2
+    # puts s_{n-1} just past SWEEP_SPAN = 256 at n = 512 (one cut at the last
+    # points) and L = 5e2 cuts every curve once
+    @pytest.mark.parametrize("length", [1e-6, 1.0, 1e2, 2.6e2, 5e2, 1e3, 1e4])
     @pytest.mark.parametrize("n", [3, 64, 512])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_matches_dense_product(self, shape, n, length):

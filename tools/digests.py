@@ -1,14 +1,15 @@
 """Print one SHA-256 per group of h1flow outputs, to show that a change
-keeps every number bit-identical.
+keeps every number bit-identical, and pin them in tests/digests.txt.
 
-    python3 tools/digests.py [--items]
+    python3 tools/digests.py [--items | --write]
 
 The script imports h1flow from the src/ directory of the checkout it lives
-in, so running it in two checkouts (say a `git archive` of a parent commit
-and the working tree) and comparing the lines compares the two programs.
-With --items it also prints one digest per trajectory, scalar and CLI
-invocation, which names the item behind a differing group; a CLI item has
-two, one of its exit code, stdout and files and one of its stderr.
+in. With --items it also prints one digest per trajectory, scalar and CLI
+invocation, which names the item behind a differing group. With --write it
+writes tests/digests.txt: one digest per item, with the NumPy version and
+the platform, which tests/test_digests.py compares with the same items
+computed from the suite's session fixtures. A change that moves numbers on
+purpose rewrites the file.
 
 Groups:
 - trajectories: every Trajectory the fixtures of tests/conftest.py build,
@@ -18,10 +19,12 @@ Groups:
   and path functions on a star (n = 256) and an ellipse (n = 200) with
   seeded random fields, and the vertices of squares and barbells at a few
   (n, size, neck);
-- cli: exit code, stdout, stderr and output files of the README commands,
-  every argv in tests/test_cli.py and further error cases. Each invocation
-  runs in this process and shows each warning as a new process would. The invocation's directory reads "{tmp}" and the checkout's path
-  "<root>".
+- cli: exit code, stdout and output files of the README commands, every
+  argv in tests/test_cli.py and further error cases;
+- stderr: the stderr of the same invocations.
+Each invocation runs in this process under the warning filters of a new
+process and shows each warning as a new process would. The invocation's
+directory reads "{tmp}" and the checkout's path "<root>".
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ import importlib.util
 import inspect
 import io
 import sys
+import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PINNED_FILE = ROOT / "tests" / "digests.txt"
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
@@ -187,10 +192,19 @@ def _load_conftest():
     return module
 
 
+def _fixtures(module) -> dict:
+    return {name: obj.__wrapped__ for name, obj in vars(module).items()
+            if callable(obj) and hasattr(obj, "__wrapped__")}
+
+
+def fixture_names() -> list:
+    """The names of the fixtures of tests/conftest.py."""
+    return list(_fixtures(_load_conftest()))
+
+
 def _fixture_values(module) -> dict:
     """Every fixture of the module, called with its fixture arguments."""
-    fns = {name: obj.__wrapped__ for name, obj in vars(module).items()
-           if callable(obj) and hasattr(obj, "__wrapped__")}
+    fns = _fixtures(module)
     values = {}
 
     def value(name):
@@ -277,7 +291,12 @@ def _scalar_bytes(value):
     return [repr(value)]
 
 
-def run_cli_case(argv, inputs) -> str:
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_cli_case(argv, inputs) -> tuple:
+    """(digest of exit code, stdout and files; digest of stderr)."""
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         for name, text in inputs.items():
@@ -288,10 +307,16 @@ def run_cli_case(argv, inputs) -> str:
         given = set(tmp.iterdir())
         args = [a.replace("{tmp}", tmp_name) for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        # the filters stay the process defaults; entering catch_warnings
-        # clears the once-per-location registry of the previous invocation
+        # entering catch_warnings clears the once-per-location registry of
+        # the previous invocation; inside, a new process's filters, and the
+        # default display to sys.stderr, which pytest's recording replaces
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
+            warnings.resetwarnings()
+            for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                             ResourceWarning):
+                warnings.simplefilter("ignore", category)
+            warnings.showwarning = _show_warning
             try:
                 code = cli.main(args)
             except SystemExit as exc:
@@ -303,38 +328,69 @@ def run_cli_case(argv, inputs) -> str:
                           for s in (out, err)]
         parts = [repr(code), stdout]
         parts += [p.name.encode() + b"\0" + p.read_bytes() for p in files]
-        return f"{_sha(parts)} {_sha([stderr])}"
+        return _sha(parts), _sha([stderr])
 
 
-def main(argv=None) -> int:
-    items = "--items" in (sys.argv[1:] if argv is None else argv)
-    print(f"h1flow from {Path(h.__file__).parent}", file=sys.stderr)
-    groups = {}
-
-    values = _fixture_values(_load_conftest())
+def groups(values) -> dict:
+    """{group: [(item, digest)]} from the fixture values of tests/conftest.py."""
     trajs = [(label, _trajectory_digest(t)) for name, obj in values.items()
              for label, t in _trajectories(name, obj)]
-    groups[f"trajectories ({len(trajs)})"] = trajs
-
     zz = values["zigzag_lengths"]
     zig = [("base_full", repr(zz["base_full"]))]
     zig += [(f"{kind}[{teeth}]", repr(zz[kind][teeth]))
             for kind in ("quotient", "full") for teeth in sorted(zz[kind])]
-    groups[f"zigzag ({len(zig)})"] = zig
-
     scalars = [(k, _sha(_scalar_bytes(v))) for k, v in reference_scalars().items()]
-    groups[f"scalars ({len(scalars)})"] = scalars
-
     cases = [(" ".join(args) or "(no arguments)", run_cli_case(args, inputs))
              for args, inputs in CLI_CASES]
-    groups[f"cli ({len(cases)})"] = cases
+    return {"trajectories": trajs, "zigzag": zig, "scalars": scalars,
+            "cli": [(key, digest) for key, (digest, _) in cases],
+            "stderr": [(key, digest) for key, (_, digest) in cases]}
 
-    for group, entries in groups.items():
-        print(f"{_sha(f'{k}={v}' for k, v in entries)}  {group}")
-        if items:
+
+def environment() -> dict:
+    """The builds whose bits the pinned digests hold."""
+    return {"numpy": np.__version__, "platform": sysconfig.get_platform()}
+
+
+def _shown(digest: str) -> str:
+    """A SHA-256 as its first 16 hex digits; a repr as it is."""
+    return digest[:16] if len(digest) == 64 else digest
+
+
+def pinned(grouped) -> dict:
+    """{"group: item": digest} of every item, as --items shows them."""
+    return {f"{group}: {key}": _shown(digest) for group, entries in grouped.items()
+            for key, digest in entries}
+
+
+def read_pinned():
+    """(environment, pinned digests) as write_pinned wrote them."""
+    env, items = {}, {}
+    for line in PINNED_FILE.read_text().splitlines():
+        if not line.startswith("#"):
+            key, value = line.rsplit("\t", 1)
+            (env if key in environment() else items)[key] = value
+    return env, items
+
+
+def write_pinned(grouped) -> None:
+    lines = ["# written by python3 tools/digests.py --write; checked by tests/test_digests.py"]
+    lines += [f"{k}\t{v}" for k, v in {**environment(), **pinned(grouped)}.items()]
+    PINNED_FILE.write_text("\n".join(lines) + "\n")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    print(f"h1flow from {Path(h.__file__).parent}", file=sys.stderr)
+    grouped = groups(_fixture_values(_load_conftest()))
+    for group, entries in grouped.items():
+        print(f"{_sha(f'{k}={v}' for k, v in entries)}  {group} ({len(entries)})")
+        if "--items" in argv:
             for key, digest in entries:
-                shown = (d[:16] if len(d) == 64 else d for d in digest.split())
-                print(f"    {' '.join(shown)}  {key}")
+                print(f"    {_shown(digest)}  {key}")
+    if "--write" in argv:
+        write_pinned(grouped)
+        print(f"wrote {PINNED_FILE}", file=sys.stderr)
     return 0
 
 
