@@ -171,7 +171,7 @@ def _cmd_distance(args) -> int:
         frames = tuple(PolyCurve(base.vertices + np.array([3.0 * tk, 0.0])) for tk in t)
         path = zigzag_path(CurvePath(frames=frames, mode="full"), args.teeth)
         label = f"zigzag teeth={args.teeth} frames={len(path.frames)}"
-    full = path_length_l2ds(as_mode(path, "full"))
+    full = path_length_l2ds(path)
     quot = path_length_l2ds(as_mode(path, "quotient"))
     print(f"{label} full={_fmt(full)} quotient={_fmt(quot)}")
     if args.out_json:

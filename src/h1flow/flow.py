@@ -192,16 +192,13 @@ def asymptotic_profile(traj: Trajectory) -> Trajectory:
     return replace(traj, states=tuple(s for s, _ in kept), records=tuple(r for _, r in kept))
 
 
-def trajectory_h1ds_length(traj: Trajectory, return_partials: bool = False):
+def trajectory_h1ds_length(traj: Trajectory) -> float:
     """Left-endpoint quadrature of the H1(ds) speed over the recorded times:
-    sum_k |V(t_k)|_H1(ds) (t_{k+1} - t_k). The speed is sqrt(grad_sq_h1ds)."""
+    sum_k |V(t_k)|_H1(ds) (t_{k+1} - t_k), added in order of k. The speed is
+    sqrt(grad_sq_h1ds)."""
     times = np.asarray(traj.times)
     speeds = np.array([math.sqrt(r.grad_sq_h1ds) for r in traj.records])
     if len(times) < 2:
         raise ValueError("need at least 2 recorded times")
     increments = speeds[:-1] * np.abs(np.diff(times))
-    partials = np.cumsum(increments)
-    total = float(partials[-1])
-    if return_partials:
-        return total, partials
-    return total
+    return float(np.cumsum(increments)[-1])

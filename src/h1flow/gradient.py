@@ -2,10 +2,10 @@
 
 The velocity is V = K*X - X with (K*X)_i = sum_j K_ij ds_j X_j and the
 positive kernel K = -G, the discrete scheme as written, with no linear solve.
-A centered variant exists purely for cross-checks; the two differ by the
-row-quadrature defect times |X|. The inner products and the first variation
-of length are built from the L2(ds) sum and the edge term of the curves
-module, which norms shares.
+The centered form V = K*X - (K*1) X, from the same sweep, is translation
+invariant; the two differ by the row-quadrature defect times |X|. The inner
+products and the first variation of length are built from the L2(ds) sum and
+the edge term of the curves module, which norms shares.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve, _as_field, _edge_term, _l2ds_term, arc_data
-from .kernel import convolve_kernel, kernel_matrix
+from .kernel import convolve_kernel
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,12 @@ def flow_velocity(curve: PolyCurve) -> VelocityField:
 
 
 def flow_velocity_centered(curve: PolyCurve) -> np.ndarray:
-    """Verification alias: V_i = sum_j (X_i - X_j) G_ij ds_j.
+    """Centered form V_i = sum_j K_ij ds_j (X_j - X_i) = (K*X)_i - (K*1)_i X_i,
+    from one sweep on the field [X, 1].
 
-    Expanding and using sum_j G_ij ds_j ~ -1 recovers the direct form, so
-    the two agree up to the row-quadrature defect times |X_i|.
+    Using (K*1)_i ~ 1 recovers the direct form, so the two agree up to the
+    row-quadrature defect times |X_i|.
     """
-    km = kernel_matrix(curve)
     X = curve.vertices
-    w = km.G * km.ds[None, :]
-    return X * w.sum(axis=1)[:, None] - w @ X
+    KX1 = convolve_kernel(curve, np.column_stack([X, np.ones(len(X))]))
+    return KX1[:, :2] - KX1[:, 2:] * X

@@ -14,8 +14,8 @@ c, of span below SWEEP_SPAN so that e^{s - c} stays in the double range,
 joined by carries across each cut and closed around the turn by one factor.
 A curve with s_{n-1} < SWEEP_SPAN is one segment.
 
-kernel_matrix assembles the dense n x n matrix: the reference the sweep is
-tested against, and the input of the row-quadrature and centered-form checks.
+The dense n x n KernelMatrix, O(n^2) to assemble, is the reference the tests
+hold the sweep against; nothing in the library applies it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ SWEEP_SPAN = 256.0
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense reference kernel. G: n x n symmetric negative kernel values;
-    ds: quadrature weights; length: L."""
+    """Dense reference kernel, for tests. G: n x n symmetric negative kernel
+    values; ds: quadrature weights; length: L."""
 
     G: np.ndarray
     ds: np.ndarray
@@ -64,7 +64,7 @@ def _kernel_length(ad: ArcData) -> float:
 
 def kernel_matrix(curve: PolyCurve) -> KernelMatrix:
     """Dense reference: G_ij at all vertex pairs of a non-degenerate curve,
-    O(n^2) time and memory. The flow itself uses convolve_kernel."""
+    O(n^2) time and memory. The library applies the kernel by convolve_kernel."""
     ad = arc_data(curve)
     L = _kernel_length(ad)
     # |s_i - s_j| < L, so greens_value's reduction mod L is exact
@@ -125,7 +125,8 @@ def convolve_kernel(curve: PolyCurve, field) -> np.ndarray:
     return (0.5 * (P + Q - g)).reshape(f.shape)
 
 
-def row_quadrature_defect(km: KernelMatrix) -> float:
-    """max_i |sum_j G_ij ds_j + 1|; the continuum row integral is exactly -1."""
-    rows = km.G @ km.ds
-    return float(np.abs(rows + 1.0).max())
+def row_quadrature_defect(curve: PolyCurve) -> float:
+    """max_i |(K*1)_i - 1| = max_i |sum_j G_ij ds_j + 1| from one sweep; the
+    continuum row integral of K = -G is exactly 1."""
+    rows = convolve_kernel(curve, np.ones(curve.n))
+    return float(np.abs(rows - 1.0).max())

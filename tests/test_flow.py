@@ -525,9 +525,17 @@ class TestTrajectoryLength:
         )
         assert total == pytest.approx(manual, rel=1e-12)
 
+    @staticmethod
+    def length_upto(traj, k):
+        """I(t_k): the length of the trajectory cut after its record k."""
+        cut = replace(traj, times=traj.times[:k + 1], states=traj.states[:k + 1],
+                      records=traj.records[:k + 1])
+        return h.trajectory_h1ds_length(cut)
+
     def test_partials_cumulative(self):
         traj = h.run_flow(h.circle(1.0, 64), h.FlowConfig(dt=0.05, t1=0.5))
-        total, partials = h.trajectory_h1ds_length(traj, return_partials=True)
+        total = h.trajectory_h1ds_length(traj)
+        partials = [self.length_upto(traj, k) for k in range(1, len(traj.times))]
         assert len(partials) == len(traj.times) - 1
         assert partials[-1] == pytest.approx(total, rel=1e-14)
         assert all(b >= a for a, b in zip(partials, partials[1:]))
@@ -539,12 +547,11 @@ class TestTrajectoryLength:
         traj = h.run_flow(
             h.circle(1.0, 128), h.FlowConfig(dt=1e-2, t1=16.0, record_every=5)
         )
-        total, partials = h.trajectory_h1ds_length(traj, return_partials=True)
+        total = h.trajectory_h1ds_length(traj)
         times = np.asarray(traj.times)
 
         def upto(T):
-            idx = int(np.searchsorted(times, T + 1e-12)) - 1
-            return float(partials[idx - 1])
+            return self.length_upto(traj, int(np.searchsorted(times, T + 1e-12)) - 1)
 
         i2, i4, i8, i16 = upto(2.0), upto(4.0), upto(8.0), upto(16.0)
         # continuum values from the circle oracle, frozen:

@@ -107,9 +107,25 @@ class TestKernelMatrix:
         assert np.abs(rows + 1.0).max() <= 2e-3
 
     def test_row_defect_shrinks_with_resolution(self):
-        d128 = h.row_quadrature_defect(h.kernel_matrix(h.circle(1.0, 128)))
-        d512 = h.row_quadrature_defect(h.kernel_matrix(h.circle(1.0, 512)))
+        d128 = h.row_quadrature_defect(h.circle(1.0, 128))
+        d512 = h.row_quadrature_defect(h.circle(1.0, 512))
         assert d128 / d512 >= 3.0
+
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    @pytest.mark.parametrize("r", [0.25, 1.0, 4.0, 120.0])
+    def test_row_defect_closed_form_on_circle(self, r, n):
+        # every row of a regular n-gon with edge e sums to (e/2) coth(e/2).
+        # arc_data's length (a pairwise sum) and s (a running sum) round
+        # apart, so the closing gap L - s_{n-1} misses e by delta, 4.3e-12 at
+        # r = 120, n = 512, and the rows beside it by up to |delta| / 2
+        c = h.circle(r, n)
+        ad = h.arc_data(c)
+        e = 2.0 * r * math.sin(math.pi / n)
+        delta = ad.length - ad.s[-1] - ad.edge_lengths[-1]
+        defect = h.row_quadrature_defect(c)
+        assert abs(defect - ((e / 2) / math.tanh(e / 2) - 1.0)) <= 1e-13 + abs(delta)
+        km = h.kernel_matrix(c)
+        assert abs(defect - np.abs(km.G @ km.ds + 1.0).max()) <= 1e-13
 
     def test_guard_on_vanishing_curve(self):
         tiny = h.PolyCurve(1e-14 * h.circle(1.0, 16).vertices)
@@ -136,25 +152,54 @@ SHAPES = {
 }
 
 
+# every shape at three sizes, scaled to each length. At L >= 1e3, e^{s}
+# overflows past s ~ 709 on all but three n = 3 curves, so these cases pass
+# only with a segmented sweep. L = 2.6e2 puts s_{n-1} just past
+# SWEEP_SPAN = 256 at n = 512 (one cut at the last points) and L = 5e2 cuts
+# every curve once
+OVER_LENGTHS = pytest.mark.parametrize("length", [1e-6, 1.0, 1e2, 2.6e2, 5e2, 1e3, 1e4])
+OVER_SIZES = pytest.mark.parametrize("n", [3, 64, 512])
+OVER_SHAPES = pytest.mark.parametrize("shape", sorted(SHAPES))
+
+
+def scaled(shape, n, length):
+    base = SHAPES[shape](n)
+    return h.PolyCurve(base.vertices * (length / h.total_length(base)))
+
+
 class TestApplyKernel:
-    # convolve_kernel, the one kernel apply, against the dense product
-    # -(G ds) f; at L >= 1e3, e^{s} overflows past s ~ 709 on all but three
-    # n = 3 curves, so these cases pass only with a segmented sweep. L = 2.6e2
-    # puts s_{n-1} just past SWEEP_SPAN = 256 at n = 512 (one cut at the last
-    # points) and L = 5e2 cuts every curve once
-    @pytest.mark.parametrize("length", [1e-6, 1.0, 1e2, 2.6e2, 5e2, 1e3, 1e4])
-    @pytest.mark.parametrize("n", [3, 64, 512])
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    # convolve_kernel, the one kernel apply, and the centered velocity
+    # against the dense products -(G ds) f and X rowsum(G ds) - (G ds) X
+    @OVER_LENGTHS
+    @OVER_SIZES
+    @OVER_SHAPES
     def test_matches_dense_product(self, shape, n, length):
-        base = SHAPES[shape](n)
-        c = h.PolyCurve(base.vertices * (length / h.total_length(base)))
+        c = scaled(shape, n, length)
         f = np.random.default_rng(n).standard_normal((c.n, 2))
         km = h.kernel_matrix(c)
-        dense = -(km.G * km.ds[None, :]) @ f
+        w = km.G * km.ds[None, :]
+        dense = -w @ f
         swept = h.convolve_kernel(c, f)
         assert np.isfinite(swept).all()
         err = np.abs(swept - dense).max() / np.abs(dense).max()
         assert err <= 1e-13
+        # the centered velocity cancels O(|X|) terms, so its bound is in |X|
+        X = c.vertices
+        centered = X * w.sum(axis=1)[:, None] - w @ X
+        err = np.abs(h.flow_velocity_centered(c) - centered).max()
+        assert err <= 1e-13 * np.abs(X).max()
+
+    @OVER_LENGTHS
+    @OVER_SIZES
+    @OVER_SHAPES
+    def test_centered_velocity_translation_equivariant(self, shape, n, length):
+        # V = K*X - (K*1) X has no term in a translation a, up to round-off
+        c = scaled(shape, n, length)
+        a = np.array([7.0, -3.0]) * length
+        V = h.flow_velocity_centered(c)
+        moved = h.flow_velocity_centered(h.PolyCurve(c.vertices + a))
+        bound = 1e-13 * (np.abs(c.vertices).max() + np.linalg.norm(a))
+        assert np.abs(moved - V).max() <= bound
 
 
 class TestConvolution:

@@ -261,7 +261,7 @@ def reference_scalars() -> dict:
             "h1ds_inner": h.h1ds_inner(c, v, w), "l2ds_inner": h.l2ds_inner(c, v, w),
             "length_directional_derivative": h.length_directional_derivative(c, v),
             "kernel_matrix": (km.G, km.ds, km.length), "convolve_kernel": h.convolve_kernel(c, v),
-            "row_quadrature_defect": h.row_quadrature_defect(km),
+            "row_quadrature_defect": h.row_quadrature_defect(c),
             "embeddedness_condition": repr(emb), "record": repr(h.record(c, 0.25)),
         }
         for key, val in values.items():
