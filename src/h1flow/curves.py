@@ -4,7 +4,9 @@ A curve is an ordered list of planar vertices with the closing edge implicit.
 Everything here is a pure function of the vertex array: arclength data, area,
 tangent/normal frames, discrete curvature, field norms in the du and ds
 measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
-itself a curve, accepted in the curve's place, so a state is measured once.
+itself a curve, accepted in the curve's place, so a state is measured once;
+its cumulative arclength s is computed on first use, since only the kernel
+and the chord-arc monitor read it.
 The two terms of the discrete H1(ds) inner product, the L2(ds) sum and the
 edge term, are written here once; gradient, diagnostics and paths use them.
 Reading and writing curves is the business of the output module.
@@ -13,6 +15,7 @@ Reading and writing curves is the business of the output module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +52,12 @@ class PolyCurve:
 
 @dataclass(frozen=True)
 class ArcData(PolyCurve):
-    """A measured curve: the vertices of a validated PolyCurve with their
-    arclength coordinates, s cumulative (s[0] = 0), ds vertex weights, total
-    length, and the edges X_{i+1} - X_i with their (positive) lengths."""
+    """A measured curve: the vertices of a validated PolyCurve with their ds
+    vertex weights, total length, and the edges X_{i+1} - X_i with their
+    (positive) lengths. The cumulative arclength s (s[0] = 0) is computed on
+    first use and kept: the kernel and the chord-arc monitor need it, the
+    frames of a path do not."""
 
-    s: np.ndarray
     ds: np.ndarray
     length: float
     edges: np.ndarray
@@ -61,6 +65,11 @@ class ArcData(PolyCurve):
 
     def __post_init__(self):
         """No revalidation: the vertices are those of a validated PolyCurve."""
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Cumulative arclength at the vertices, s[0] = 0."""
+        return np.concatenate(([0.0], np.cumsum(self.edge_lengths[:-1])))
 
 
 @dataclass(frozen=True)
@@ -120,9 +129,10 @@ def total_length(curve: PolyCurve) -> float:
 
 
 def arc_data(curve: PolyCurve) -> ArcData:
-    """Cumulative arclength s_i and the vertex quadrature weight
-    ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2. A curve that is already
-    measured is returned as it is.
+    """Edges, edge lengths and the vertex quadrature weight
+    ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
+    s_i follows on first use. A curve that is already measured is returned
+    as it is.
     """
     if isinstance(curve, ArcData):
         return curve
@@ -130,9 +140,8 @@ def arc_data(curve: PolyCurve) -> ArcData:
     el = _norm(ev)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
-    s = np.concatenate(([0.0], np.cumsum(el[:-1])))
     ds = 0.5 * (el + _prev(el))
-    return ArcData(vertices=curve.vertices, s=s, ds=ds, length=float(el.sum()),
+    return ArcData(vertices=curve.vertices, ds=ds, length=float(el.sum()),
                    edges=ev, edge_lengths=el)
 
 
@@ -152,34 +161,41 @@ def frame_data(curve: PolyCurve) -> FrameData:
     divided by ds_i.
     """
     ad = arc_data(curve)
-    u, t, normal = _unit_frames(ad)
-    return FrameData(tangent=t, normal=normal, curvature=_turning(u) / ad.ds)
+    (ux, uy), (tx, ty) = _unit_frames(ad)
+    return FrameData(tangent=np.stack([tx, ty], axis=1),
+                     normal=np.stack([-ty, tx], axis=1),
+                     curvature=_turning(ux, uy) / ad.ds)
+
+
+def _unit_edges(ad: ArcData):
+    """The x and y columns of the unit edge vectors of a measured curve."""
+    el = ad.edge_lengths
+    return ad.edges[:, 0] / el, ad.edges[:, 1] / el
 
 
 def _unit_frames(ad: ArcData):
-    """Unit edges u, unit vertex tangents T and normals N = rot90(T) of a
-    measured curve, without the curvature of frame_data."""
-    u = ad.edges / ad.edge_lengths[:, None]
-    t = u + _prev(u)
-    tn = _norm(t)
+    """Unit edges u and unit vertex tangents T of a measured curve, each as
+    its x and y columns: the frames of frame_data without the curvature.
+    The normal is N = rot90(T) = (-T_y, T_x)."""
+    ux, uy = _unit_edges(ad)
+    tx = ux + _prev(ux)
+    ty = uy + _prev(uy)
+    tn = np.sqrt(tx * tx + ty * ty)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
-    t = t / tn[:, None]
-    return u, t, np.stack([-t[:, 1], t[:, 0]], axis=1)
+    return (ux, uy), (tx / tn, ty / tn)
 
 
-def _turning(u: np.ndarray) -> np.ndarray:
+def _turning(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
     """Signed turning angle at each vertex from the incoming to the outgoing
-    unit edge, given the unit edge vectors u."""
-    prev = _prev(u)
-    cross = prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0]
-    dot = np.einsum("ij,ij->i", prev, u)
-    return np.arctan2(cross, dot)
+    unit edge, given the columns of the unit edge vectors."""
+    px = _prev(ux)
+    py = _prev(uy)
+    return np.arctan2(px * uy - py * ux, px * ux + py * uy)
 
 
 def turning_angles(curve: PolyCurve) -> np.ndarray:
-    ad = arc_data(curve)
-    return _turning(ad.edges / ad.edge_lengths[:, None])
+    return _turning(*_unit_edges(arc_data(curve)))
 
 
 def _as_field(curve: PolyCurve, field) -> np.ndarray:

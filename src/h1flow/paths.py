@@ -6,11 +6,17 @@ quotient mode the velocity is first projected onto the left frame's normals,
 which is what makes reparametrization-heavy paths cheap and underlies the
 vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
 L2(ds) sum of the curves module, the one that gradient and norms use.
+
+A path's frames are checked once, when it is built; as_mode relabels the
+same frames. A path length measures each left frame once (its ArcData, whose
+arclength s it never reads) and, in quotient mode, takes the normal
+component from the columns of the unit tangent that frame_data uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +41,7 @@ class CurvePath:
                 raise MismatchedFrames(f"frame with {f.n} vertices among n = {n}")
             if edge_lengths(f).min() <= 0.0:
                 raise DegenerateCurve("degenerate frame in path")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -44,8 +49,18 @@ class CurvePath:
         return self.frames[0].n
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+
+
 def as_mode(path: CurvePath, mode: str) -> CurvePath:
-    return replace(path, mode=mode)
+    """The path's frames, the same tuple, under another mode. Only the mode
+    is checked: the frames were checked when the path was built."""
+    _check_mode(mode)
+    out = copy.copy(path)
+    object.__setattr__(out, "mode", mode)
+    return out
 
 
 def path_length_l2ds(path: CurvePath) -> float:
@@ -58,8 +73,9 @@ def path_length_l2ds(path: CurvePath) -> float:
         left = arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
         if path.mode == "quotient":
-            # the normal component, as an (n, 1) field
-            v = np.einsum("ij,ij->i", v, _unit_frames(left)[2])[:, None]
+            # the normal component <v, N> = v_y T_x - v_x T_y, as an (n, 1) field
+            tx, ty = _unit_frames(left)[1]
+            v = (v[:, 1] * tx - v[:, 0] * ty)[:, None]
         total += np.sqrt(_l2ds_term(left, v, v)) * dt
     return float(total)
 

@@ -104,6 +104,13 @@ class TestArcData:
         assert ad.s[0] == 0.0
         assert np.all(np.diff(ad.s) > 0)
 
+    def test_s_on_first_use(self):
+        ad = h.arc_data(h.star(1.0, 0.3, 5, 128))
+        el = ad.edge_lengths
+        s = ad.s
+        assert s.tobytes() == np.concatenate(([0.0], np.cumsum(el[:-1]))).tobytes()
+        assert ad.s is s
+
     def test_zero_edge_rejected(self):
         c = h.PolyCurve(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DegenerateCurve):

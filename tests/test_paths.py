@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.paths
 from h1flow.errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
 from h1flow.paths import _schedule_weights
 
@@ -23,6 +24,16 @@ def twist_path(n=64, lam=0.5, frames=9):
     """The reparam demo of the CLI: one smooth twist bump."""
     delta = lam * n / (2.0 * math.pi) * np.sin(2.0 * math.pi * np.arange(n) / n)
     return h.reparam_path(h.circle(1.0, n), delta, frames)
+
+
+def jittered_polygon(n=64, seed=18):
+    """A seeded non-convex polygon: the regular n-gon with jittered angles
+    and radii, moved off the origin so that a homothety about the origin
+    moves some vertices along +N and others along -N."""
+    rng = np.random.default_rng(seed)
+    th = 2.0 * np.pi * (np.arange(n) + 0.4 * rng.uniform(-1.0, 1.0, n)) / n
+    r = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
+    return h.PolyCurve(np.c_[r * np.cos(th) + 1.5, r * np.sin(th)])
 
 
 def quotient_length_via_frame_data(path):
@@ -67,6 +78,24 @@ class TestCurvePath:
         assert q.frames is p.frames
         assert h.as_mode(q, "full").mode == "full"
 
+    def test_as_mode_measures_no_frame(self, monkeypatch):
+        # the frames were checked when the path was built
+        p = translation_path()
+        calls = []
+        original = h1flow.paths.edge_lengths
+
+        def counted(curve):
+            calls.append(1)
+            return original(curve)
+
+        monkeypatch.setattr(h1flow.paths, "edge_lengths", counted)
+        q = h.as_mode(p, "quotient")
+        assert calls == []
+        assert q.frames is p.frames
+        assert (q.mode, p.mode) == ("quotient", "full")
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            h.as_mode(p, "partial")
+
 
 class TestPathLength:
     def test_translation_full_length(self):
@@ -101,10 +130,19 @@ class TestPathLength:
         lambda: h.shrink_path(h.star(1.0, 0.3, 5, 64), 0.5, 9),
         twist_path,
         lambda: h.zigzag_path(translation_path(n=64, frames=9), 2),
-    ], ids=["translation", "shrink", "reparam", "zigzag"])
+        lambda: h.shrink_path(jittered_polygon(), 0.5, 9),
+    ], ids=["translation", "shrink", "reparam", "zigzag", "jittered-shrink"])
     def test_quotient_normals_are_those_of_frame_data(self, make):
         path = h.as_mode(make(), "quotient")
         assert h.path_length_l2ds(path) == quotient_length_via_frame_data(path)
+
+    def test_quotient_cusp_rejected(self):
+        # vertex 3 of the left frame turns back along its incoming edge
+        spike = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [2.0, 1.0]])
+        path = h.CurvePath(frames=(h.PolyCurve(spike), h.PolyCurve(0.5 * spike)),
+                           mode="quotient")
+        with pytest.raises(DegenerateCurve, match="^cusp vertex"):
+            h.path_length_l2ds(path)
 
     def test_reversal_symmetry(self):
         p = translation_path()
