@@ -19,7 +19,6 @@ from .curves import (
     arc_data,
     chord_arc_min,
     edge_lengths,
-    edge_vectors,
     frame_data,
     norms,
     reindex,

@@ -7,8 +7,8 @@ measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
 itself a curve, accepted in the curve's place, so a state is measured once;
 its cumulative arclength s is computed on first use, since only the kernel
 and the chord-arc monitor read it.
-The two terms of the discrete H1(ds) inner product, the L2(ds) sum and the
-edge term, are written here once; gradient, diagnostics and paths use them.
+The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
+that callers form once by _dot; gradient, diagnostics and paths use them.
 Reading and writing curves is the business of the output module.
 """
 
@@ -97,12 +97,18 @@ class ChordArcResult:
     j: int
 
 
+def _dot(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dot product of the 2-vectors on the last axis, v_x w_x + v_y w_y: the
+    one spelling of the per-vertex and per-edge products of the H1(ds) sums."""
+    p = v * w
+    return p[..., 0] + p[..., 1]
+
+
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Length of the 2-vectors on the last axis, sqrt(x*x + y*y). NumPy's
+    """Length of the 2-vectors on the last axis, sqrt(_dot(v, v)). NumPy's
     linalg norm over that axis computes sqrt(add.reduce(v*v)) over the same
     two entries, so the bits agree; this skips its per-call overhead."""
-    sq = v * v
-    return np.sqrt(sq[..., 0] + sq[..., 1])
+    return np.sqrt(_dot(v, v))
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -115,12 +121,14 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def edge_vectors(curve: PolyCurve) -> np.ndarray:
-    return _next(curve.vertices) - curve.vertices
+def _diff(a: np.ndarray) -> np.ndarray:
+    """Cyclic forward difference a[i+1] - a[i] along the first axis: the edges
+    of a vertex array, the per-edge differences of a field."""
+    return _next(a) - a
 
 
 def edge_lengths(curve: PolyCurve) -> np.ndarray:
-    return _norm(edge_vectors(curve))
+    return _norm(_diff(curve.vertices))
 
 
 def total_length(curve: PolyCurve) -> float:
@@ -136,7 +144,7 @@ def arc_data(curve: PolyCurve) -> ArcData:
     """
     if isinstance(curve, ArcData):
         return curve
-    ev = edge_vectors(curve)
+    ev = _diff(curve.vertices)
     el = _norm(ev)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
@@ -205,18 +213,16 @@ def _as_field(curve: PolyCurve, field) -> np.ndarray:
     return f
 
 
-def _l2ds_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
-    """sum_i <v_i, w_i> ds_i on a measured curve: the L2(ds) inner product and
-    the zeroth-order term of the H1(ds) one. v and w are (n, d) fields."""
-    return float((np.einsum("ij,ij->i", v, w) * ad.ds).sum())
+def _l2ds_term(ad: ArcData, q: np.ndarray) -> float:
+    """sum_i q_i ds_i for per-vertex products q = _dot(v, w) on a measured curve:
+    the L2(ds) inner product and the zeroth-order term of the H1(ds) one."""
+    return float((q * ad.ds).sum())
 
 
-def _edge_term(ad: ArcData, v: np.ndarray, w: np.ndarray) -> float:
-    """sum_edges <v_{i+1} - v_i, w_{i+1} - w_i> / e_i, with e the edge length:
-    the first-order term of the H1(ds) inner product on a measured curve."""
-    dv = _next(v) - v
-    dw = dv if w is v else _next(w) - w
-    return float((np.einsum("ij,ij->i", dv, dw) / ad.edge_lengths).sum())
+def _edge_term(ad: ArcData, q: np.ndarray) -> float:
+    """sum_edges q_i / e_i for per-edge products q = _dot(_diff(v), _diff(w)),
+    e the edge length: the first-order term of the H1(ds) inner product."""
+    return float((q / ad.edge_lengths).sum())
 
 
 def norms(curve: PolyCurve, field) -> FieldNorms:
@@ -228,17 +234,17 @@ def norms(curve: PolyCurve, field) -> FieldNorms:
     """
     f = _as_field(curve, field)
     n = curve.n
-    mag2 = np.einsum("ij,ij->i", f, f)
+    mag2 = _dot(f, f)
     linf = float(np.sqrt(mag2.max()))
     l2_du = float(np.sqrt(mag2.sum() / n))
-    df = _next(f) - f
-    dmag2 = np.einsum("ij,ij->i", df, df)
+    df = _diff(f)
+    dmag2 = _dot(df, df)
     # du edge measure 1/n, difference quotient df * n
     h1_du = float(np.sqrt(mag2.sum() / n + n * dmag2.sum()))
     ad = arc_data(curve)
-    l2_ds_sq = _l2ds_term(ad, f, f)
+    l2_ds_sq = _l2ds_term(ad, mag2)
     l2_ds = float(np.sqrt(l2_ds_sq))
-    h1_ds = float(np.sqrt(l2_ds_sq + _edge_term(ad, f, f)))
+    h1_ds = float(np.sqrt(l2_ds_sq + _edge_term(ad, dmag2)))
     return FieldNorms(linf=linf, l2_du=l2_du, l2_ds=l2_ds, h1_du=h1_du, h1_ds=h1_ds)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .curves import (
     PolyCurve,
+    _dot,
     _l2ds_term,
     arc_data,
     chord_arc_min,
@@ -110,7 +111,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
         iso_ratio=iso,
         deficit=L2 - 4.0 * math.pi * area,
         linf=sup_norm(ad),
-        l2ds=math.sqrt(_l2ds_term(ad, ad.vertices, ad.vertices)),
+        l2ds=math.sqrt(_l2ds_term(ad, _dot(ad.vertices, ad.vertices))),
         xu_l2=xu,
         min_edge=float(ad.edge_lengths.min()),
         chord_arc_min=emb.lhs,

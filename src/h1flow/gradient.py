@@ -4,8 +4,8 @@ The velocity is V = K*X - X with (K*X)_i = sum_j K_ij ds_j X_j and the
 positive kernel K = -G, the discrete scheme as written, with no linear solve.
 The centered form V = K*X - (K*1) X, from the same sweep, is translation
 invariant; the two differ by the row-quadrature defect times |X|. The inner
-products and the first variation of length are built from the L2(ds) sum and
-the edge term of the curves module, which norms shares.
+products and the first variation of length weight products formed once with
+the curves module's _dot by its L2(ds) sum and edge term, which norms shares.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _as_field, _edge_term, _l2ds_term, arc_data
+from .curves import PolyCurve, _as_field, _diff, _dot, _edge_term, _l2ds_term, arc_data
 from .kernel import convolve_kernel
 
 
@@ -31,14 +31,14 @@ def h1ds_inner(curve: PolyCurve, v, w) -> float:
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     ad = arc_data(curve)
-    return _l2ds_term(ad, v, w) + _edge_term(ad, v, w)
+    return _l2ds_term(ad, _dot(v, w)) + _edge_term(ad, _dot(_diff(v), _diff(w)))
 
 
 def l2ds_inner(curve: PolyCurve, v, w) -> float:
     """sum_i <v_i, w_i> ds_i."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
-    return _l2ds_term(arc_data(curve), v, w)
+    return _l2ds_term(arc_data(curve), _dot(v, w))
 
 
 def length_directional_derivative(curve: PolyCurve, v) -> float:
@@ -47,7 +47,7 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
     """
     v = _as_field(curve, v)
     ad = arc_data(curve)
-    return _edge_term(ad, v, ad.vertices)
+    return _edge_term(ad, _dot(_diff(v), ad.edges))
 
 
 def velocity(curve: PolyCurve) -> np.ndarray:
@@ -61,8 +61,9 @@ def flow_velocity(curve: PolyCurve) -> VelocityField:
     """Velocity of the flow at every vertex plus the gradient norms."""
     ad = arc_data(curve)
     V = velocity(ad)
-    l2 = _l2ds_term(ad, V, V)
-    return VelocityField(velocity=V, grad_norm_sq_h1ds=l2 + _edge_term(ad, V, V),
+    dV = _diff(V)
+    l2 = _l2ds_term(ad, _dot(V, V))
+    return VelocityField(velocity=V, grad_norm_sq_h1ds=l2 + _edge_term(ad, _dot(dV, dV)),
                          grad_norm_l2ds=math.sqrt(l2))
 
 

@@ -105,20 +105,34 @@ def write_diagnostics_csv(records, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _cell(name: str, raw: str):
+    """One diagnostics CSV cell: the words true and false for embeddedness_ok,
+    a float for every other column."""
+    if name != "embeddedness_ok":
+        return float(raw)
+    if raw not in ("true", "false"):
+        raise ValueError(f"embeddedness_ok must be true or false, got {raw!r}")
+    return raw == "true"
+
+
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
+    """The records of a diagnostics CSV. A malformed header or row raises
+    UsageError naming the file, and the line for a row."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
-            raise ValueError("unexpected diagnostics header")
+            raise UsageError(f"{path}: unexpected diagnostics header")
         out = []
-        for line in fh:
-            if not line.strip():
+        for line, text in enumerate(fh, 2):
+            if not text.strip():
                 continue
-            vals = line.strip().split(",")
-            kwargs = {}
-            for name, raw in zip(CSV_COLUMNS, vals):
-                kwargs[name] = (raw == "true") if name == "embeddedness_ok" else float(raw)
-            out.append(DiagnosticsRecord(**kwargs))
+            vals = text.strip().split(",")
+            try:
+                if len(vals) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} cells, got {len(vals)}")
+                out.append(DiagnosticsRecord(*map(_cell, CSV_COLUMNS, vals)))
+            except ValueError as exc:
+                raise UsageError(f"{path}, line {line}: {exc}") from None
     return out
 
 

@@ -5,7 +5,8 @@ length functional integrates the L2(ds) speed with a left-endpoint rule; in
 quotient mode the velocity is first projected onto the left frame's normals,
 which is what makes reparametrization-heavy paths cheap and underlies the
 vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
-L2(ds) sum of the curves module, the one that gradient and norms use.
+L2(ds) sum of the curves module, the one that gradient and norms use, of
+|v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
 
 A path's frames are checked once, when it is built; as_mode relabels the
 same frames. A path length measures each left frame once (its ArcData, whose
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _l2ds_term, _unit_frames, arc_data, edge_lengths
+from .curves import PolyCurve, _dot, _l2ds_term, _unit_frames, arc_data, edge_lengths
 from .errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
 
 MODES = ("full", "quotient")
@@ -73,10 +74,13 @@ def path_length_l2ds(path: CurvePath) -> float:
         left = arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
         if path.mode == "quotient":
-            # the normal component <v, N> = v_y T_x - v_x T_y, as an (n, 1) field
+            # the normal component <v, N> = v_y T_x - v_x T_y
             tx, ty = _unit_frames(left)[1]
-            v = (v[:, 1] * tx - v[:, 0] * ty)[:, None]
-        total += np.sqrt(_l2ds_term(left, v, v)) * dt
+            vn = v[:, 1] * tx - v[:, 0] * ty
+            q = vn * vn
+        else:
+            q = _dot(v, v)
+        total += np.sqrt(_l2ds_term(left, q)) * dt
     return float(total)
 
 

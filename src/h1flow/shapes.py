@@ -9,6 +9,7 @@ written once, in GeneratorSpec.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown shape {self.kind!r}")
+        for name in ("n", "lobes"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 3:
             raise ValueError("n must be >= 3")
         for name in ("size", "size_b"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
-from h1flow.curves import _next, _norm, _prev
+from h1flow.curves import _diff, _dot, _next, _norm, _prev
 from h1flow.errors import DegenerateCurve
 
 
@@ -35,8 +35,8 @@ def _primitive_inputs():
 
 
 class TestPrimitives:
-    """The private length and shift helpers give the bits of the NumPy calls
-    they replace."""
+    """The private length, shift, difference and dot-product helpers give the
+    bits of the NumPy calls they replace."""
 
     @pytest.mark.parametrize("name", [k for k, v in _primitive_inputs().items()
                                       if v.shape[-1] == 2])
@@ -53,6 +53,29 @@ class TestPrimitives:
         for got, want in ((_next(a), np.roll(a, -1, axis=0)), (_prev(a), np.roll(a, 1, axis=0))):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(_primitive_inputs()))
+    def test_diff_is_roll_difference(self, name):
+        a = _primitive_inputs()[name]
+        with np.errstate(invalid="ignore"):
+            got, want = _diff(a), np.roll(a, -1, axis=0) - a
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", [k for k, v in _primitive_inputs().items()
+                                      if v.ndim == 2])
+    def test_dot_is_einsum(self, name):
+        """_dot(v, v) has the bits of the einsum. For other fields w the two
+        agree as values, NaN with NaN: einsum adds the products to a +0.0,
+        so the bytes differ in the sign of a zero (-0.0 + -0.0 against
+        +0.0 + -0.0 + -0.0) or of a NaN."""
+        v = _primitive_inputs()[name]
+        rng = np.random.default_rng(11)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _dot(v, v), np.einsum("ij,ij->i", v, v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for w in (rng.standard_normal(v.shape), -v):
+                got, want = _dot(v, w), np.einsum("ij,ij->i", v, w)
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestPolyCurve:

@@ -2,6 +2,7 @@
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,22 @@ class TestDiagnosticsCsv:
     def test_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,len\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(h.UsageError, match=f"^{re.escape(str(p))}: unexpected diagnostics header$"):
+            h.read_diagnostics_csv(str(p))
+
+    @pytest.mark.parametrize("edit", [
+        lambda cells: cells[:5],
+        lambda cells: cells + ["1"],
+        lambda cells: cells[:-1] + ["yes"],
+        lambda cells: ["one"] + cells[1:],
+    ], ids=["5-cells", "15-cells", "bool-yes", "non-numeric"])
+    def test_malformed_row_names_file_and_line(self, short_traj, tmp_path, edit):
+        p = tmp_path / "d.csv"
+        h.write_diagnostics_csv(short_traj, str(p))
+        lines = p.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(h.UsageError, match=f"^{re.escape(str(p))}, line 3: "):
             h.read_diagnostics_csv(str(p))
 
     def test_skips_blank_lines(self, short_traj, tmp_path):

@@ -22,6 +22,17 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             h.GeneratorSpec(kind="ellipse", size=1.0, size_b=-0.5)
 
+    @pytest.mark.parametrize("kw", [dict(n=64.5), dict(n=64.0),
+                                    dict(kind="star", lobes=2.5)])
+    def test_non_integer_count_rejected(self, kw):
+        name = "n" if "n" in kw else "lobes"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            h.GeneratorSpec(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = h.GeneratorSpec(kind="star", n=np.int64(64), lobes=np.int32(3))
+        assert np.array_equal(h.generate(spec).vertices, h.star(1.0, 0.3, 3, 64).vertices)
+
     def test_barbell_neck_range(self):
         with pytest.raises(ValueError):
             h.GeneratorSpec(kind="barbell", neck=0.0)
