@@ -22,8 +22,9 @@ import numpy as np
 from .errors import DegenerateCurve
 
 
-# pair entries per chord-arc block (at least one row): for n <= 16384 each
-# temporary stays under glibc's 128 KiB mmap threshold
+# pair entries per chord-arc block (at least one row): for n <= 16384 each of
+# the three work arrays, rows * (n - 1) doubles with rows = _CHORD_BLOCK // n,
+# stays under glibc's 128 KiB mmap threshold, so it is never mapped afresh
 _CHORD_BLOCK = 16384
 
 
@@ -168,11 +169,10 @@ def frame_data(curve: PolyCurve) -> FrameData:
     N_i = rot90(T_i), and k_i is the signed turning angle at the vertex
     divided by ds_i.
     """
-    ad = arc_data(curve)
-    (ux, uy), (tx, ty) = _unit_frames(ad)
+    (tx, ty), k = _tangent_curvature(arc_data(curve))
     return FrameData(tangent=np.stack([tx, ty], axis=1),
                      normal=np.stack([-ty, tx], axis=1),
-                     curvature=_turning(ux, uy) / ad.ds)
+                     curvature=k)
 
 
 def _unit_edges(ad: ArcData):
@@ -192,6 +192,14 @@ def _unit_frames(ad: ArcData):
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
     return (ux, uy), (tx / tn, ty / tn)
+
+
+def _tangent_curvature(ad: ArcData):
+    """The x and y columns of the unit vertex tangent T of a measured curve,
+    and its signed curvature k_i, the turning angle at vertex i divided by
+    ds_i. A cusp is refused as in _unit_frames."""
+    (ux, uy), tangent = _unit_frames(ad)
+    return tangent, _turning(ux, uy) / ad.ds
 
 
 def _turning(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
@@ -236,11 +244,12 @@ def norms(curve: PolyCurve, field) -> FieldNorms:
     n = curve.n
     mag2 = _dot(f, f)
     linf = float(np.sqrt(mag2.max()))
-    l2_du = float(np.sqrt(mag2.sum() / n))
+    l2_du_sq = mag2.sum() / n
+    l2_du = float(np.sqrt(l2_du_sq))
     df = _diff(f)
     dmag2 = _dot(df, df)
     # du edge measure 1/n, difference quotient df * n
-    h1_du = float(np.sqrt(mag2.sum() / n + n * dmag2.sum()))
+    h1_du = float(np.sqrt(l2_du_sq + n * dmag2.sum()))
     ad = arc_data(curve)
     l2_ds_sq = _l2ds_term(ad, mag2)
     l2_ds = float(np.sqrt(l2_ds_sq))
@@ -259,31 +268,49 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     in (0, 1]; small values flag near self-contact.
 
     Rows are taken in blocks i0:i0+rows against the columns i0+1:n, about
-    _CHORD_BLOCK pairs or one row at a time, so memory is O(n). A pair is
-    evaluated where its gap s_j - s_i is positive: s increases, so these
-    are the pairs j > i whose separation is representable, and a pair whose
-    gap rounds to zero is skipped. The ratio is exactly symmetric, so the
-    lowest tied (i, j) lies in that triangle. argmin keeps the first
-    minimum of a block, and a later block wins only when strictly smaller,
-    or NaN, which argmin over all pairs would pick.
+    _CHORD_BLOCK pairs or one row at a time, so memory is O(n). Every block
+    is computed in the same three work arrays of rows * (n - 1) doubles, and
+    a mask of as many booleans, allocated once per call; each operation
+    writes into them in the order of the expressions it stands for, so the
+    bits are those of evaluating the block afresh. A pair is evaluated where
+    its gap s_j - s_i is positive: s increases, so these are the pairs j > i
+    whose separation is representable, and a pair whose gap rounds to zero
+    is skipped. The ratio is exactly symmetric, so the lowest tied (i, j)
+    lies in that triangle. argmin keeps the first minimum of a block, and a
+    later block wins only when strictly smaller, or NaN, which argmin over
+    all pairs would pick.
     """
     ad = arc_data(curve)
     n = curve.n
     x = curve.vertices[:, 0]
     y = curve.vertices[:, 1]
-    rows = max(1, _CHORD_BLOCK // n)
+    s = ad.s
+    rows = min(n - 1, max(1, _CHORD_BLOCK // n))
+    work = np.empty((3, rows * (n - 1)))
+    positive = np.empty(rows * (n - 1), dtype=bool)
     best = None
     for i0 in range(0, n - 1, rows):
-        dx = x[i0:i0 + rows, None] - x[None, i0 + 1:]
-        dy = y[i0:i0 + rows, None] - y[None, i0 + 1:]
-        chord = np.sqrt(dx * dx + dy * dy)
-        gap = ad.s[None, i0 + 1:] - ad.s[i0:i0 + rows, None]
-        arc = np.minimum(gap, ad.length - gap)
-        ratio = np.divide(chord, arc, out=np.full(chord.shape, np.inf), where=gap > 0.0)
-        r, c = divmod(int(np.argmin(ratio)), ratio.shape[1])
-        value = ratio[r, c]
+        i1 = min(i0 + rows, n - 1)
+        shape = (i1 - i0, n - 1 - i0)
+        size = shape[0] * shape[1]
+        a, b, c = (w[:size].reshape(shape) for w in work)
+        pos = positive[:size].reshape(shape)
+        np.subtract(x[i0:i1, None], x[None, i0 + 1:], out=a)  # dx
+        np.subtract(y[i0:i1, None], y[None, i0 + 1:], out=b)  # dy
+        np.multiply(a, a, out=a)
+        np.multiply(b, b, out=b)
+        np.add(a, b, out=a)
+        np.sqrt(a, out=a)  # chord = sqrt(dx * dx + dy * dy)
+        np.subtract(s[None, i0 + 1:], s[i0:i1, None], out=b)  # gap
+        np.subtract(ad.length, b, out=c)
+        np.minimum(b, c, out=c)  # arc = min(gap, L - gap)
+        np.greater(b, 0.0, out=pos)
+        b.fill(np.inf)
+        np.divide(a, c, out=b, where=pos)  # ratio, inf where gap <= 0
+        r, col = divmod(int(np.argmin(b)), shape[1])
+        value = b[r, col]
         if best is None or not value >= best.value:
-            best = ChordArcResult(value=float(value), i=i0 + r, j=i0 + 1 + c)
+            best = ChordArcResult(value=float(value), i=i0 + r, j=i0 + 1 + col)
             if np.isnan(value):
                 break
     return best

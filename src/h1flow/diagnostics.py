@@ -16,9 +16,9 @@ from .curves import (
     PolyCurve,
     _dot,
     _l2ds_term,
+    _tangent_curvature,
     arc_data,
     chord_arc_min,
-    frame_data,
     signed_area,
     sup_norm,
 )
@@ -96,7 +96,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
     area = signed_area(ad)
     L2 = ad.length * ad.length
     iso = L2 / (4.0 * math.pi * abs(area)) if area != 0.0 else math.inf
-    max_k = float(np.abs(frame_data(ad).curvature).max())
+    max_k = float(np.abs(_tangent_curvature(ad)[1]).max())
     try:
         rescaled_k = math.exp(-t) * max_k
     except OverflowError:  # e^-t past the double range: the product is inf

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -66,7 +67,7 @@ class FlowConfig:
             warnings.warn(f"dt = {self.dt} is large for forward Euler; expect drift", stacklevel=3)
         if abs(self.t1 - self.t0) / self.dt > 1e8:
             raise ValueError("horizon / dt exceeds the step-count sanity bound")
-        if not (isinstance(self.record_every, int) and self.record_every >= 1):
+        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise ValueError("record_every must be a positive integer")
         if not self.min_length_guard >= 0.0:
             raise ValueError("min_length_guard must be non-negative")

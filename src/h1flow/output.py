@@ -4,7 +4,11 @@ A curve is CSV (one x,y pair per line) or JSON ({"vertices": [[x, y], ...]});
 a path is JSON, its frames in the curve's form plus its mode; a run goes out
 as diagnostics CSV, SVG and trajectory JSON, its states in the curve's form.
 All floats go out with 17 significant digits so that a read-back is
-bit-exact; newlines are LF regardless of platform.
+bit-exact; newlines are LF regardless of platform. Points are formatted from
+the Python floats of one tolist() per curve. JSON is the text of json.dumps,
+written one top-level value, or one item of a list value, at a time: each
+piece goes through the C encoder, which json.dump never uses, and the whole
+text is never held in memory.
 """
 
 from __future__ import annotations
@@ -25,10 +29,38 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _points(vertices: np.ndarray) -> list[str]:
+    """'x,y' per vertex as _fmt writes each coordinate, formatted from the
+    Python floats of one tolist(): NumPy's float64 is a float subclass, so
+    the text is that of its scalars, at less than half the cost."""
+    return ["%.17g,%.17g" % (x, y) for x, y in vertices.tolist()]
+
+
+def _json_pieces(data):
+    """The text of json.dumps(data) in pieces, each made by json.dumps: a dict
+    value by value, and a non-empty list value item by item."""
+    if not isinstance(data, dict):
+        yield json.dumps(data)
+        return
+    sep = "{"
+    for key, value in data.items():
+        if isinstance(value, list) and value:
+            # '"key": [', the key spelled as json.dumps coerces it
+            item_sep = sep + json.dumps({key: []})[1:-2]
+            for item in value:
+                yield item_sep + json.dumps(item)
+                item_sep = ", "
+            yield "]"
+        else:
+            yield sep + json.dumps({key: value})[1:-1]
+        sep = ", "
+    yield "}" if data else "{}"
+
+
 def write_json(data, path) -> None:
-    """data as one line of JSON and a newline."""
+    """data as one line of JSON, the text of json.dumps(data), and a newline."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh)
+        fh.writelines(_json_pieces(data))
         fh.write("\n")
 
 
@@ -55,8 +87,7 @@ def _curve_from_json(data, source) -> PolyCurve:
 def write_curve(curve: PolyCurve, path) -> None:
     """x,y pairs, one per line, 17 significant digits, LF line ends."""
     with open(path, "w", newline="\n") as fh:
-        for x, y in curve.vertices:
-            fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+        fh.writelines(p + "\n" for p in _points(curve.vertices))
 
 
 def read_curve(path) -> PolyCurve:
@@ -164,7 +195,7 @@ def write_svg(states, path) -> None:
     ]
     denom = max(len(states) - 1, 1)
     for k, s in enumerate(states):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in s.vertices)
+        pts = " ".join(_points(s.vertices))
         color = _lerp_color(k / denom)
         lines.append(
             f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(stroke_width)}"/>'

@@ -313,6 +313,21 @@ class TestChordArcBlocks:
         c = random_polygon(n, seed=n)
         assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
 
+    @pytest.mark.parametrize("n", [700, 999, 1000])
+    def test_minimum_in_the_last_shorter_block(self, n):
+        # a thin spike at vertex n - 2 puts the minimum at (n - 3, n - 1),
+        # in a last block of fewer rows and columns than the one before it,
+        # so a value left in the work arrays by that block would show
+        v = h.circle(1.0, n).vertices.copy()
+        v[-2] *= 3.0
+        c = h.PolyCurve(v)
+        rows = 16384 // n
+        last = (n - 2) // rows * rows
+        assert n - 1 - last < rows
+        res = h.chord_arc_min(c)
+        assert res.i >= last
+        assert as_tuple(res) == dense_chord_arc(c)
+
     def test_exact_tie_across_blocks_keeps_the_first_pair(self):
         # lattice square of side m through unit steps: s and L are exact
         # integers, and exactly the two mid-side pairs reach chord / arc =

@@ -43,9 +43,18 @@ class TestFlowConfig:
             h.FlowConfig(dt=1e-9, t1=1e3)
 
     def test_rejects_bad_record_every(self):
-        for re_ in (0, -1, 1.5):
+        for re_ in (0, -1, 1.5, 2.0):
             with pytest.raises(ValueError):
                 h.FlowConfig(dt=0.1, t1=1.0, record_every=re_)
+
+    def test_numpy_integer_record_every(self):
+        runs = [h.run_flow(h.circle(1.0, 32), h.FlowConfig(dt=0.1, t1=1.0, record_every=re_))
+                for re_ in (5, np.int64(5))]
+        a, b = runs
+        assert a.times == b.times == (0.0, 0.5, 1.0)
+        assert all(np.array_equal(x.vertices, y.vertices) for x, y in zip(a.states, b.states))
+        assert a.records == b.records
+        assert a.termination is b.termination
 
     def test_rejects_negative_guard(self):
         with pytest.raises(ValueError):

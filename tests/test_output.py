@@ -1,5 +1,6 @@
 """Emission layer: diagnostics CSV round-trip, SVG rendering, JSON export."""
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+from h1flow.output import write_json
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,49 @@ class TestTrajectoryJson:
         h.write_trajectory_json(short_traj, str(p))
         doc = json.loads(p.read_text())
         assert doc == h.trajectory_to_json(short_traj)
+
+
+def _json_case(name, traj):
+    if name == "trajectory":
+        return h.trajectory_to_json(traj)
+    if name == "path":
+        return h.path_to_json(h.shrink_path(h.circle(1.0, 16), 0.5, 5))
+    if name == "empty-list":
+        return {"times": [], "termination": "completed", "states": [[0.5]]}
+    if name == "non-dict":
+        return [[0.1, -0.0], 1e300, "x", None, {"k": []}]
+    rec = dataclasses.replace(traj.records[0], iso_ratio=math.inf,
+                              area=-math.inf, rescaled_max_k=math.nan)
+    return {"records": [{c: getattr(rec, c) for c in h.CSV_COLUMNS}]}
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("name", ["trajectory", "path", "empty-list", "non-dict",
+                                      "inf-nan-record"])
+    def test_text_is_json_dumps(self, short_traj, tmp_path, name):
+        data = _json_case(name, short_traj)
+        p = tmp_path / "x.json"
+        write_json(data, str(p))
+        assert p.read_bytes() == (json.dumps(data) + "\n").encode()
+
+    def test_non_finite_fields_are_json_words(self, short_traj, tmp_path):
+        p = tmp_path / "x.json"
+        write_json(_json_case("inf-nan-record", short_traj), str(p))
+        text = p.read_text()
+        assert '"iso_ratio": Infinity' in text
+        assert '"area": -Infinity' in text
+        assert '"rescaled_max_k": NaN' in text
+
+
+def test_points_format_numpy_coordinates_to_17_digits(tmp_path):
+    # the writers format Python floats from tolist(); the text is that of
+    # each NumPy coordinate, signed zero and subnormal included
+    c = h.PolyCurve([[0.1, -0.0], [5e-324, 1.0 / 3.0], [-2.0 ** 0.5, 1e300]])
+    want = ["%.17g,%.17g" % (x, y) for x, y in c.vertices]
+    h.write_curve(c, str(tmp_path / "c.csv"))
+    assert (tmp_path / "c.csv").read_text().splitlines() == want
+    h.write_svg([c], str(tmp_path / "c.svg"))
+    assert f'points="{" ".join(want)}"' in (tmp_path / "c.svg").read_text()
 
 
 def _imported_modules(path):
