@@ -21,11 +21,9 @@ from .curves import (
     edge_lengths,
     frame_data,
     norms,
-    reindex,
     signed_area,
     sup_norm,
     total_length,
-    turning_angles,
 )
 from .diagnostics import (
     CSV_COLUMNS,
@@ -64,7 +62,6 @@ from .gradient import (
 )
 from .kernel import (
     MIN_KERNEL_LENGTH,
-    KernelMatrix,
     convolve_kernel,
     greens_value,
     kernel_matrix,

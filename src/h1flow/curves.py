@@ -175,17 +175,13 @@ def frame_data(curve: PolyCurve) -> FrameData:
                      curvature=k)
 
 
-def _unit_edges(ad: ArcData):
-    """The x and y columns of the unit edge vectors of a measured curve."""
-    el = ad.edge_lengths
-    return ad.edges[:, 0] / el, ad.edges[:, 1] / el
-
-
 def _unit_frames(ad: ArcData):
     """Unit edges u and unit vertex tangents T of a measured curve, each as
     its x and y columns: the frames of frame_data without the curvature.
     The normal is N = rot90(T) = (-T_y, T_x)."""
-    ux, uy = _unit_edges(ad)
+    el = ad.edge_lengths
+    ux = ad.edges[:, 0] / el
+    uy = ad.edges[:, 1] / el
     tx = ux + _prev(ux)
     ty = uy + _prev(uy)
     tn = np.sqrt(tx * tx + ty * ty)
@@ -196,22 +192,13 @@ def _unit_frames(ad: ArcData):
 
 def _tangent_curvature(ad: ArcData):
     """The x and y columns of the unit vertex tangent T of a measured curve,
-    and its signed curvature k_i, the turning angle at vertex i divided by
-    ds_i. A cusp is refused as in _unit_frames."""
+    and its signed curvature k_i: the turning angle at vertex i, from the
+    incoming unit edge p to the outgoing one u, divided by ds_i. A cusp is
+    refused as in _unit_frames."""
     (ux, uy), tangent = _unit_frames(ad)
-    return tangent, _turning(ux, uy) / ad.ds
-
-
-def _turning(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """Signed turning angle at each vertex from the incoming to the outgoing
-    unit edge, given the columns of the unit edge vectors."""
     px = _prev(ux)
     py = _prev(uy)
-    return np.arctan2(px * uy - py * ux, px * ux + py * uy)
-
-
-def turning_angles(curve: PolyCurve) -> np.ndarray:
-    return _turning(*_unit_edges(arc_data(curve)))
+    return tangent, np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
 
 
 def _as_field(curve: PolyCurve, field) -> np.ndarray:
@@ -314,9 +301,4 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
             if np.isnan(value):
                 break
     return best
-
-
-def reindex(curve: PolyCurve, shift: int) -> PolyCurve:
-    """Cyclic re-indexing: vertex i of the result is vertex i+shift of the input."""
-    return PolyCurve(np.roll(curve.vertices, -shift, axis=0))
 

@@ -14,14 +14,13 @@ c, of span below SWEEP_SPAN so that e^{s - c} stays in the double range,
 joined by carries across each cut and closed around the turn by one factor.
 A curve with s_{n-1} < SWEEP_SPAN is one segment.
 
-The dense n x n KernelMatrix, O(n^2) to assemble, is the reference the tests
-hold the sweep against; nothing in the library applies it.
+kernel_matrix returns the dense n x n matrix G, O(n^2) to assemble: the
+reference the tests hold the sweep against; nothing in the library applies it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +32,6 @@ MIN_KERNEL_LENGTH = 1e-12
 # lie within e^{+-256} ~ 1e+-111 of g, so they stay normal doubles for every
 # |g| from ~1e-196 to ~1e196; a curve of unit scale needs one segment.
 SWEEP_SPAN = 256.0
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Dense reference kernel, for tests. G: n x n symmetric negative kernel
-    values; ds: quadrature weights; length: L."""
-
-    G: np.ndarray
-    ds: np.ndarray
-    length: float
 
 
 def greens_value(L: float, s: float, s_tilde: float):
@@ -62,14 +51,15 @@ def _kernel_length(ad: ArcData) -> float:
     return ad.length
 
 
-def kernel_matrix(curve: PolyCurve) -> KernelMatrix:
-    """Dense reference: G_ij at all vertex pairs of a non-degenerate curve,
-    O(n^2) time and memory. The library applies the kernel by convolve_kernel."""
+def kernel_matrix(curve: PolyCurve) -> np.ndarray:
+    """Dense reference: the n x n symmetric negative matrix G_ij of kernel
+    values at all vertex pairs of a non-degenerate curve, O(n^2) time and
+    memory; its quadrature weights ds and length L are those of arc_data.
+    The library applies the kernel by convolve_kernel."""
     ad = arc_data(curve)
     L = _kernel_length(ad)
     # |s_i - s_j| < L, so greens_value's reduction mod L is exact
-    G = greens_value(L, ad.s[:, None], ad.s[None, :])
-    return KernelMatrix(G=G, ds=ad.ds, length=L)
+    return greens_value(L, ad.s[:, None], ad.s[None, :])
 
 
 def _periodic_sums(s: np.ndarray, g: np.ndarray, L: float):

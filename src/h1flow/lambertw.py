@@ -57,21 +57,26 @@ def lambert_w0(x: float) -> float:
 
 
 def lambert_w0_of_exp(y: float) -> float:
-    """The unique w > 0 with w + log w = y; equals W_0(e^y) for all real y."""
+    """The unique w > 0 with w + log w = y; equals W_0(e^y) for all real y.
+
+    Newton on f(w) = w + log w - y, which is increasing and concave, never
+    steps from a point left of the root past it, and so keeps w > 0 once it
+    starts there. For y <= 1 the start e^{y-1} lies left of the root, and
+    the iterates rise to it. For y > 1 the start w = y overshoots; its step
+    lands at y (1 - log y / (y + 1)) >= 0.72 y > 0, left of the root again.
+    """
     y = float(y)
     if y <= -500.0:
         # w = e^y (1 + o(1)); the correction is below double precision here
         return math.exp(y)
     if y > 1.0:
-        w = y  # overshoots from the right; Newton is monotone from there
+        w = y  # right of the root; the first step lands left of it
     else:
         w = math.exp(min(y - 1.0, 0.0))
     for _ in range(100):
         f = w + math.log(w) - y
         step = f * w / (w + 1.0)  # Newton step for f(w) = w + log w - y
         w_new = w - step
-        if w_new <= 0.0:
-            w_new = 0.5 * w
         # relative test: w spans ~1e-217 .. 7e2 over the useful y range
         if abs(w_new - w) <= 1e-15 * w_new:
             w = w_new

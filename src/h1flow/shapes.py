@@ -44,8 +44,6 @@ class GeneratorSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.size <= 0.0 or (self.size_b is not None and self.size_b <= 0.0):
             raise ValueError("size parameters must be positive")
-        if self.kind == "barbell" and not 0.0 < self.neck < self.size:
-            raise ValueError("neck half-width must lie in (0, radius)")
 
 
 def circle(radius: float, n: int) -> PolyCurve:
@@ -73,6 +71,8 @@ def ellipse(a: float, b: float, n: int) -> PolyCurve:
 def star(radius: float, amplitude: float, lobes: int, n: int) -> PolyCurve:
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
+    if lobes < 1:
+        raise ValueError("lobes must be >= 1")
     th = 2.0 * np.pi * np.arange(n) / n
     r = radius * (1.0 + amplitude * np.cos(lobes * th))
     return PolyCurve(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
@@ -84,6 +84,8 @@ def barbell(radius: float, neck: float, n: int) -> PolyCurve:
     out by equal arclength steps along the boundary walk, starting on the right
     lobe at its bottom neck junction.
     """
+    if not 0.0 < neck < radius:
+        raise ValueError("neck half-width must lie in (0, radius)")
     r = radius
     cx = 2.0 * r
     alpha = math.asin(neck / r)

@@ -1,5 +1,8 @@
-"""The package surface: `h1flow.__all__` against what `h1flow` imports."""
+"""The package surface: `h1flow.__all__` against what `h1flow` imports, and
+the names that the benchmark's workloads read from it."""
+import ast
 import inspect
+from pathlib import Path
 
 import h1flow
 import h1flow.errors
@@ -40,3 +43,19 @@ def test_every_error_is_a_usage_error_or_a_runtime_failure():
         assert issubclass(cls, ValueError) == issubclass(cls, usage), cls
         if cls not in (usage, runtime):
             assert issubclass(cls, usage) != issubclass(cls, runtime), cls
+
+
+def test_every_name_the_workloads_read_exists():
+    # benchmarks/workloads.py, parsed read-only: each h.<name> it reads, with
+    # h the name it binds to h1flow, resolves, so removing an export cannot
+    # break benchmarks/run.py unnoticed
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "h1flow"}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    assert aliases and read
+    assert sorted(name for name in read if not hasattr(h1flow, name)) == []

@@ -53,6 +53,13 @@ class TestUsageErrors:
              "--t1", "1.0"], capsys)
         assert rc == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("lobes", ["0", "-5"])
+    def test_star_lobe_count_below_one(self, capsys, lobes):
+        rc, out, err = run_cli(
+            ["flow", "--shape", "star", "--lobes", lobes, "--n", "64", "--dt", "0.1",
+             "--steps", "1"], capsys)
+        assert (rc, out, err) == (1, "", "error: lobes must be >= 1\n")
+
     @pytest.mark.parametrize("shape", ["star", "circle"])
     def test_shape_and_input_are_exclusive(self, tmp_path, capsys, shape):
         # circle, the shape a run takes when neither is given, is refused too

@@ -86,24 +86,25 @@ class TestGreensValue:
 
 class TestKernelMatrix:
     def test_symmetric_negative(self):
-        km = h.kernel_matrix(h.star(1.0, 0.3, 5, 128))
-        assert np.array_equal(km.G, km.G.T)
-        assert np.all(km.G < 0.0)
-        assert np.all(km.ds > 0.0)
-        assert km.ds.sum() == pytest.approx(km.length, rel=1e-13)
+        c = h.star(1.0, 0.3, 5, 128)
+        G, ad = h.kernel_matrix(c), h.arc_data(c)
+        assert G.shape == (c.n, c.n)
+        assert np.array_equal(G, G.T)
+        assert np.all(G < 0.0)
+        assert np.all(ad.ds > 0.0)
+        assert ad.ds.sum() == pytest.approx(ad.length, rel=1e-13)
 
     def test_matches_pointwise_values(self):
         c = h.star(1.0, 0.3, 5, 64)
-        km = h.kernel_matrix(c)
-        s = h.arc_data(c).s
+        G, ad = h.kernel_matrix(c), h.arc_data(c)
         for i, j in ((0, 0), (3, 41), (10, 63), (30, 31)):
-            assert km.G[i, j] == pytest.approx(
-                h.greens_value(km.length, s[i], s[j]), rel=1e-13
+            assert G[i, j] == pytest.approx(
+                h.greens_value(ad.length, ad.s[i], ad.s[j]), rel=1e-13
             )
 
     def test_row_quadrature_near_minus_one(self):
-        km = h.kernel_matrix(h.circle(1.0, 512))
-        rows = km.G @ km.ds
+        c = h.circle(1.0, 512)
+        rows = h.kernel_matrix(c) @ h.arc_data(c).ds
         assert np.abs(rows + 1.0).max() <= 2e-3
 
     def test_row_defect_shrinks_with_resolution(self):
@@ -124,8 +125,7 @@ class TestKernelMatrix:
         delta = ad.length - ad.s[-1] - ad.edge_lengths[-1]
         defect = h.row_quadrature_defect(c)
         assert abs(defect - ((e / 2) / math.tanh(e / 2) - 1.0)) <= 1e-13 + abs(delta)
-        km = h.kernel_matrix(c)
-        assert abs(defect - np.abs(km.G @ km.ds + 1.0).max()) <= 1e-13
+        assert abs(defect - np.abs(h.kernel_matrix(c) @ ad.ds + 1.0).max()) <= 1e-13
 
     def test_guard_on_vanishing_curve(self):
         tiny = h.PolyCurve(1e-14 * h.circle(1.0, 16).vertices)
@@ -137,10 +137,9 @@ class TestKernelMatrix:
 
     def test_circulant_on_circle(self):
         # equal spacing makes G_ij depend only on i - j mod n
-        km = h.kernel_matrix(h.circle(1.0, 64))
-        first = km.G[0]
+        G = h.kernel_matrix(h.circle(1.0, 64))
         for i in (1, 17, 50):
-            assert np.allclose(km.G[i], np.roll(first, i), rtol=1e-12, atol=1e-15)
+            assert np.allclose(G[i], np.roll(G[0], i), rtol=1e-12, atol=1e-15)
 
 
 SHAPES = {
@@ -176,8 +175,7 @@ class TestApplyKernel:
     def test_matches_dense_product(self, shape, n, length):
         c = scaled(shape, n, length)
         f = np.random.default_rng(n).standard_normal((c.n, 2))
-        km = h.kernel_matrix(c)
-        w = km.G * km.ds[None, :]
+        w = h.kernel_matrix(c) * h.arc_data(c).ds[None, :]
         dense = -w @ f
         swept = h.convolve_kernel(c, f)
         assert np.isfinite(swept).all()
@@ -207,8 +205,7 @@ class TestConvolution:
         rng = np.random.default_rng(5)
         c = h.star(1.0, 0.3, 5, 96)
         f = rng.standard_normal((96, 2))
-        km = h.kernel_matrix(c)
-        direct = -(km.G * km.ds[None, :]) @ f
+        direct = -(h.kernel_matrix(c) * h.arc_data(c).ds[None, :]) @ f
         assert np.allclose(h.convolve_kernel(c, f), direct, rtol=1e-14)
 
     def test_positivity_preserved(self):

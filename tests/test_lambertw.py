@@ -1,6 +1,7 @@
 """Principal-branch Lambert W evaluators and the exact circle radius."""
 import math
 
+import numpy as np
 import pytest
 
 import h1flow as h
@@ -89,6 +90,19 @@ class TestLambertW0OfExp:
             assert h.lambert_w0_of_exp(y) == pytest.approx(
                 h.lambert_w0(math.exp(y)), rel=1e-12
             )
+
+    def test_positive_and_exact_over_the_whole_range(self):
+        # Newton needs no guard against a step to w <= 0: sweep y over
+        # (-500, 1.7e308], on both sides of 0 and through the linear middle,
+        # and hold the residual relative to the two terms w and log w
+        ys = np.concatenate([[np.nextafter(-500.0, 0.0)], -np.geomspace(499.99, 1e-300, 600),
+                             [0.0], np.geomspace(1e-300, 1.7e308, 1200),
+                             np.linspace(-500.0, 50.0, 551)[1:]])
+        for y in ys.tolist():
+            w = h.lambert_w0_of_exp(y)
+            assert w > 0.0, y
+            residual = abs(w + math.log(w) - y)
+            assert residual <= 1e-15 * (w + abs(math.log(w))), y
 
     def test_monotone_increasing(self):
         ys = [-700.0, -500.0, -499.9, -10.0, 0.0, 10.0, 700.0]

@@ -34,11 +34,15 @@ class TestGeneratorSpec:
         assert np.array_equal(h.generate(spec).vertices, h.star(1.0, 0.3, 3, 64).vertices)
 
     def test_barbell_neck_range(self):
-        with pytest.raises(ValueError):
-            h.GeneratorSpec(kind="barbell", neck=0.0)
-        with pytest.raises(ValueError):
-            h.GeneratorSpec(kind="barbell", size=1.0, neck=1.0)
-        h.GeneratorSpec(kind="barbell", size=1.0, neck=0.999)  # boundary ok
+        # barbell refuses a neck outside (0, radius), called directly or
+        # through a spec; a negative neck would draw another, self-touching curve
+        message = r"^neck half-width must lie in \(0, radius\)$"
+        for neck in (0.0, 1.0, 2.0, -0.25):
+            with pytest.raises(ValueError, match=message):
+                h.barbell(1.0, neck, 64)
+            with pytest.raises(ValueError, match=message):
+                h.generate(h.GeneratorSpec(kind="barbell", n=64, size=1.0, neck=neck))
+        h.generate(h.GeneratorSpec(kind="barbell", size=1.0, neck=0.999))  # boundary ok
 
     def test_file_is_not_a_kind(self):
         # a curve file is read by read_curve, not generated
@@ -112,6 +116,13 @@ class TestStar:
             h.star(1.0, -0.1, 5, 64)
         with pytest.raises(ValueError):
             h.star(1.0, 1.0, 5, 64)
+
+    @pytest.mark.parametrize("lobes", [0, -5])
+    def test_lobe_count_below_one_rejected(self, lobes):
+        with pytest.raises(ValueError, match="^lobes must be >= 1$"):
+            h.star(1.0, 0.3, lobes, 64)
+        with pytest.raises(ValueError, match="^lobes must be >= 1$"):
+            h.generate(h.GeneratorSpec(kind="star", n=64, lobes=lobes))
 
     def test_zero_amplitude_is_circle(self):
         assert np.allclose(h.star(1.0, 0.0, 5, 64).vertices,

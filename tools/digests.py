@@ -247,20 +247,20 @@ def reference_scalars() -> dict:
         ad = h.arc_data(c)
         fd = h.frame_data(c)
         vel = h.flow_velocity(c)
-        km = h.kernel_matrix(c)
         emb = h.embeddedness_condition(c)
         values = {
             "edge_lengths": h.edge_lengths(c), "total_length": h.total_length(c),
             "arc_data": (ad.s, ad.ds, ad.length, ad.edges, ad.edge_lengths),
             "signed_area": h.signed_area(c),
             "frame_data": (fd.tangent, fd.normal, fd.curvature),
-            "turning_angles": h.turning_angles(c), "norms": repr(h.norms(c, v)),
+            "norms": repr(h.norms(c, v)),
             "sup_norm": h.sup_norm(c), "chord_arc_min": repr(h.chord_arc_min(c)),
             "flow_velocity": (vel.velocity, vel.grad_norm_sq_h1ds, vel.grad_norm_l2ds),
             "velocity": velocity(c), "flow_velocity_centered": h.flow_velocity_centered(c),
             "h1ds_inner": h.h1ds_inner(c, v, w), "l2ds_inner": h.l2ds_inner(c, v, w),
             "length_directional_derivative": h.length_directional_derivative(c, v),
-            "kernel_matrix": (km.G, km.ds, km.length), "convolve_kernel": h.convolve_kernel(c, v),
+            "kernel_matrix": (h.kernel_matrix(c), ad.ds, ad.length),
+            "convolve_kernel": h.convolve_kernel(c, v),
             "row_quadrature_defect": h.row_quadrature_defect(c),
             "embeddedness_condition": repr(emb), "record": repr(h.record(c, 0.25)),
         }
