@@ -130,6 +130,11 @@ def _cmd_flow(args) -> int:
     # built it; the command names the flag instead
     with warnings.catch_warnings(record=True) as caught:
         config = FlowConfig(**_given(FlowConfig, args))
+    if "steps" in args and config.steps != args.steps:
+        # a float t1 = t0 + steps * dt keeps the count only while |t0| / dt
+        # is well below 2^53; FlowConfig would round it to another count
+        raise UsageError(f"argument --steps: at t0 = {_fmt(config.t0)}, t0 + {args.steps} * dt "
+                         f"rounds to {config.steps} steps")
     for warning in caught:
         print(f"warning: argument --dt: {warning.message}", file=sys.stderr)
     traj = run_flow(initial, config)

@@ -1,6 +1,7 @@
 """Closed polygonal curves and their purely geometric quantities.
 
-A curve is an ordered list of planar vertices with the closing edge implicit.
+A curve is an ordered list of planar vertices with the closing edge implicit;
+PolyCurve keeps one read-only copy of its input.
 Everything here is a pure function of the vertex array: arclength data, area,
 tangent/normal frames, discrete curvature, field norms in the du and ds
 measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
@@ -9,6 +10,8 @@ its cumulative arclength s is computed on first use, since only the kernel
 and the chord-arc monitor read it.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient, diagnostics and paths use them.
+_unit_frames forms the outgoing and incoming unit edges and the unit tangent
+once; the curvature of _tangent_curvature reads the same shifted edges.
 Reading and writing curves is the business of the output module.
 """
 
@@ -35,14 +38,13 @@ class PolyCurve:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
         if v.shape[0] < 3:
             raise ValueError("a closed curve needs at least 3 vertices")
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 
@@ -176,18 +178,19 @@ def frame_data(curve: PolyCurve) -> FrameData:
 
 
 def _unit_frames(ad: ArcData):
-    """Unit edges u and unit vertex tangents T of a measured curve, each as
-    its x and y columns: the frames of frame_data without the curvature.
+    """The outgoing unit edges u, the incoming ones p (u shifted by one
+    vertex) and the unit vertex tangents T of a measured curve, each as its
+    x and y columns: the frames of frame_data without the curvature.
     The normal is N = rot90(T) = (-T_y, T_x)."""
-    el = ad.edge_lengths
-    ux = ad.edges[:, 0] / el
-    uy = ad.edges[:, 1] / el
-    tx = ux + _prev(ux)
-    ty = uy + _prev(uy)
+    ux = ad.edges[:, 0] / ad.edge_lengths
+    uy = ad.edges[:, 1] / ad.edge_lengths
+    px, py = _prev(ux), _prev(uy)
+    tx = ux + px
+    ty = uy + py
     tn = np.sqrt(tx * tx + ty * ty)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
-    return (ux, uy), (tx / tn, ty / tn)
+    return (ux, uy), (px, py), (tx / tn, ty / tn)
 
 
 def _tangent_curvature(ad: ArcData):
@@ -195,9 +198,7 @@ def _tangent_curvature(ad: ArcData):
     and its signed curvature k_i: the turning angle at vertex i, from the
     incoming unit edge p to the outgoing one u, divided by ds_i. A cusp is
     refused as in _unit_frames."""
-    (ux, uy), tangent = _unit_frames(ad)
-    px = _prev(ux)
-    py = _prev(uy)
+    (ux, uy), (px, py), tangent = _unit_frames(ad)
     return tangent, np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
 
 

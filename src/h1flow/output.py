@@ -5,10 +5,10 @@ a path is JSON, its frames in the curve's form plus its mode; a run goes out
 as diagnostics CSV, SVG and trajectory JSON, its states in the curve's form.
 All floats go out with 17 significant digits so that a read-back is
 bit-exact; newlines are LF regardless of platform. Points are formatted from
-the Python floats of one tolist() per curve. JSON is the text of json.dumps,
-written one top-level value, or one item of a list value, at a time: each
-piece goes through the C encoder, which json.dump never uses, and the whole
-text is never held in memory.
+the Python floats of one tolist() per curve. JSON goes out from a dict, as
+the text of json.dumps, written one top-level value, or one item of a list
+value, at a time: each piece goes through the C encoder, which json.dump
+never uses, and the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -37,11 +37,8 @@ def _points(vertices: np.ndarray) -> list[str]:
 
 
 def _json_pieces(data):
-    """The text of json.dumps(data) in pieces, each made by json.dumps: a dict
-    value by value, and a non-empty list value item by item."""
-    if not isinstance(data, dict):
-        yield json.dumps(data)
-        return
+    """The text of json.dumps(data) for a dict in pieces, each made by
+    json.dumps: value by value, and a non-empty list value item by item."""
     sep = "{"
     for key, value in data.items():
         if isinstance(value, list) and value:
@@ -57,8 +54,9 @@ def _json_pieces(data):
     yield "}" if data else "{}"
 
 
-def write_json(data, path) -> None:
-    """data as one line of JSON, the text of json.dumps(data), and a newline."""
+def write_json(data: dict, path) -> None:
+    """The dict data as one line of JSON, the text of json.dumps(data), and a
+    newline."""
     with open(path, "w", newline="\n") as fh:
         fh.writelines(_json_pieces(data))
         fh.write("\n")

@@ -75,7 +75,7 @@ def path_length_l2ds(path: CurvePath) -> float:
         v = (path.frames[k + 1].vertices - left.vertices) / dt
         if path.mode == "quotient":
             # the normal component <v, N> = v_y T_x - v_x T_y
-            tx, ty = _unit_frames(left)[1]
+            tx, ty = _unit_frames(left)[2]
             vn = v[:, 1] * tx - v[:, 0] * ty
             q = vn * vn
         else:

@@ -3,7 +3,10 @@
 Each generator turns its parameters into a polygon and does nothing else: it
 reads no file (a curve file is read by output.read_curve). Each takes all of
 its parameters; the default shape (kind, n, size, neck, amplitude, lobes) is
-written once, in GeneratorSpec.
+written once, in GeneratorSpec. Each generator checks the counts it uses
+where it uses them, through _count: n is an integer >= 3, and a star's lobes
+an integer >= 1, so that the polygon closes evenly. GeneratorSpec checks the
+kind and the sizes; its counts are checked when generate builds the curve.
 """
 
 from __future__ import annotations
@@ -32,18 +35,20 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown shape {self.kind!r}")
-        for name in ("n", "lobes"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
         for name in ("size", "size_b"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.size <= 0.0 or (self.size_b is not None and self.size_b <= 0.0):
             raise ValueError("size parameters must be positive")
+
+
+def _count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer or is below its least value."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def circle(radius: float, n: int) -> PolyCurve:
@@ -53,6 +58,7 @@ def circle(radius: float, n: int) -> PolyCurve:
 def square(side: float, n: int) -> PolyCurve:
     """Centered axis-aligned square traversed counterclockwise from the corner
     (side/2, -side/2); n must be divisible by 4."""
+    _count("n", n, 3)
     if n % 4 != 0:
         raise ValueError("square needs n divisible by 4")
     u = np.arange(n) / n * 4.0  # perimeter position in side units
@@ -64,15 +70,16 @@ def square(side: float, n: int) -> PolyCurve:
 
 
 def ellipse(a: float, b: float, n: int) -> PolyCurve:
+    _count("n", n, 3)
     th = 2.0 * np.pi * np.arange(n) / n
     return PolyCurve(np.stack([a * np.cos(th), b * np.sin(th)], axis=1))
 
 
 def star(radius: float, amplitude: float, lobes: int, n: int) -> PolyCurve:
+    _count("n", n, 3)
+    _count("lobes", lobes, 1)
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
-    if lobes < 1:
-        raise ValueError("lobes must be >= 1")
     th = 2.0 * np.pi * np.arange(n) / n
     r = radius * (1.0 + amplitude * np.cos(lobes * th))
     return PolyCurve(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
@@ -84,6 +91,7 @@ def barbell(radius: float, neck: float, n: int) -> PolyCurve:
     out by equal arclength steps along the boundary walk, starting on the right
     lobe at its bottom neck junction.
     """
+    _count("n", n, 3)
     if not 0.0 < neck < radius:
         raise ValueError("neck half-width must lie in (0, radius)")
     r = radius

@@ -78,6 +78,25 @@ class TestUsageErrors:
         assert run_cli(argv, capsys) == (
             1, "", f"error: argument --steps: invalid count value: '{steps}'\n")
 
+    def test_steps_at_a_large_t0(self, tmp_path, capsys):
+        # t0 = 1e12 still holds t0 + 5 * dt to the step
+        out_json = tmp_path / "t.json"
+        argv = ["flow", "--n", "16", "--t0", "1e12", "--dt", "1e-3", "--steps", "5",
+                "--out-json", str(out_json)]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, err) == (0, "") and out.startswith("termination=completed ")
+        assert len(json.loads(out_json.read_text())["times"]) == 6
+
+    @pytest.mark.parametrize("t0, runs", [("1e13", 6), ("1e15", 0)])
+    def test_steps_lost_at_a_larger_t0(self, tmp_path, capsys, t0, runs):
+        # t0 + 5 * dt rounds to another count: refused, not run
+        argv = ["flow", "--n", "16", "--t0", t0, "--dt", "1e-3", "--steps", "5",
+                "--out-csv", str(tmp_path / "d.csv")]
+        assert run_cli(argv, capsys) == (
+            1, "", f"error: argument --steps: at t0 = {float(t0):.17g}, t0 + 5 * dt "
+                   f"rounds to {runs} steps\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zigzag_teeth_must_divide(self, capsys):
         rc, _, err = run_cli(
             ["distance", "--demo", "zigzag", "--teeth", "3", "--n", "256"],

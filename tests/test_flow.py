@@ -340,6 +340,26 @@ class TestRunFlow:
             assert all(math.isfinite(getattr(rec, name)) for name in h.CSV_COLUMNS
                        if name != "embeddedness_ok")
 
+    def test_backward_horizon(self):
+        # Backward, the near-Nyquist modes grow as e^|t| from round-off. Up
+        # to t = -30 the length keeps within 3 % of the exact circle
+        # (-2.66 % measured); from t = -28 to -31 the relative spread of
+        # the vertex radii about the centroid grows 1.33e-4 -> 2.40e-3, a
+        # factor 2.6 per unit time. A change that moves this horizon fails.
+        traj = h.run_flow(h.circle(1.0, 256),
+                          h.FlowConfig(dt=0.05, t1=-31.0, method="rk4", record_every=20))
+        assert traj.termination is h.Termination.COMPLETED
+        at = {t: k for k, t in enumerate(traj.times)}
+        exact = 2.0 * math.pi * h.CircleSolution(1.0).radius(-30.0)
+        assert abs(traj.records[at[-30.0]].length / exact - 1.0) <= 0.03
+
+        def spread(t):
+            v = traj.states[at[t]].vertices
+            r = np.hypot(*(v - v.mean(axis=0)).T)
+            return np.ptp(r) / r.mean()
+
+        assert (spread(-31.0) / spread(-28.0)) ** (1.0 / 3.0) >= 2.0
+
     def test_forward_length_monotone(self, circle_t2):
         traj, _ = circle_t2
         lengths = [r.length for r in traj.records]

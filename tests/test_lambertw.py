@@ -52,6 +52,15 @@ class TestLambertW0:
         # just below -1/e, within the rounding slop at the branch point
         assert h.lambert_w0(-math.exp(-1.0) * (1.0 + 1e-13)) == -1.0
 
+    def test_sweep_above_the_branch_point(self):
+        # the 10 000 doubles from -1/e up: every Halley run ends on a finite
+        # w >= -1, whether or not an exit on w + 1 == 0 or a zero
+        # denominator is reachable there
+        start = -math.exp(-1.0)
+        ulp = abs(np.spacing(start))
+        ws = np.array([h.lambert_w0(start + k * ulp) for k in range(10_000)])
+        assert np.isfinite(ws).all() and (ws >= -1.0).all()
+
     def test_below_branch_rejected(self):
         with pytest.raises(OutOfDomain):
             h.lambert_w0(-1.0)

@@ -163,16 +163,19 @@ def _json_case(name, traj):
         return h.path_to_json(h.shrink_path(h.circle(1.0, 16), 0.5, 5))
     if name == "empty-list":
         return {"times": [], "termination": "completed", "states": [[0.5]]}
-    if name == "non-dict":
-        return [[0.1, -0.0], 1e300, "x", None, {"k": []}]
+    if name == "empty-dict":
+        return {}
+    if name == "coerced-keys":
+        # json.dumps spells a non-string key as json coerces it
+        return {1: [0.5, -0.0], 2.5: "x", None: [], True: {"k": [1e300]}}
     rec = dataclasses.replace(traj.records[0], iso_ratio=math.inf,
                               area=-math.inf, rescaled_max_k=math.nan)
     return {"records": [{c: getattr(rec, c) for c in h.CSV_COLUMNS}]}
 
 
 class TestWriteJson:
-    @pytest.mark.parametrize("name", ["trajectory", "path", "empty-list", "non-dict",
-                                      "inf-nan-record"])
+    @pytest.mark.parametrize("name", ["trajectory", "path", "empty-list", "empty-dict",
+                                      "coerced-keys", "inf-nan-record"])
     def test_text_is_json_dumps(self, short_traj, tmp_path, name):
         data = _json_case(name, short_traj)
         p = tmp_path / "x.json"

@@ -13,8 +13,10 @@ class TestGeneratorSpec:
             h.GeneratorSpec(kind="pentagon")
 
     def test_too_few_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            h.GeneratorSpec(kind="circle", n=2)
+        # the count is checked by the generator that uses it
+        spec = h.GeneratorSpec(kind="circle", n=2)
+        with pytest.raises(ValueError, match="^n must be >= 3$"):
+            h.generate(spec)
 
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -26,12 +28,35 @@ class TestGeneratorSpec:
                                     dict(kind="star", lobes=2.5)])
     def test_non_integer_count_rejected(self, kw):
         name = "n" if "n" in kw else "lobes"
+        spec = h.GeneratorSpec(**kw)
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            h.GeneratorSpec(**kw)
+            h.generate(spec)
 
     def test_numpy_integer_counts_accepted(self):
         spec = h.GeneratorSpec(kind="star", n=np.int64(64), lobes=np.int32(3))
         assert np.array_equal(h.generate(spec).vertices, h.star(1.0, 0.3, 3, 64).vertices)
+        assert np.array_equal(h.square(1.0, np.int64(64)).vertices, h.square(1.0, 64).vertices)
+        assert np.array_equal(h.barbell(1.0, 0.25, np.int16(64)).vertices,
+                              h.barbell(1.0, 0.25, 64).vertices)
+
+    @pytest.mark.parametrize("make, message", [
+        # a 65-gon whose closing edge is half as long as the others
+        (lambda: h.circle(1.0, 64.5), "^n must be an integer, got 64.5$"),
+        (lambda: h.ellipse(1.0, 0.5, 64.5), "^n must be an integer, got 64.5$"),
+        (lambda: h.square(1.0, 64.0), "^n must be an integer, got 64.0$"),
+        (lambda: h.barbell(1.0, 0.25, 64.5), "^n must be an integer, got 64.5$"),
+        (lambda: h.star(1.0, 0.3, 5, 64.5), "^n must be an integer, got 64.5$"),
+        # cos(2.5 theta) does not close: a closing edge 4.8 times the median
+        (lambda: h.star(1.0, 0.3, 2.5, 64), "^lobes must be an integer, got 2.5$"),
+        (lambda: h.circle(1.0, 2), "^n must be >= 3$"),
+        (lambda: h.square(1.0, 0), "^n must be >= 3$"),
+        (lambda: h.barbell(1.0, 0.25, 2), "^n must be >= 3$"),
+        (lambda: h.star(1.0, 0.3, 5, -1), "^n must be >= 3$"),
+    ], ids=["circle-n64.5", "ellipse-n64.5", "square-n64.0", "barbell-n64.5", "star-n64.5",
+            "star-lobes2.5", "circle-n2", "square-n0", "barbell-n2", "star-n-1"])
+    def test_generators_check_their_counts(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_barbell_neck_range(self):
         # barbell refuses a neck outside (0, radius), called directly or
