@@ -7,7 +7,9 @@ tangent/normal frames, discrete curvature, field norms in the du and ds
 measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
 itself a curve, accepted in the curve's place, so a state is measured once;
 its cumulative arclength s is computed on first use, since only the kernel
-and the chord-arc monitor read it.
+and the chord-arc monitor read it. arc_data also measures a bare vertex
+array, without copying or checking it, for the flow, which checks its own
+states.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient, diagnostics and paths use them.
 _unit_frames forms the outgoing and incoming unit edges and the unit tangent
@@ -71,8 +73,12 @@ class ArcData(PolyCurve):
 
     @cached_property
     def s(self) -> np.ndarray:
-        """Cumulative arclength at the vertices, s[0] = 0."""
-        return np.concatenate(([0.0], np.cumsum(self.edge_lengths[:-1])))
+        """Cumulative arclength at the vertices, s[0] = 0: the running sum of
+        the edge lengths, shifted down one place in its own array."""
+        s = self.edge_lengths.cumsum()
+        s[1:] = s[:-1]
+        s[0] = 0.0
+        return s
 
 
 @dataclass(frozen=True)
@@ -139,21 +145,24 @@ def total_length(curve: PolyCurve) -> float:
     return float(edge_lengths(curve).sum())
 
 
-def arc_data(curve: PolyCurve) -> ArcData:
+def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     """Edges, edge lengths and the vertex quadrature weight
     ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
     s_i follows on first use. A curve that is already measured is returned
-    as it is.
+    as it is. A bare vertex array X becomes the vertices itself, neither
+    copied nor checked: it must be a finite, read-only (n, 2) float array
+    with n >= 3, as a PolyCurve's vertices are. The flow measures its
+    stepped arrays this way, after its own checks.
     """
     if isinstance(curve, ArcData):
         return curve
-    ev = _diff(curve.vertices)
+    X = curve.vertices if isinstance(curve, PolyCurve) else curve
+    ev = _diff(X)
     el = _norm(ev)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
     ds = 0.5 * (el + _prev(el))
-    return ArcData(vertices=curve.vertices, ds=ds, length=float(el.sum()),
-                   edges=ev, edge_lengths=el)
+    return ArcData(vertices=X, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
 
 
 def signed_area(curve: PolyCurve) -> float:

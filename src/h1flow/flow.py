@@ -9,12 +9,14 @@ ordinary.
 The flow acts on immersed curves of finite length. Every state it takes or
 keeps, the initial one, each RK4 stage, each stepped one and each rescaled
 profile, passes once through _measure, which returns its arclength data or
-refuses it; the Euler and RK4 steppers are internal to run_flow. Every
-state a run keeps, and its record, come from _kept, which forms and
-measures the rescaled profile when asked; asymptotic_profile applies the
-same _kept to a finished trajectory. A step of run_flow is one try: the
-first refusal in it ends the run, at the length guard or as a numerical
-failure.
+refuses it. It measures the array it is given, with no copy: one pass finds
+the largest coordinate, which refuses a non-finite state, and the array is
+then marked read-only in place. The Euler and RK4 steppers are internal to
+run_flow. Every state a run keeps, and its record, come from _kept, which
+forms and measures the rescaled profile when asked; asymptotic_profile
+applies the same _kept to a finished trajectory. A step of run_flow is one
+try: the first refusal in it ends the run, at the length guard or as a
+numerical failure.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .errors import ConstantMapGuard, DegenerateCurve
 from .gradient import velocity
 
 METHODS = ("euler", "rk4")
+# Coordinates below this bound have edges below 2^501, whose squared norms
+# stay under 2^1003: measuring them cannot overflow.
+_NO_OVERFLOW = 2.0 ** 500
 
 
 class Termination(enum.Enum):
@@ -93,11 +98,24 @@ def _measure(X: np.ndarray) -> ArcData:
     """The measured state with vertices X: the one place where the flow
     accepts a state or refuses it. Non-finite coordinates, or finite ones
     whose length overflows, raise FloatingPointError; the flow has no
-    velocity there. A collapsed edge raises DegenerateCurve."""
-    if not np.isfinite(X).all():
+    velocity there. A collapsed edge raises DegenerateCurve. Finiteness is
+    checked first, so a non-finite state is refused as such whatever its
+    edges.
+
+    X itself becomes the vertices, not a copy: every caller passes a fresh
+    array or one already read-only, and X is marked read-only here. The
+    largest coordinate is the one finiteness check (NaN or inf if any
+    coordinate is), and below _NO_OVERFLOW it lets the measurement skip the
+    overflow context."""
+    m = float(np.abs(X).max())
+    if not math.isfinite(m):
         raise FloatingPointError("curve coordinates are not finite")
-    with np.errstate(over="ignore"):
-        ad = arc_data(PolyCurve(X))
+    X.flags.writeable = False
+    if m < _NO_OVERFLOW:
+        ad = arc_data(X)
+    else:
+        with np.errstate(over="ignore"):
+            ad = arc_data(X)
     if not math.isfinite(ad.length):
         raise FloatingPointError("curve length overflows the double range")
     return ad

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve, _as_field, _diff, _dot, _edge_term, _l2ds_term, arc_data
-from .kernel import convolve_kernel
+from .kernel import _convolve, convolve_kernel
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
 def velocity(curve: PolyCurve) -> np.ndarray:
     """V = K*X - X at every vertex, without the gradient norms; the stepper's
     stages call this."""
-    X = curve.vertices
-    return convolve_kernel(curve, X) - X
+    ad = arc_data(curve)
+    return _convolve(ad, ad.vertices) - ad.vertices
 
 
 def flow_velocity(curve: PolyCurve) -> VelocityField:

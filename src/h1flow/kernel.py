@@ -12,7 +12,8 @@ e^{-((s_i - s_j) mod L)} g_j / (1 - e^{-L}) and Q its anti-causal mirror.
 Both come from one O(n) sweep of cumulative sums over segments anchored at
 c, of span below SWEEP_SPAN so that e^{s - c} stays in the double range,
 joined by carries across each cut and closed around the turn by one factor.
-A curve with s_{n-1} < SWEEP_SPAN is one segment.
+A curve with s_{n-1} < SWEEP_SPAN is one segment, and its sweep runs
+straight through: two whole-array cumulative sums and the closing factor.
 
 kernel_matrix returns the dense n x n matrix G, O(n^2) to assemble: the
 reference the tests hold the sweep against; nothing in the library applies it.
@@ -76,10 +77,14 @@ def _periodic_sums(s: np.ndarray, g: np.ndarray, L: float):
     close = e^{-gap} / ((1 - e^{-L}) e_{n-1}) adds the other turns: close
     cp_{n-1} fp to cp and close cq_0 fq to cq, with fp = e^{-c} and
     fq = e^{c - c_last}. Then P = cp / e and Q = e cq.
+
+    One segment (s_{n-1} < SWEEP_SPAN, the case of a curve of unit scale)
+    has c = c_last = 0 and no cut: cp and cq are two whole-array cumulative
+    sums, and fp = fq = 1.0, whose products are exact.
     """
     n = s.size
     if s[-1] < SWEEP_SPAN:  # one segment, anchored at c = c_last = 0
-        bounds, t, fp, fq = [(0, n)], s, 1.0, 1.0
+        bounds, t, fp, fq = None, s, 1.0, 1.0
     else:
         starts = [0, *np.flatnonzero(np.diff(s // SWEEP_SPAN)) + 1]
         bounds = list(zip(starts, [*starts[1:], n]))
@@ -87,13 +92,17 @@ def _periodic_sums(s: np.ndarray, g: np.ndarray, L: float):
         t, fp, fq = s - c, np.exp(-c)[:, None], np.exp(c - c[-1])[:, None]
     e = np.exp(t)[:, None]
     cp, cq = e * g, g / e
-    for a, b in bounds:
-        np.add.accumulate(cp[a:b], axis=0, out=cp[a:b])
-        np.add.accumulate(cq[a:b][::-1], axis=0, out=cq[a:b][::-1])
-    for (a0, _), (a, b) in zip(bounds, bounds[1:]):
-        cp[a:b] += math.exp(s[a0] - s[a]) * cp[a - 1]
-    for a, b in reversed(bounds[:-1]):
-        cq[a:b] += math.exp(s[a] - s[b]) * cq[b]
+    if bounds is None:
+        np.add.accumulate(cp, axis=0, out=cp)
+        np.add.accumulate(cq[::-1], axis=0, out=cq[::-1])
+    else:
+        for a, b in bounds:
+            np.add.accumulate(cp[a:b], axis=0, out=cp[a:b])
+            np.add.accumulate(cq[a:b][::-1], axis=0, out=cq[a:b][::-1])
+        for (a0, _), (a, b) in zip(bounds, bounds[1:]):
+            cp[a:b] += math.exp(s[a0] - s[a]) * cp[a - 1]
+        for a, b in reversed(bounds[:-1]):
+            cq[a:b] += math.exp(s[a] - s[b]) * cq[b]
     close = 1.0 / -math.expm1(-L) * math.exp(-(L - s[-1])) / e[-1, 0]
     cp += close * fp * cp[-1]
     cq += close * fq * cq[0]
@@ -109,10 +118,15 @@ def convolve_kernel(curve: PolyCurve, field) -> np.ndarray:
     ad = arc_data(curve)
     if f.shape[0] != ad.n:
         raise ValueError("field length must match vertex count")
-    L = _kernel_length(ad)
-    g = ad.ds[:, None] * f.reshape(ad.n, -1)
-    P, Q = _periodic_sums(ad.s, g, L)
-    return (0.5 * (P + Q - g)).reshape(f.shape)
+    return _convolve(ad, f.reshape(ad.n, -1)).reshape(f.shape)
+
+
+def _convolve(ad: ArcData, f: np.ndarray) -> np.ndarray:
+    """convolve_kernel of an (n, k) field f on a measured curve, taken as it
+    is: the flow's velocity applies the kernel to the vertices through this."""
+    g = ad.ds[:, None] * f
+    P, Q = _periodic_sums(ad.s, g, _kernel_length(ad))
+    return 0.5 * (P + Q - g)
 
 
 def row_quadrature_defect(curve: PolyCurve) -> float:

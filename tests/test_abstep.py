@@ -1,0 +1,42 @@
+"""tools/abstep.py: the interleaved A/B of two source trees, on this tree
+against itself and against a copy whose velocity is off by one part in 1e15."""
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("abstep", ROOT / "tools" / "abstep.py")
+abstep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(abstep)
+
+
+def test_tree_against_itself():
+    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, run_blocks=1)
+    assert list(out) == ["step n=16", "circle-small"]
+    for s in out.values():
+        assert 0.5 < s["ratio"] < 2.0
+        assert s["q1"] <= s["ratio"] <= s["q3"]
+        assert 0.0 <= s["b_lower"] <= 1.0
+        assert s["a_s"] > 0.0 and s["b_s"] > 0.0
+
+
+def test_table(capsys):
+    abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1, run_blocks=0),
+                       steps=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "circle-small trajectories: bit-equal"
+    assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower"]
+    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 3
+
+
+def test_different_trajectories_refused(tmp_path):
+    shutil.copytree(ROOT / "src" / "h1flow", tmp_path / "src" / "h1flow",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # the copy's velocity, as the flow imports it, is scaled by 1 + 1e-15
+    with open(tmp_path / "src" / "h1flow" / "gradient.py", "a") as gradient:
+        gradient.write("\n_exact = velocity\n"
+                       "def velocity(curve):\n    return _exact(curve) * (1.0 + 1e-15)\n")
+    with pytest.raises(AssertionError, match="different circle-small trajectories"):
+        abstep.compare(ROOT, tmp_path, sizes=(), run_blocks=0)

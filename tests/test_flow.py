@@ -129,6 +129,33 @@ class TestSingleSteps:
         with pytest.raises(DegenerateCurve):
             h1flow.flow._measure(Y)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.99 * h1flow.flow._NO_OVERFLOW,
+                                       1.01 * h1flow.flow._NO_OVERFLOW, 2e153])
+    def test_measured_state_is_the_array_itself(self, scale):
+        # no copy: the stepped array becomes the read-only vertices, measured
+        # as arc_data measures a PolyCurve, on both sides of the bound under
+        # which the overflow context is skipped
+        Y = scale * h.star(1.0, 0.3, 5, 64).vertices
+        ad = h1flow.flow._measure(Y)
+        assert np.shares_memory(ad.vertices, Y)
+        assert not Y.flags.writeable and not ad.vertices.flags.writeable
+        ref = h.arc_data(h.PolyCurve(Y))
+        assert ad.length == ref.length
+        for name in ("vertices", "ds", "edges", "edge_lengths", "s"):
+            assert np.array_equal(getattr(ad, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(4, 1), (slice(0, 2), 0)], ids=["apart", "on-the-edge"])
+    def test_non_finite_refused_before_a_collapsed_edge(self, bad, where):
+        # finiteness is checked first, so a state with a non-finite
+        # coordinate and a collapsed edge ends a run as a numerical failure
+        Y = h.circle(1.0, 8).vertices.copy()
+        Y[1] = Y[0]
+        Y[where] = bad
+        assert np.array_equal(Y[0], Y[1], equal_nan=True)
+        with pytest.raises(FloatingPointError, match="coordinates"):
+            h1flow.flow._measure(Y)
+
     def test_rk4_single_step_matches_oracle(self, unit_circle_oracle):
         # n large enough that the spatial error clears the 1e-9 target
         dt = 1e-2

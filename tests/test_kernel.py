@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.kernel
 from h1flow.errors import ConstantMapGuard, OutOfDomain
 
 
@@ -198,6 +199,25 @@ class TestApplyKernel:
         moved = h.flow_velocity_centered(h.PolyCurve(c.vertices + a))
         bound = 1e-13 * (np.abs(c.vertices).max() + np.linalg.norm(a))
         assert np.abs(moved - V).max() <= bound
+
+
+class TestSweepSegments:
+    # the one-segment sweep of a curve of unit scale against the segmented
+    # one, forced by a span far below the curve's length
+    @pytest.mark.parametrize("curve", [h.circle(1.0, 64), h.star(1.0, 0.3, 5, 512)],
+                             ids=["circle-64", "star-512"])
+    def test_one_segment_matches_segmented(self, monkeypatch, curve):
+        s = h.arc_data(curve).s
+        assert s[-1] < h1flow.kernel.SWEEP_SPAN
+        assert np.unique(s // 0.25).size >= 20
+        rng = np.random.default_rng(curve.n)
+        for field in (curve.vertices, rng.standard_normal((curve.n, 2)),
+                      np.ones(curve.n)):
+            one = h.convolve_kernel(curve, field)
+            with monkeypatch.context() as m:
+                m.setattr(h1flow.kernel, "SWEEP_SPAN", 0.25)
+                cut = h.convolve_kernel(curve, field)
+            assert np.abs(cut - one).max() <= 1e-13 * np.abs(one).max()
 
 
 class TestConvolution:

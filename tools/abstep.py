@@ -1,0 +1,128 @@
+"""Interleaved in-process A/B of two h1flow source trees.
+
+    python3 tools/abstep.py A_ROOT B_ROOT
+
+Each root is a checkout whose src/h1flow is loaded under its own module
+name, so both run in one process on the same inputs and one machine state.
+The script first asserts that the two trees give bit-equal circle-small
+trajectories: the n = 64 circles of radius 0.5, 0.75, 1, 1.25 and 1.5, RK4
+with dt = 1e-2 to t = +1 and t = -1, a record every 10 steps. It then times
+alternating blocks, A first in the 1st, 3rd, ... block and B in the others:
+- 300 blocks per n = 64, 512 and 2048, each of 10 RK4 steps of a circle of
+  radius 1, each step with the measurement of its stepped state
+  (flow._advance, then flow._measure);
+- 20 blocks, each a whole circle-small batch (all ten runs of run_flow).
+For each it prints the median of the per-block ratios B / A, their
+quartiles, and the share of blocks in which B took less time. A ratio
+below 1 means B is faster. Step times are the medians over blocks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+CIRCLE_RADII = (0.5, 0.75, 1.0, 1.25, 1.5)
+SIZES, BLOCKS, STEPS, RUN_BLOCKS = (64, 512, 2048), 300, 10, 20
+
+
+def load(root, name):
+    """The h1flow package under root/src, imported as the module `name`;
+    a package loaded earlier under that name goes first, submodules too."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    pkg = Path(root).resolve() / "src" / "h1flow"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def circle_small(h):
+    """The ten circle-small trajectories of one tree."""
+    return [h.run_flow(h.circle(r, 64),
+                       h.FlowConfig(dt=1e-2, t1=t1, method="rk4", record_every=10))
+            for r in CIRCLE_RADII for t1 in (1.0, -1.0)]
+
+
+def _key(traj):
+    return (traj.times, traj.termination.value, [s.vertices.tobytes() for s in traj.states],
+            [repr(r) for r in traj.records])
+
+
+def stepper(h, n, steps):
+    """A callable that takes `steps` measured RK4 steps from a circle."""
+    start = h.flow._measure(h.circle(1.0, n).vertices)
+
+    def run():
+        ad = start
+        for _ in range(steps):
+            ad = h.flow._measure(h.flow._advance(ad, 1e-2, "rk4"))
+    return run
+
+
+def interleave(run_a, run_b, blocks):
+    """Per-block wall times of run_a and run_b, alternating which goes first."""
+    ta, tb = [], []
+    for k in range(blocks):
+        order = ((run_a, ta), (run_b, tb)) if k % 2 == 0 else ((run_b, tb), (run_a, ta))
+        for run, times in order:
+            t = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t)
+    return ta, tb
+
+
+def summarise(ta, tb):
+    """Median ratio B / A with its quartiles, and B's share of faster blocks."""
+    ratios = [b / a for a, b in zip(ta, tb)]
+    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return {"ratio": med, "q1": q1, "q3": q3,
+            "b_lower": sum(r < 1.0 for r in ratios) / len(ratios),
+            "a_s": statistics.median(ta), "b_s": statistics.median(tb)}
+
+
+def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=RUN_BLOCKS):
+    """Assert bit-equal circle-small trajectories, then time the two trees;
+    returns {label: summary} with labels "step n=N" and "circle-small"."""
+    ha, hb = load(root_a, "h1flow_a"), load(root_b, "h1flow_b")
+    for ta, tb in zip(circle_small(ha), circle_small(hb)):
+        if _key(ta) != _key(tb):
+            raise AssertionError("the two trees give different circle-small trajectories")
+    out = {}
+    for n in sizes:
+        out[f"step n={n}"] = summarise(*interleave(stepper(ha, n, steps),
+                                                   stepper(hb, n, steps), blocks))
+    if run_blocks:
+        out["circle-small"] = summarise(*interleave(lambda: circle_small(ha),
+                                                    lambda: circle_small(hb), run_blocks))
+    return out
+
+
+def print_table(out, steps=STEPS) -> None:
+    """The summaries of compare, a step in microseconds (out of blocks of
+    `steps` steps) and a circle-small batch in milliseconds."""
+    print("circle-small trajectories: bit-equal")
+    print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}")
+    for label, s in out.items():
+        scale, unit = (1e6 / steps, "us") if label.startswith("step") else (1e3, "ms")
+        print(f"{label:14} {scale * s['a_s']:8.1f}{unit} {scale * s['b_s']:8.1f}{unit} "
+              f"{s['ratio']:7.3f} {s['q1']:7.3f} {s['q3']:7.3f} {s['b_lower']:8.0%}")
+
+
+def main(argv=None) -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("a_root")
+    p.add_argument("b_root")
+    args = p.parse_args(argv)
+    print_table(compare(args.a_root, args.b_root))
+
+
+if __name__ == "__main__":
+    main()
