@@ -70,7 +70,6 @@ from .kernel import (
 from .lambertw import CircleSolution, lambert_w0, lambert_w0_of_exp
 from .output import (
     curve_to_json,
-    path_from_json,
     path_to_json,
     read_curve,
     read_diagnostics_csv,

@@ -7,11 +7,12 @@ tangent/normal frames, discrete curvature, field norms in the du and ds
 measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
 itself a curve, accepted in the curve's place, so a state is measured once;
 its cumulative arclength s is computed on first use, since only the kernel
-and the chord-arc monitor read it. arc_data also measures a bare vertex
-array, without copying or checking it, for the flow, which checks its own
-states.
+and the chord-arc monitor read it. arc_data also measures a read-only
+vertex array, without copying or checking it, for the flow, which checks
+its own states; other input it checks and copies as PolyCurve does.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
-that callers form once by _dot; gradient, diagnostics and paths use them.
+that callers form once by _dot; norms, gradient's inner products and paths
+use them.
 _unit_frames forms the outgoing and incoming unit edges and the unit tangent
 once; the curvature of _tangent_curvature reads the same shifted edges.
 Reading and writing curves is the business of the output module.
@@ -149,14 +150,18 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     """Edges, edge lengths and the vertex quadrature weight
     ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
     s_i follows on first use. A curve that is already measured is returned
-    as it is. A bare vertex array X becomes the vertices itself, neither
-    copied nor checked: it must be a finite, read-only (n, 2) float array
-    with n >= 3, as a PolyCurve's vertices are. The flow measures its
-    stepped arrays this way, after its own checks.
+    as it is. A read-only (n, 2) float array X becomes the vertices itself,
+    neither copied nor checked: it must be finite with n >= 3, as a
+    PolyCurve's vertices are. The flow measures its stepped arrays this way,
+    after its own checks. Any other input is checked and copied as
+    PolyCurve(curve) does.
     """
     if isinstance(curve, ArcData):
         return curve
     X = curve.vertices if isinstance(curve, PolyCurve) else curve
+    if not (isinstance(X, np.ndarray) and X.dtype == float and X.shape[1:] == (2,)
+            and not X.flags.writeable):
+        X = PolyCurve(X).vertices
     ev = _diff(X)
     el = _norm(ev)
     if el.min() <= 0.0:

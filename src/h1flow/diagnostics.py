@@ -1,8 +1,11 @@
 """Per-state scalar monitors and trajectory-level verdicts.
 
 The record bundles every monitored quantity for one curve at one time; its
-fields, in order, are the CSV columns. The monotonicity report turns the
-a-priori decay statements into pass/fail verdicts with an explicit slack.
+fields, in order, are the CSV columns. Its L2(ds) norm of the curve and its
+squared H1(ds) norm of the velocity come from the gradient module's inner
+products. The monotonicity report turns the a-priori decay statements into
+pass/fail verdicts: a monitor passes when no step raises it by more than
+_SLACK.
 """
 
 from __future__ import annotations
@@ -12,17 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curves import (
-    PolyCurve,
-    _dot,
-    _l2ds_term,
-    _tangent_curvature,
-    arc_data,
-    chord_arc_min,
-    signed_area,
-    sup_norm,
-)
-from .gradient import flow_velocity
+from .curves import PolyCurve, _tangent_curvature, arc_data, chord_arc_min, signed_area, sup_norm
+from .gradient import flow_velocity, l2ds_inner
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
         iso_ratio=iso,
         deficit=L2 - 4.0 * math.pi * area,
         linf=sup_norm(ad),
-        l2ds=math.sqrt(_l2ds_term(ad, _dot(ad.vertices, ad.vertices))),
+        l2ds=math.sqrt(l2ds_inner(ad, ad.vertices, ad.vertices)),
         xu_l2=xu,
         min_edge=float(ad.edge_lengths.min()),
         chord_arc_min=emb.lhs,
@@ -123,12 +117,15 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
 
 
 _MONOTONE_FIELDS = ("length", "linf", "xu_l2", "l2ds")
+# the largest single-step rise a non-increasing monitor may show
+_SLACK = 1e-6
 
 
-def monotonicity_report(records, slack: float = 1e-6) -> MonotonicityReport:
+def monotonicity_report(records) -> MonotonicityReport:
     """Non-increase verdicts for length, |X|_inf, |X_u|_L2, |X|_L2(ds), plus
     reported (not asserted) sups for the profile-deficit ratio and rescaled
-    curvature. Worst violation is the largest single-step increase.
+    curvature. Worst violation is the largest single-step increase; a
+    monitor passes when it is at most _SLACK.
     """
     records = list(getattr(records, "records", records))
     if len(records) < 2:
@@ -144,7 +141,7 @@ def monotonicity_report(records, slack: float = 1e-6) -> MonotonicityReport:
                 name=name,
                 worst_violation=violation,
                 worst_index=worst + 1,
-                passed=violation <= slack,
+                passed=violation <= _SLACK,
             )
         )
     d0 = records[0].deficit

@@ -6,11 +6,12 @@ The centered form V = K*X - (K*1) X, from the same sweep, is translation
 invariant; the two differ by the row-quadrature defect times |X|. The inner
 products and the first variation of length weight products formed once with
 the curves module's _dot by its L2(ds) sum and edge term, which norms shares.
+The squared H1(ds) norm of the velocity, and the record's L2(ds) norm of the
+curve, are these inner products of a field with itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .kernel import _convolve, convolve_kernel
 class VelocityField:
     velocity: np.ndarray
     grad_norm_sq_h1ds: float
-    grad_norm_l2ds: float
 
 
 def h1ds_inner(curve: PolyCurve, v, w) -> float:
@@ -58,13 +58,11 @@ def velocity(curve: PolyCurve) -> np.ndarray:
 
 
 def flow_velocity(curve: PolyCurve) -> VelocityField:
-    """Velocity of the flow at every vertex plus the gradient norms."""
+    """Velocity of the flow at every vertex and its squared H1(ds) norm, the
+    squared norm of the gradient of length."""
     ad = arc_data(curve)
     V = velocity(ad)
-    dV = _diff(V)
-    l2 = _l2ds_term(ad, _dot(V, V))
-    return VelocityField(velocity=V, grad_norm_sq_h1ds=l2 + _edge_term(ad, _dot(dV, dV)),
-                         grad_norm_l2ds=math.sqrt(l2))
+    return VelocityField(velocity=V, grad_norm_sq_h1ds=h1ds_inner(ad, V, V))
 
 
 def flow_velocity_centered(curve: PolyCurve) -> np.ndarray:

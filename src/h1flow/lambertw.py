@@ -57,7 +57,8 @@ def lambert_w0(x: float) -> float:
 
 
 def lambert_w0_of_exp(y: float) -> float:
-    """The unique w > 0 with w + log w = y; equals W_0(e^y) for all real y.
+    """The unique w > 0 with w + log w = y; equals W_0(e^y) for all real y,
+    and is inf at y = inf.
 
     Newton on f(w) = w + log w - y, which is increasing and concave, never
     steps from a point left of the root past it, and so keeps w > 0 once it
@@ -69,6 +70,8 @@ def lambert_w0_of_exp(y: float) -> float:
     if y <= -500.0:
         # w = e^y (1 + o(1)); the correction is below double precision here
         return math.exp(y)
+    if y == math.inf:  # W_0 is unbounded; Newton would meet inf - inf
+        return y
     if y > 1.0:
         w = y  # right of the root; the first step lands left of it
     else:

@@ -1,8 +1,9 @@
 """Every file format of the package, read and written.
 
 A curve is CSV (one x,y pair per line) or JSON ({"vertices": [[x, y], ...]});
-a path is JSON, its frames in the curve's form plus its mode; a run goes out
-as diagnostics CSV, SVG and trajectory JSON, its states in the curve's form.
+a path goes out as JSON, its frames in the curve's form plus its mode, and
+is not read back; a run goes out as diagnostics CSV, SVG and trajectory
+JSON, its states in the curve's form.
 All floats go out with 17 significant digits so that a read-back is
 bit-exact; newlines are LF regardless of platform. Points are formatted from
 the Python floats of one tolist() per curve. JSON goes out from a dict, as
@@ -74,14 +75,6 @@ def _curve(vertices, source) -> PolyCurve:
         raise UsageError(f"{source}: {exc}") from None
 
 
-def _curve_from_json(data, source) -> PolyCurve:
-    """The curve of a {"vertices": [[x, y], ...]} object; source names the
-    object in an error."""
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise UsageError(f'{source}: no "vertices" list')
-    return _curve(data["vertices"], source)
-
-
 def write_curve(curve: PolyCurve, path) -> None:
     """x,y pairs, one per line, 17 significant digits, LF line ends."""
     with open(path, "w", newline="\n") as fh:
@@ -98,7 +91,9 @@ def read_curve(path) -> PolyCurve:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: {exc}") from None
-        return _curve_from_json(data, path)
+        if not isinstance(data, dict) or "vertices" not in data:
+            raise UsageError(f'{path}: no "vertices" list')
+        return _curve(data["vertices"], path)
     pairs = []
     for line, row in enumerate(csv.reader(text.splitlines()), 1):
         if not row:
@@ -113,13 +108,6 @@ def read_curve(path) -> PolyCurve:
 
 def path_to_json(path: CurvePath) -> dict:
     return {"frames": [curve_to_json(f) for f in path.frames], "mode": path.mode}
-
-
-def path_from_json(data: dict) -> CurvePath:
-    if not isinstance(data, dict) or not isinstance(data.get("frames"), list):
-        raise UsageError('no "frames" list')
-    frames = tuple(_curve_from_json(f, f"frame {k}") for k, f in enumerate(data["frames"]))
-    return CurvePath(frames=frames, mode=data.get("mode", "full"))
 
 
 def write_diagnostics_csv(records, path) -> None:

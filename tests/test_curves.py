@@ -134,6 +134,25 @@ class TestArcData:
         assert s.tobytes() == np.concatenate(([0.0], np.cumsum(el[:-1]))).tobytes()
         assert ad.s is s
 
+    def test_vertex_list_measured_as_a_curve(self):
+        ad = h.arc_data([[0, 0], [1, 0], [0, 1]])
+        assert ad.n == 3
+        assert ad.vertices.dtype == float and not ad.vertices.flags.writeable
+        assert ad.length == h.total_length(h.PolyCurve([[0, 0], [1, 0], [0, 1]]))
+
+    def test_writable_array_copied(self):
+        # a later write to the caller's array moves no measured vertex
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ad = h.arc_data(X)
+        X[2] = [0.0, 5.0]
+        assert ad.vertices[2].tolist() == [0.0, 1.0]
+        assert ad.length == h.total_length(ad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        with pytest.raises(ValueError, match="^vertices must be finite$"):
+            h.arc_data(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]]))
+
     def test_zero_edge_rejected(self):
         c = h.PolyCurve(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DegenerateCurve):

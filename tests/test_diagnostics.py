@@ -1,4 +1,5 @@
 """Per-state monitors, the embeddedness criterion, monotonicity verdicts."""
+import dataclasses
 import math
 
 import numpy as np
@@ -103,11 +104,13 @@ class TestMonotonicityReport:
         assert v.worst_index == 1
 
     def test_slack_forgives_small_rise(self):
+        # a rise of up to 1e-6 in one step passes; twice that fails
         r0 = h.record(h.circle(1.0, 64), 0.0)
-        r1 = h.record(h.circle(1.1, 64), 1.0)
-        rise = r1.length - r0.length
-        rep = h.monotonicity_report([r0, r1], slack=rise * 2)
-        assert rep.verdict("length").passed
+        for rise, passed in ((5e-7, True), (2e-6, False)):
+            r1 = dataclasses.replace(r0, t=1.0, length=r0.length + rise)
+            v = h.monotonicity_report([r0, r1]).verdict("length")
+            assert v.passed is passed
+            assert v.worst_violation == pytest.approx(rise)
 
     def test_accepts_plain_record_list(self, circle_t2):
         traj, _ = circle_t2

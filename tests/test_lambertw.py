@@ -71,6 +71,11 @@ class TestLambertW0:
                 bisect_w(x, 0.0, 10.0), abs=1e-13
             )
 
+    def test_infinity_maps_to_infinity(self):
+        # +inf is in the domain x >= -1/e, and W_0 is unbounded
+        assert h.lambert_w0(math.inf) == math.inf
+        assert h.lambert_w0_of_exp(math.inf) == math.inf
+
     def test_monotone(self):
         xs = [-0.3, -0.1, 0.0, 0.5, 2.0, 50.0]
         ws = [h.lambert_w0(x) for x in xs]

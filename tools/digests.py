@@ -34,6 +34,7 @@ import hashlib
 import importlib.util
 import inspect
 import io
+import math
 import sys
 import sysconfig
 import tempfile
@@ -78,8 +79,14 @@ CLI_CASES = [
     (["flow", "--shape", "file", "--dt", "0.1", "--t1", "1.0"], {}),
     *[(["flow", "--shape", shape, "--input", "{tmp}/in.csv", "--dt", "0.1", "--steps", "1",
         "--out-csv", "{tmp}/out.csv"], {"in.csv": None}) for shape in ("star", "circle")],
+    *[(["flow", "--shape", "star", "--lobes", lobes, "--n", "64", "--dt", "0.1",
+        "--steps", "1"], {}) for lobes in ("0", "-5")],
     *[(["flow", "--n", "16", "--dt", "0.1", "--steps", steps], {})
       for steps in ("-3", "1" * 400, "2.5")],
+    (["flow", "--n", "16", "--t0", "1e12", "--dt", "1e-3", "--steps", "5",
+      "--out-json", "{tmp}/t.json"], {}),
+    *[(["flow", "--n", "16", "--t0", t0, "--dt", "1e-3", "--steps", "5",
+        "--out-csv", "{tmp}/d.csv"], {}) for t0 in ("1e13", "1e15")],
     (["distance", "--demo", "zigzag", "--teeth", "3", "--n", "256"], {}),
     (["distance", "--demo", "reparam", "--lambda", "2.0"], {}),
     *[(["distance", "--demo", "reparam", "--lambda", lam], {}) for lam in ("nan", "inf", "-inf")],
@@ -255,7 +262,8 @@ def reference_scalars() -> dict:
             "frame_data": (fd.tangent, fd.normal, fd.curvature),
             "norms": repr(h.norms(c, v)),
             "sup_norm": h.sup_norm(c), "chord_arc_min": repr(h.chord_arc_min(c)),
-            "flow_velocity": (vel.velocity, vel.grad_norm_sq_h1ds, vel.grad_norm_l2ds),
+            "flow_velocity": (vel.velocity, vel.grad_norm_sq_h1ds,
+                              math.sqrt(h.l2ds_inner(c, vel.velocity, vel.velocity))),
             "velocity": velocity(c), "flow_velocity_centered": h.flow_velocity_centered(c),
             "h1ds_inner": h.h1ds_inner(c, v, w), "l2ds_inner": h.l2ds_inner(c, v, w),
             "length_directional_derivative": h.length_directional_derivative(c, v),

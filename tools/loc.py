@@ -6,6 +6,9 @@ Prints, per module and in total, the `wc -l` count and the code-line count.
 A code line is one that is not blank, not comment-only, and not part of a
 module, class or function docstring. A line that holds code and a comment
 counts, and so does each line of a string that is not a docstring.
+The last line is the number of names h1flow.__all__ exports: the public
+names that the `from ... import` statements of __init__.py bind, read from
+its source without importing it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ def count(text: str) -> tuple:
     return text.count("\n"), len(code - _docstring_lines(ast.parse(text)))
 
 
+def exports(text: str) -> int:
+    """The number of public names the top-level `from ... import` statements
+    of a package's __init__.py source bind: its __all__, which lists them."""
+    return len({alias.asname or alias.name for node in ast.parse(text).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if not (alias.asname or alias.name).startswith("_")})
+
+
 def main() -> None:
     total_lines = total_code = 0
     for path in sorted(SRC.glob("*.py")):
@@ -50,6 +61,7 @@ def main() -> None:
         total_code += code
         print(f"{path.name:16s} {lines:5d} {code:5d}")
     print(f"{'total':16s} {total_lines:5d} {total_code:5d}")
+    print(f"{'exports':16s} {exports((SRC / '__init__.py').read_text()):5d}")
 
 
 if __name__ == "__main__":
