@@ -38,9 +38,6 @@ from .diagnostics import (
 from .errors import (
     ConstantMapGuard,
     DegenerateCurve,
-    MismatchedFrames,
-    NonMonotoneTwist,
-    OutOfDomain,
     RuntimeFailure,
     UsageError,
 )

@@ -7,9 +7,10 @@ tangent/normal frames, discrete curvature, field norms in the du and ds
 measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
 itself a curve, accepted in the curve's place, so a state is measured once;
 its cumulative arclength s is computed on first use, since only the kernel
-and the chord-arc monitor read it. arc_data also measures a read-only
-vertex array, without copying or checking it, for the flow, which checks
-its own states; other input it checks and copies as PolyCurve does.
+and the chord-arc monitor read it. arc_data measures a PolyCurve's vertices
+in place and checks and copies any other input through PolyCurve. The flow,
+which checks and owns its stepped arrays, makes them curves through _owned,
+with no copy and no second check.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; norms, gradient's inner products and paths
 use them.
@@ -146,22 +147,26 @@ def total_length(curve: PolyCurve) -> float:
     return float(edge_lengths(curve).sum())
 
 
+def _owned(X: np.ndarray) -> PolyCurve:
+    """The curve whose vertices are X itself, marked read-only in place and
+    neither copied nor checked. Only for a float (n, 2) array that its caller
+    owns and has found finite with n >= 3, as the flow does its states."""
+    X.flags.writeable = False
+    curve = object.__new__(PolyCurve)
+    object.__setattr__(curve, "vertices", X)
+    return curve
+
+
 def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     """Edges, edge lengths and the vertex quadrature weight
     ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
     s_i follows on first use. A curve that is already measured is returned
-    as it is. A read-only (n, 2) float array X becomes the vertices itself,
-    neither copied nor checked: it must be finite with n >= 3, as a
-    PolyCurve's vertices are. The flow measures its stepped arrays this way,
-    after its own checks. Any other input is checked and copied as
-    PolyCurve(curve) does.
+    as it is, and a PolyCurve's vertices are measured in place. Any other
+    input, an array read-only or not, is checked and copied by PolyCurve.
     """
     if isinstance(curve, ArcData):
         return curve
-    X = curve.vertices if isinstance(curve, PolyCurve) else curve
-    if not (isinstance(X, np.ndarray) and X.dtype == float and X.shape[1:] == (2,)
-            and not X.flags.writeable):
-        X = PolyCurve(X).vertices
+    X = (curve if isinstance(curve, PolyCurve) else PolyCurve(curve)).vertices
     ev = _diff(X)
     el = _norm(ev)
     if el.min() <= 0.0:

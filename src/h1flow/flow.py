@@ -10,13 +10,14 @@ The flow acts on immersed curves of finite length. Every state it takes or
 keeps, the initial one, each RK4 stage, each stepped one and each rescaled
 profile, passes once through _measure, which returns its arclength data or
 refuses it. It measures the array it is given, with no copy: one pass finds
-the largest coordinate, which refuses a non-finite state, and the array is
-then marked read-only in place. The Euler and RK4 steppers are internal to
-run_flow. Every state a run keeps, and its record, come from _kept, which
-forms and measures the rescaled profile when asked; asymptotic_profile
-applies the same _kept to a finished trajectory. A step of run_flow is one
-try: the first refusal in it ends the run, at the length guard or as a
-numerical failure.
+the largest coordinate, which refuses a non-finite state, and the array then
+becomes a curve through curves._owned, marked read-only in place, which
+arc_data measures. The Euler and RK4 steppers are internal to run_flow.
+Every state a run keeps, and its record, come from _kept, which forms and
+measures the rescaled profile when asked and keeps the measured vertices
+without a copy; asymptotic_profile applies the same _kept to a finished
+trajectory. A step of run_flow is one try: the first refusal in it ends the
+run, at the length guard or as a numerical failure.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import ArcData, PolyCurve, arc_data, total_length
+from .curves import ArcData, PolyCurve, _owned, arc_data, total_length
 from .diagnostics import DiagnosticsRecord, record
-from .errors import ConstantMapGuard, DegenerateCurve
+from .errors import DegenerateCurve, RuntimeFailure
 from .gradient import velocity
 
 METHODS = ("euler", "rk4")
@@ -103,19 +104,20 @@ def _measure(X: np.ndarray) -> ArcData:
     edges.
 
     X itself becomes the vertices, not a copy: every caller passes a fresh
-    array or one already read-only, and X is marked read-only here. The
-    largest coordinate is the one finiteness check (NaN or inf if any
-    coordinate is), and below _NO_OVERFLOW it lets the measurement skip the
-    overflow context."""
+    array or a curve's vertices, and _owned marks X read-only and makes it a
+    curve, which the flow's arc_data binding measures. The largest
+    coordinate is the one finiteness check (NaN or inf if any coordinate
+    is), and below _NO_OVERFLOW it lets the measurement skip the overflow
+    context."""
     m = float(np.abs(X).max())
     if not math.isfinite(m):
         raise FloatingPointError("curve coordinates are not finite")
-    X.flags.writeable = False
+    curve = _owned(X)
     if m < _NO_OVERFLOW:
-        ad = arc_data(X)
+        ad = arc_data(curve)
     else:
         with np.errstate(over="ignore"):
-            ad = arc_data(X)
+            ad = arc_data(curve)
     if not math.isfinite(ad.length):
         raise FloatingPointError("curve length overflows the double range")
     return ad
@@ -141,8 +143,9 @@ def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, Diagnos
     origin, measured by _measure; a refusal, or an e^t past the double
     range, raises naming the profile and t. Y is already rescaled, so its
     record's rescaled_max_k is its own max_abs_k. Otherwise the state is the
-    curve itself, as a bare PolyCurve. A finite state can still overflow the
-    record's norms and area; the record keeps them as inf or nan."""
+    curve itself. Either way it is kept as a bare PolyCurve on the measured
+    vertices, made by _owned with no copy. A finite state can still overflow
+    the record's norms and area; the record keeps them as inf or nan."""
     X = curve.vertices
     with np.errstate(over="ignore", invalid="ignore"):
         if rescale:
@@ -154,7 +157,7 @@ def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, Diagnos
         rec = record(curve, t)
     if rescale:
         rec = replace(rec, rescaled_max_k=rec.max_abs_k)
-    return PolyCurve(curve.vertices), rec
+    return _owned(curve.vertices), rec
 
 
 def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
@@ -191,12 +194,12 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
             if short:
                 termination = Termination.LENGTH_GUARD
                 break
-        except (FloatingPointError, DegenerateCurve, ConstantMapGuard) as exc:
+        except (FloatingPointError, RuntimeFailure) as exc:
             # no velocity on an RK4 stage, on the stepped state or on its kept
             # state; only a stepped state refused for a collapsed edge has
             # its length read again
             if X is not None and isinstance(exc, DegenerateCurve):
-                short = total_length(PolyCurve(X)) <= cfg.min_length_guard
+                short = total_length(_owned(X)) <= cfg.min_length_guard
             termination = Termination.LENGTH_GUARD if short else Termination.NUMERICAL_FAILURE
             break
 

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .curves import ArcData, PolyCurve, arc_data
-from .errors import ConstantMapGuard, OutOfDomain
+from .errors import ConstantMapGuard, UsageError
 
 MIN_KERNEL_LENGTH = 1e-12
 # Span of one anchored sweep segment. Its terms e^{s - c} g and g / e^{s - c}
@@ -38,7 +38,7 @@ SWEEP_SPAN = 256.0
 def greens_value(L: float, s: float, s_tilde: float):
     """Kernel value at a pair of arclength coordinates on a curve of length L."""
     if not L > 0.0:
-        raise OutOfDomain(f"greens_value requires L > 0, got {L}")
+        raise UsageError(f"greens_value requires L > 0, got {L}")
     d = np.abs(np.asarray(s, dtype=float) - s_tilde) % L
     value = -(np.exp(d - L) + np.exp(-d)) / (2.0 * -np.expm1(-L))
     if np.ndim(value) == 0:

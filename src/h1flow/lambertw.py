@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import OutOfDomain
+from .errors import UsageError
 
 _INV_E = -math.exp(-1.0)
 
@@ -23,7 +23,7 @@ def lambert_w0(x: float) -> float:
     if x < _INV_E:
         if x > _INV_E * (1.0 + 1e-12):  # rounding slop at the branch point
             return -1.0
-        raise OutOfDomain(f"lambert_w0 requires x >= -1/e, got {x}")
+        raise UsageError(f"lambert_w0 requires x >= -1/e, got {x}")
     if x == 0.0:
         return 0.0
     if x > 1e300:
@@ -101,12 +101,12 @@ class CircleSolution:
         r0sq = self.r0 * self.r0
         # a finite normal r0^2 keeps log(r0^2), and so c, finite and exact
         if not sys.float_info.min <= r0sq < math.inf:
-            raise OutOfDomain(f"r0 = {self.r0!r}: r0^2 = {r0sq!r} is not a finite normal double")
+            raise UsageError(f"r0 = {self.r0!r}: r0^2 = {r0sq!r} is not a finite normal double")
         object.__setattr__(self, "c", r0sq + math.log(r0sq))
 
     def radius(self, t: float) -> float:
         y = self.c - 2.0 * t
         # y = -inf is the limit r = 0; NaN and +inf have no radius
         if not y < math.inf:
-            raise OutOfDomain(f"t = {t!r}: c - 2t = {y!r} has no finite radius")
+            raise UsageError(f"t = {t!r}: c - 2t = {y!r} has no finite radius")
         return math.sqrt(lambert_w0_of_exp(y))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve, _dot, _l2ds_term, _unit_frames, arc_data, edge_lengths
-from .errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
+from .errors import DegenerateCurve, UsageError
 
 MODES = ("full", "quotient")
 
@@ -39,7 +39,7 @@ class CurvePath:
         n = frames[0].n
         for f in frames:
             if f.n != n:
-                raise MismatchedFrames(f"frame with {f.n} vertices among n = {n}")
+                raise UsageError(f"frame with {f.n} vertices among n = {n}")
             if edge_lengths(f).min() <= 0.0:
                 raise DegenerateCurve("degenerate frame in path")
         _check_mode(self.mode)
@@ -112,20 +112,20 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     index i + t_k * twist_i. The twist is a per-vertex index displacement whose
     endpoint i + twist_i must stay strictly increasing (an orientation-
     preserving circle bijection); anything else, a non-finite twist among
-    them, raises NonMonotoneTwist.
+    them, raises UsageError.
     """
     if frames < 2:
         raise ValueError("frames must be >= 2")
     delta = np.asarray(twist, dtype=float)
     n = curve.n
     if delta.shape != (n,):
-        raise NonMonotoneTwist(f"twist must have {n} entries")
+        raise UsageError(f"twist must have {n} entries")
     if not np.isfinite(delta).all():
         # a NaN fails no order test below, and inf - inf warns
-        raise NonMonotoneTwist("twist must be finite")
+        raise UsageError("twist must be finite")
     target = np.arange(n) + delta
     if np.any(np.diff(target) <= 0.0) or target[-1] - target[0] >= n:
-        raise NonMonotoneTwist("i + twist_i must be strictly increasing around the circle")
+        raise UsageError("i + twist_i must be strictly increasing around the circle")
     t = np.linspace(0.0, 1.0, frames)
     base = np.arange(n, dtype=float)
     out = [PolyCurve(_sample_polygon(curve, base + tk * delta)) for tk in t]

@@ -38,7 +38,7 @@ def test_every_error_is_a_usage_error_or_a_runtime_failure():
     # exit code cannot depend on the order of its except clauses
     usage, runtime = h1flow.UsageError, h1flow.RuntimeFailure
     classes = [cls for cls in vars(h1flow.errors).values() if inspect.isclass(cls)]
-    assert len(classes) == 7
+    assert len(classes) == 4
     for cls in classes:
         assert issubclass(cls, ValueError) == issubclass(cls, usage), cls
         if cls not in (usage, runtime):

@@ -181,12 +181,12 @@ class TestUsageErrors:
 class TestExitCodes:
     # every error class is exactly one of the two kinds, so the exit code
     # cannot depend on the order of main's except clauses
-    @pytest.mark.parametrize("cls", h.RuntimeFailure.__subclasses__())
+    @pytest.mark.parametrize("cls", [h.RuntimeFailure, *h.RuntimeFailure.__subclasses__()])
     def test_runtime_failure_exits_2(self, monkeypatch, capsys, cls):
         monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
         assert run_cli(["oracle", "--t", "0"], capsys) == (2, "", "error: boom\n")
 
-    @pytest.mark.parametrize("cls", h.UsageError.__subclasses__())
+    @pytest.mark.parametrize("cls", [h.UsageError, *h.UsageError.__subclasses__()])
     def test_usage_error_exits_1(self, monkeypatch, capsys, cls):
         monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
         assert run_cli(["oracle", "--t", "0"], capsys) == (1, "", "error: boom\n")

@@ -148,6 +148,33 @@ class TestArcData:
         assert ad.vertices[2].tolist() == [0.0, 1.0]
         assert ad.length == h.total_length(ad)
 
+    def test_curve_measured_in_place(self):
+        c = h.star(1.0, 0.3, 5, 16)
+        assert h.arc_data(c).vertices is c.vertices
+
+    def test_read_only_view_copied(self):
+        # read-only is no promise: the base can still move under a view
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        view = X.view()
+        view.flags.writeable = False
+        ad = h.arc_data(view)
+        X[2] = [0.0, 5.0]
+        assert not np.shares_memory(ad.vertices, X)
+        assert ad.vertices[2].tolist() == [0.0, 1.0]
+        assert ad.length == h.total_length(ad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_read_only_non_finite_array_rejected(self, bad):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
+        X.flags.writeable = False
+        with pytest.raises(ValueError, match="^vertices must be finite$"):
+            h.arc_data(X)
+
+    def test_read_only_two_vertex_array_rejected(self):
+        X = np.broadcast_to([[0.0, 0.0], [1.0, 0.0]], (2, 2))
+        with pytest.raises(ValueError, match="^a closed curve needs at least 3 vertices$"):
+            h.arc_data(X)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_array_rejected(self, bad):
         with pytest.raises(ValueError, match="^vertices must be finite$"):

@@ -534,6 +534,17 @@ class TestWorkCounts:
         assert len(traj.records) == 3
         assert len(calls) == len(traj.records)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_rk4_measurements_pass_through_arc_data(self, monkeypatch, k):
+        # the flow measures through its arc_data binding, which the benchmark
+        # tracer wraps: the initial state and its profile, three stages and
+        # the stepped state per step, and the final profile
+        calls = _count_calls(monkeypatch, h1flow.flow, "arc_data")
+        h.run_flow(h.circle(1.0, 32),
+                   h.FlowConfig(dt=0.05, t1=0.05 * k, method="rk4", record_every=k,
+                                rescale_profile=True))
+        assert len(calls) == 4 * k + 3
+
     def test_geometry_measured_once_per_state(self, monkeypatch):
         # every function that takes a curve reuses the ArcData it is given
         built = []

@@ -6,7 +6,7 @@ import pytest
 
 import h1flow as h
 import h1flow.kernel
-from h1flow.errors import ConstantMapGuard, OutOfDomain
+from h1flow.errors import ConstantMapGuard, UsageError
 
 
 class TestGreensValue:
@@ -79,9 +79,9 @@ class TestGreensValue:
         assert worst <= 0.5 + 1e-9
 
     def test_nonpositive_length_rejected(self):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(UsageError, match="^greens_value requires L > 0, got 0.0$"):
             h.greens_value(0.0, 0.0, 0.0)
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(UsageError, match="^greens_value requires L > 0, got -1.0$"):
             h.greens_value(-1.0, 0.0, 0.0)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
-from h1flow.errors import OutOfDomain
+from h1flow.errors import UsageError
 
 # residual-verified reference values, frozen from a bisection solve of
 # w e^w = x (resp. w + log w = y) to 1e-15
@@ -62,7 +62,7 @@ class TestLambertW0:
         assert np.isfinite(ws).all() and (ws >= -1.0).all()
 
     def test_below_branch_rejected(self):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(UsageError, match="^lambert_w0 requires x >= -1/e, got -1.0$"):
             h.lambert_w0(-1.0)
 
     def test_against_bisection(self):
@@ -175,12 +175,12 @@ class TestCircleSolution:
 
     @pytest.mark.parametrize("r0", [1e155, 1e200, math.inf, 1e-155, 1e-200])
     def test_rejects_r0_squared_outside_normal_range(self, r0):
-        with pytest.raises(OutOfDomain, match="r0"):
+        with pytest.raises(UsageError, match="r0"):
             h.CircleSolution(r0)
 
     @pytest.mark.parametrize("t", [math.nan, -1e308, -math.inf])
     def test_rejects_time_without_finite_radius(self, t):
-        with pytest.raises(OutOfDomain, match="t = "):
+        with pytest.raises(UsageError, match="t = "):
             h.CircleSolution(1.0).radius(t)
 
     def test_range_edges_accepted(self):

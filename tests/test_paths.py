@@ -7,7 +7,7 @@ import pytest
 
 import h1flow as h
 import h1flow.paths
-from h1flow.errors import DegenerateCurve, MismatchedFrames, NonMonotoneTwist
+from h1flow.errors import DegenerateCurve, UsageError
 from h1flow.paths import _schedule_weights
 
 
@@ -58,7 +58,7 @@ class TestCurvePath:
             h.CurvePath(frames=(h.circle(1.0, 16),), mode="full")
 
     def test_frame_sizes_must_agree(self):
-        with pytest.raises(MismatchedFrames):
+        with pytest.raises(UsageError, match="^frame with 32 vertices among n = 16$"):
             h.CurvePath(frames=(h.circle(1.0, 16), h.circle(1.0, 32)))
 
     def test_frame_with_repeated_vertex_rejected(self):
@@ -212,16 +212,16 @@ class TestReparamPath:
     def test_non_monotone_rejected(self):
         n = 32
         c = h.circle(1.0, n)
-        with pytest.raises(NonMonotoneTwist):
+        with pytest.raises(UsageError, match="^i [+] twist_i must be strictly increasing"):
             h.reparam_path(c, self.twist(n, n), 5)  # folds back
-        with pytest.raises(NonMonotoneTwist):
+        with pytest.raises(UsageError, match=f"^twist must have {n} entries$"):
             h.reparam_path(c, np.zeros(n - 1), 5)  # wrong size
         with pytest.raises(ValueError, match="^frames must be >= 2$"):
             h.reparam_path(c, np.zeros(n), 1)
         for bad in (np.nan, np.inf):
             # a NaN passes every order test; refused before any arithmetic,
             # so with no RuntimeWarning (an error under the suite's filters)
-            with pytest.raises(NonMonotoneTwist, match="^twist must be finite$"):
+            with pytest.raises(UsageError, match="^twist must be finite$"):
                 h.reparam_path(c, np.full(n, bad), 5)
 
     def test_full_mode_scaling_three_halves(self):

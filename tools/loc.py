@@ -25,7 +25,8 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def _docstring_lines(tree: ast.Module) -> set:
+def docstring_lines(tree: ast.Module) -> set:
+    """The lines of every module, class and function docstring of a tree."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -42,7 +43,7 @@ def count(text: str) -> tuple:
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _LAYOUT:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return text.count("\n"), len(code - _docstring_lines(ast.parse(text)))
+    return text.count("\n"), len(code - docstring_lines(ast.parse(text)))
 
 
 def exports(text: str) -> int:
