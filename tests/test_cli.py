@@ -178,6 +178,12 @@ class TestUsageErrors:
         assert run_cli(spaced, capsys) == (0, out, "")
 
 
+def _raiser(exc):
+    def command(args):
+        raise exc
+    return command
+
+
 class TestExitCodes:
     # every error class is exactly one of the two kinds, so the exit code
     # cannot depend on the order of main's except clauses
@@ -186,21 +192,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
         assert run_cli(["oracle", "--t", "0"], capsys) == (2, "", "error: boom\n")
 
-    @pytest.mark.parametrize("cls", [h.UsageError, *h.UsageError.__subclasses__()])
-    def test_usage_error_exits_1(self, monkeypatch, capsys, cls):
-        monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
-        assert run_cli(["oracle", "--t", "0"], capsys) == (1, "", "error: boom\n")
+    # the base class, and the sites that raised the classes since folded
+    # into it, each with its own message
+    @pytest.mark.parametrize("site, message", [
+        (_raiser(h.UsageError("boom")), "boom"),
+        (lambda _: h.CurvePath((h.circle(1.0, 8), h.circle(1.0, 9))),
+         "frame with 9 vertices among n = 8"),
+        (lambda _: h.reparam_path(h.circle(1.0, 8), np.full(8, np.nan), 2),
+         "twist must be finite"),
+        (lambda _: h.lambert_w0(-1.0), "lambert_w0 requires x >= -1/e, got -1.0"),
+    ], ids=["UsageError", "MismatchedFrames", "NonMonotoneTwist", "OutOfDomain"])
+    def test_usage_error_exits_1(self, monkeypatch, capsys, site, message):
+        monkeypatch.setattr(cli, "_cmd_oracle", site)
+        assert run_cli(["oracle", "--t", "0"], capsys) == (1, "", f"error: {message}\n")
 
     def test_programming_error_propagates(self, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_oracle", _raiser(ZeroDivisionError("bug")))
         with pytest.raises(ZeroDivisionError, match="bug"):
             main(["oracle", "--t", "0"])
-
-
-def _raiser(exc):
-    def command(args):
-        raise exc
-    return command
 
 
 class TestRuntimeErrors:
