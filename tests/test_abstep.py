@@ -13,8 +13,9 @@ _SPEC.loader.exec_module(abstep)
 
 
 def test_tree_against_itself():
-    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, run_blocks=1)
-    assert list(out) == ["step n=16", "circle-small"]
+    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, run_blocks=1,
+                         chord_blocks=8)
+    assert list(out) == ["step n=16", "chord n=16", "circle-small"]
     for s in out.values():
         assert 0.5 < s["ratio"] < 2.0
         assert s["q1"] <= s["ratio"] <= s["q3"]
@@ -23,12 +24,14 @@ def test_tree_against_itself():
 
 
 def test_table(capsys):
-    abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1, run_blocks=0),
-                       steps=1)
+    abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1, run_blocks=0,
+                                      chord_blocks=4), steps=1)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "circle-small trajectories: bit-equal"
     assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower"]
-    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 3
+    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 4
+    chord = lines[3].split()
+    assert chord[:2] == ["chord", "n=16"] and chord[2].endswith("us")
 
 
 def test_different_trajectories_refused(tmp_path):

@@ -414,15 +414,115 @@ class TestChordArcBlocks:
         assert repr(got) == repr(want)
 
     def test_memory_stays_o_n(self):
-        # the dense form allocates ~800 MB at this size
-        c = h.circle(1.0, 4096)
-        tracemalloc.start()
-        try:
+        # the dense form allocates ~800 MB at n = 4096 and ~3 GB at n = 8192
+        for c in (h.circle(1.0, 4096), h.star(1.0, 0.3, 5, 8192)):
+            tracemalloc.start()
+            try:
+                h.chord_arc_min(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8e6
+
+    # from here on the curves are large enough for the pruned path; its
+    # blocks hold max(16, ceil(n / 128)) vertices
+
+    @pytest.mark.parametrize("lobes", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("amplitude", [0.2, 0.35])
+    def test_pruned_stars(self, amplitude, lobes):
+        # the range of the star-record benchmark workload
+        c = h.star(1.0, amplitude, lobes, 2048)
+        assert c.n >= h.curves._CHORD_PRUNE
+        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
+
+    def test_pruned_random_polygon_with_a_short_last_block(self):
+        n = 2049
+        assert n >= h.curves._CHORD_PRUNE and n % max(16, -(-n // 128)) != 0
+        c = random_polygon(n, seed=n)
+        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
+
+    def test_pruned_minimum_in_the_last_shorter_block(self):
+        # the spike of test_minimum_in_the_last_shorter_block, at vertex
+        # n - 2 of a last block of 9 vertices against 17 in the others
+        n = 2049
+        bsz = max(16, -(-n // 128))
+        v = h.circle(1.0, n).vertices.copy()
+        v[-2] *= 3.0
+        c = h.PolyCurve(v)
+        last = (n - 1) // bsz * bsz
+        assert n >= h.curves._CHORD_PRUNE and n - last < bsz
+        res = h.chord_arc_min(c)
+        assert res.i >= last
+        assert as_tuple(res) == dense_chord_arc(c)
+
+    def test_pruned_exact_tie_across_block_pairs(self):
+        # the lattice square of test_exact_tie_across_blocks_keeps_the_first_pair
+        # at m = 600: its two exact 1/2 pairs lie in different block pairs
+        m = 600
+        side = np.arange(m, dtype=float)
+        v = np.concatenate([
+            np.stack([side, np.zeros(m)], axis=1),
+            np.stack([np.full(m, m), side], axis=1),
+            np.stack([m - side, np.full(m, m)], axis=1),
+            np.stack([np.zeros(m), m - side], axis=1),
+        ])
+        c = h.PolyCurve(v)
+        bsz = max(16, -(-c.n // 128))
+        first, second = (m // 2, 2 * m + m // 2), (m + m // 2, 3 * m + m // 2)
+        assert c.n >= h.curves._CHORD_PRUNE
+        assert [k // bsz for k in first] != [k // bsz for k in second]
+        res = h.chord_arc_min(c)
+        assert as_tuple(res) == dense_chord_arc(c) == (0.5, *first)
+        # a dumbbell of unit steps, symmetric in both axes, with its neck
+        # walls y = -1, 1 at half-integer x: the chords at x = 1/2 and
+        # x = -1/2 tie exactly. They nest, (t, b + 1) around (t + 1, b), and
+        # b + 1 opens the next block, so the block pair of the first pair
+        # comes later in the row of t's block
+        corners = [(-10.5, -1), (10.5, -1), (10.5, -60), (130.5, -60), (130.5, 60),
+                   (10.5, 60), (10.5, 1), (-10.5, 1), (-10.5, 60), (-130.5, 60),
+                   (-130.5, -60), (-10.5, -60)]
+        v = np.concatenate([
+            p + np.sign(np.subtract(q, p)) * np.arange(np.abs(np.subtract(q, p)).sum())[:, None]
+            for p, q in zip(corners, corners[1:] + corners[:1])])
+        bsz = max(16, -(-len(v) // 128))
+        b = 41 * bsz - 1
+        t = b - len(v) // 2
+        c = h.PolyCurve(np.roll(v, b - np.flatnonzero((v[:, 0] == -0.5) & (v[:, 1] == -1))[0],
+                                axis=0))
+        assert c.n >= h.curves._CHORD_PRUNE and t // bsz == (t + 1) // bsz
+        assert tuple(c.vertices[t]) == (0.5, 1) and tuple(c.vertices[b + 1]) == (0.5, -1)
+        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c) == (2 / (c.n / 2 - 1), t, b + 1)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_pruned_overflowing_coordinates(self, scale):
+        # the cases of test_overflowing_coordinates at n = 2048
+        c = h.PolyCurve(scale * h.star(1.0, 0.3, 5, 2048).vertices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = as_tuple(h.chord_arc_min(c))
+            want = dense_chord_arc(c)
+        assert repr(got) == repr(want)
+
+    def test_pruning_skips_most_pairs(self, monkeypatch):
+        # pairs handed to the ratio helper: at most 15 % of them on a star
+        # above the threshold (about 7 %), every one below it
+        exact = h.curves._chord_ratios
+        counted = []
+
+        def counting(*args):
+            ratios = exact(*args)
+            counted.append(ratios.size)
+            return ratios
+
+        def evaluated(c):
+            counted.clear()
             h.chord_arc_min(c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8e6
+            return sum(counted)
+
+        monkeypatch.setattr(h.curves, "_chord_ratios", counting)
+        above, below = h.star(1.0, 0.3, 5, 2048), h.star(1.0, 0.3, 5, 512)
+        assert below.n < h.curves._CHORD_PRUNE <= above.n
+        assert evaluated(above) <= 0.15 * above.n * (above.n - 1) / 2
+        assert evaluated(below) >= below.n * (below.n - 1) / 2
 
 
 class TestChordArcInvariance:

@@ -11,10 +11,14 @@ alternating blocks, A first in the 1st, 3rd, ... block and B in the others:
 - 300 blocks per n = 64, 512 and 2048, each of 10 RK4 steps of a circle of
   radius 1, each step with the measurement of its stepped state
   (flow._advance, then flow._measure);
+- 60 blocks per n = 64, 512 and 2048, each one chord_arc_min call on a
+  measured circle of radius 1, after asserting that both trees return the
+  same (value, i, j) on it;
 - 20 blocks, each a whole circle-small batch (all ten runs of run_flow).
 For each it prints the median of the per-block ratios B / A, their
 quartiles, and the share of blocks in which B took less time. A ratio
-below 1 means B is faster. Step times are the medians over blocks.
+below 1 means B is faster. Step and monitor times are the medians over
+blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import time
 from pathlib import Path
 
 CIRCLE_RADII = (0.5, 0.75, 1.0, 1.25, 1.5)
-SIZES, BLOCKS, STEPS, RUN_BLOCKS = (64, 512, 2048), 300, 10, 20
+SIZES, BLOCKS, STEPS, RUN_BLOCKS, CHORD_BLOCKS = (64, 512, 2048), 300, 10, 20, 60
 
 
 def load(root, name):
@@ -67,6 +71,12 @@ def stepper(h, n, steps):
     return run
 
 
+def monitor(h, n):
+    """A callable that runs the chord-arc monitor on a measured circle."""
+    ad = h.arc_data(h.circle(1.0, n))
+    return lambda: h.chord_arc_min(ad)
+
+
 def interleave(run_a, run_b, blocks):
     """Per-block wall times of run_a and run_b, alternating which goes first."""
     ta, tb = [], []
@@ -88,9 +98,11 @@ def summarise(ta, tb):
             "a_s": statistics.median(ta), "b_s": statistics.median(tb)}
 
 
-def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=RUN_BLOCKS):
+def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=RUN_BLOCKS,
+            chord_blocks=CHORD_BLOCKS):
     """Assert bit-equal circle-small trajectories, then time the two trees;
-    returns {label: summary} with labels "step n=N" and "circle-small"."""
+    returns {label: summary} with labels "step n=N", "chord n=N" and
+    "circle-small"."""
     ha, hb = load(root_a, "h1flow_a"), load(root_b, "h1flow_b")
     for ta, tb in zip(circle_small(ha), circle_small(hb)):
         if _key(ta) != _key(tb):
@@ -99,6 +111,11 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=
     for n in sizes:
         out[f"step n={n}"] = summarise(*interleave(stepper(ha, n, steps),
                                                    stepper(hb, n, steps), blocks))
+    for n in sizes:
+        run_a, run_b = monitor(ha, n), monitor(hb, n)
+        if repr(run_a()) != repr(run_b()):
+            raise AssertionError(f"the two trees give different chord-arc minima at n={n}")
+        out[f"chord n={n}"] = summarise(*interleave(run_a, run_b, chord_blocks))
     if run_blocks:
         out["circle-small"] = summarise(*interleave(lambda: circle_small(ha),
                                                     lambda: circle_small(hb), run_blocks))
@@ -106,12 +123,13 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=
 
 
 def print_table(out, steps=STEPS) -> None:
-    """The summaries of compare, a step in microseconds (out of blocks of
-    `steps` steps) and a circle-small batch in milliseconds."""
+    """The summaries of compare, a step (out of blocks of `steps` steps) and
+    a monitor call in microseconds, a circle-small batch in milliseconds."""
     print("circle-small trajectories: bit-equal")
     print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}")
     for label, s in out.items():
-        scale, unit = (1e6 / steps, "us") if label.startswith("step") else (1e3, "ms")
+        scale, unit = {"step": (1e6 / steps, "us"),
+                       "chord": (1e6, "us")}.get(label.split()[0], (1e3, "ms"))
         print(f"{label:14} {scale * s['a_s']:8.1f}{unit} {scale * s['b_s']:8.1f}{unit} "
               f"{s['ratio']:7.3f} {s['q1']:7.3f} {s['q3']:7.3f} {s['b_lower']:8.0%}")
 
