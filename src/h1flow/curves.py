@@ -14,8 +14,11 @@ with no copy and no second check.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; norms, gradient's inner products and paths
 use them.
-_unit_frames forms the outgoing and incoming unit edges and the unit tangent
-once; the curvature of _tangent_curvature reads the same shifted edges.
+The cyclic differences and sums (_diff, ds, the tangent) are formed in place
+in the one shifted copy that _next or _prev makes, so each costs one new
+array. _unit_frames forms the outgoing unit edges and the unit tangent,
+which is all a quotient path length reads; _tangent_curvature shifts the
+edges once more for the turning angle.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
 the block minima of _row_blocks or _pruned_blocks, which share the ratio
 helper _chord_ratios.
@@ -146,8 +149,11 @@ def _prev(a: np.ndarray) -> np.ndarray:
 
 def _diff(a: np.ndarray) -> np.ndarray:
     """Cyclic forward difference a[i+1] - a[i] along the first axis: the edges
-    of a vertex array, the per-edge differences of a field."""
-    return _next(a) - a
+    of a vertex array, the per-edge differences of a field. a is subtracted
+    in place from the fresh array of _next(a), so no third array is made."""
+    d = _next(a)
+    d -= a
+    return d
 
 
 def edge_lengths(curve: PolyCurve) -> np.ndarray:
@@ -183,7 +189,9 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     el = _norm(ev)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
-    ds = 0.5 * (el + _prev(el))
+    ds = _prev(el)
+    ds += el
+    ds *= 0.5
     return ArcData(vertices=X, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
 
 
@@ -209,19 +217,21 @@ def frame_data(curve: PolyCurve) -> FrameData:
 
 
 def _unit_frames(ad: ArcData):
-    """The outgoing unit edges u, the incoming ones p (u shifted by one
-    vertex) and the unit vertex tangents T of a measured curve, each as its
-    x and y columns: the frames of frame_data without the curvature.
-    The normal is N = rot90(T) = (-T_y, T_x)."""
+    """The outgoing unit edges u and the unit vertex tangents T of a measured
+    curve, each as its x and y columns: the frames of frame_data without the
+    curvature. T is u plus the incoming unit edge _prev(u), normalized; the
+    sum is formed in place in the shifted copy, so the incoming edges are
+    not kept. The normal is N = rot90(T) = (-T_y, T_x)."""
     ux = ad.edges[:, 0] / ad.edge_lengths
     uy = ad.edges[:, 1] / ad.edge_lengths
-    px, py = _prev(ux), _prev(uy)
-    tx = ux + px
-    ty = uy + py
+    tx = _prev(ux)
+    tx += ux
+    ty = _prev(uy)
+    ty += uy
     tn = np.sqrt(tx * tx + ty * ty)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
-    return (ux, uy), (px, py), (tx / tn, ty / tn)
+    return (ux, uy), (tx / tn, ty / tn)
 
 
 def _tangent_curvature(ad: ArcData):
@@ -229,7 +239,8 @@ def _tangent_curvature(ad: ArcData):
     and its signed curvature k_i: the turning angle at vertex i, from the
     incoming unit edge p to the outgoing one u, divided by ds_i. A cusp is
     refused as in _unit_frames."""
-    (ux, uy), (px, py), tangent = _unit_frames(ad)
+    (ux, uy), tangent = _unit_frames(ad)
+    px, py = _prev(ux), _prev(uy)
     return tangent, np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
 
 

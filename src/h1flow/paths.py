@@ -8,10 +8,19 @@ vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
 L2(ds) sum of the curves module, the one that gradient and norms use, of
 |v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
 
-A path's frames are checked once, when it is built; as_mode relabels the
-same frames. A path length measures each left frame once (its ArcData, whose
-arclength s it never reads) and, in quotient mode, takes the normal
-component from the columns of the unit tangent that frame_data uses.
+A path's frames are checked once, when it is built, for a positive squared
+length of every edge; as_mode relabels the same frames. A path length
+measures each left frame once (its ArcData, whose arclength s it never
+reads) and, in quotient mode, takes the normal component from the columns
+of the unit tangent that frame_data uses.
+
+The three families build each frame as a blend of finite vertices and make
+it a curve in place through curves._owned, with no copy (_blended). Such a
+blend cannot overflow while every coordinate is at most _BLEND_SAFE
+(DBL_MAX / 2), so one maximum over the source coordinates replaces the
+frames' finiteness checks; above it each frame is checked. zigzag_path
+gathers both base frames of a blend from one x and one y column of all the
+base frames, and writes the blend into the frame's own array.
 """
 
 from __future__ import annotations
@@ -21,10 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _dot, _l2ds_term, _unit_frames, arc_data, edge_lengths
+from .curves import PolyCurve, _diff, _dot, _l2ds_term, _owned, _unit_frames, arc_data
 from .errors import DegenerateCurve, UsageError
 
 MODES = ("full", "quotient")
+# a blend a (1 - w) + b w with 0 <= w <= 1 of coordinates at most this large
+# in magnitude is at most |a| + |b| <= DBL_MAX, so it cannot overflow
+_BLEND_SAFE = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,9 @@ class CurvePath:
         for f in frames:
             if f.n != n:
                 raise UsageError(f"frame with {f.n} vertices among n = {n}")
-            if edge_lengths(f).min() <= 0.0:
+            # the squared lengths: sqrt is monotone and maps 0 to 0
+            e = _diff(f.vertices)
+            if _dot(e, e).min() <= 0.0:
                 raise DegenerateCurve("degenerate frame in path")
         _check_mode(self.mode)
         object.__setattr__(self, "frames", frames)
@@ -53,6 +67,18 @@ class CurvePath:
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+
+
+def _blended(verts: np.ndarray, scale: float) -> PolyCurve:
+    """The frame whose vertices are verts, a fresh float (n, 2) array that
+    the caller blended, with weights in [0, 1] summing to 1, from the
+    vertices of finite curves at most scale in magnitude: made a curve in
+    place through _owned, with no copy. Up to _BLEND_SAFE the blend cannot
+    overflow; above it the frame is checked, and refused as PolyCurve
+    refuses a non-finite one."""
+    if scale > _BLEND_SAFE and not np.isfinite(verts).all():
+        raise ValueError("vertices must be finite")
+    return _owned(verts)
 
 
 def as_mode(path: CurvePath, mode: str) -> CurvePath:
@@ -72,10 +98,11 @@ def path_length_l2ds(path: CurvePath) -> float:
     total = 0.0
     for k in range(m - 1):
         left = arc_data(path.frames[k])
-        v = (path.frames[k + 1].vertices - left.vertices) / dt
+        v = path.frames[k + 1].vertices - left.vertices
+        v /= dt
         if path.mode == "quotient":
             # the normal component <v, N> = v_y T_x - v_x T_y
-            tx, ty = _unit_frames(left)[2]
+            tx, ty = _unit_frames(left)[1]
             vn = v[:, 1] * tx - v[:, 0] * ty
             q = vn * vn
         else:
@@ -91,7 +118,9 @@ def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
     if frames < 2:
         raise ValueError("frames must be >= 2")
     t = np.linspace(0.0, 1.0, frames)
-    out = [PolyCurve(((1.0 - tk) + tk * lam) * curve.vertices) for tk in t]
+    V = curve.vertices
+    scale = float(np.abs(V).max())
+    out = [_blended(((1.0 - tk) + tk * lam) * V, scale) for tk in t]
     return CurvePath(frames=tuple(out), mode="full")
 
 
@@ -128,7 +157,8 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
         raise UsageError("i + twist_i must be strictly increasing around the circle")
     t = np.linspace(0.0, 1.0, frames)
     base = np.arange(n, dtype=float)
-    out = [PolyCurve(_sample_polygon(curve, base + tk * delta)) for tk in t]
+    scale = float(np.abs(curve.vertices).max())
+    out = [_blended(_sample_polygon(curve, base + tk * delta), scale) for tk in t]
     return CurvePath(frames=tuple(out), mode="full")
 
 
@@ -163,6 +193,15 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     move. Block centers follow those schedules exactly; toward the block
     boundaries the per-vertex schedule interpolates smoothly between the two
     phases (see _schedule_weights). The final frame is the base's final frame.
+
+    Vertex i of frame j blends vertex i of the two base frames around its
+    phase. The base frames' x and y columns are laid end to end, one array
+    each, and both frames are gathered from a column at one index, the
+    right-hand one through the view that starts a frame later. The blend is
+    written into the frame's own (n, 2) array, which becomes the curve with
+    no copy. A blend of coordinates up to _BLEND_SAFE cannot overflow, so
+    one maximum over the base columns stands in for every frame's
+    finiteness check; above it each frame is checked.
     """
     if base.mode != "full":
         raise ValueError("zigzag needs a full-mode base path")
@@ -170,20 +209,33 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     if teeth < 1 or (n // 2) * 2 != n or (n // 2) % teeth != 0:
         raise ValueError(f"teeth must be >= 1 and divide n/2 (n = {n}, teeth = {teeth})")
     mu = _schedule_weights(n, teeth)
+    omu = 1.0 - mu
     m = len(base.frames)
-    # frame k, vertex i is row k * n + i
-    flat = np.concatenate([f.vertices for f in base.frames])
+    # column c of frame k, vertex i is cols[c, k * n + i]
+    cols = np.empty((2, m * n))
+    np.concatenate([f.vertices.T for f in base.frames], axis=1, out=cols)
+    scale = float(np.abs(cols).max())
     rows = np.arange(n)
     out = []
     out_frames = 4 * (m - 1) + 1
     for j in range(out_frames):
         t = j / (out_frames - 1)
-        phase = (1.0 - mu) * min(2.0 * t, 1.0) + mu * max(2.0 * t - 1.0, 0.0)
-        pos = phase * (m - 1)
-        idx = np.minimum(pos.astype(int), m - 2)
-        w = (pos - idx)[:, None]
-        at = idx * n + rows
-        verts = np.take(flat, at, axis=0) * (1.0 - w) + np.take(flat, at + n, axis=0) * w
-        out.append(PolyCurve(verts))
+        # (1 - mu) min(2t, 1) + mu max(2t - 1, 0) without its exact terms:
+        # mu * 0.0 adds +0.0 and (1 - mu) * 1.0 is 1 - mu
+        w = omu * (2.0 * t) if t < 0.5 else omu + mu * (2.0 * t - 1.0)
+        w *= m - 1  # the position in the base frames
+        idx = w.astype(int)
+        np.minimum(idx, m - 2, out=idx)
+        w -= idx  # the right-hand frame's weight
+        ow = 1.0 - w
+        at = idx * n
+        at += rows
+        verts = np.empty((n, 2))
+        for c, col in enumerate(cols):
+            a = col.take(at)
+            a *= ow
+            b = col[n:].take(at)
+            b *= w
+            np.add(a, b, out=verts[:, c])
+        out.append(_blended(verts, scale))
     return CurvePath(frames=tuple(out), mode="full")
-

@@ -14,8 +14,8 @@ _SPEC.loader.exec_module(abstep)
 
 def test_tree_against_itself():
     out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, run_blocks=1,
-                         chord_blocks=8)
-    assert list(out) == ["step n=16", "chord n=16", "circle-small"]
+                         chord_blocks=8, zigzag_blocks=2, zigzag_n=64)
+    assert list(out) == ["step n=16", "chord n=16", "circle-small", "zigzag-paths"]
     for s in out.values():
         assert 0.5 < s["ratio"] < 2.0
         assert s["q1"] <= s["ratio"] <= s["q3"]
@@ -25,13 +25,15 @@ def test_tree_against_itself():
 
 def test_table(capsys):
     abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1, run_blocks=0,
-                                      chord_blocks=4), steps=1)
+                                      chord_blocks=4, zigzag_blocks=1, zigzag_n=64), steps=1)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "circle-small trajectories: bit-equal"
     assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower"]
-    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 4
+    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 5
     chord = lines[3].split()
     assert chord[:2] == ["chord", "n=16"] and chord[2].endswith("us")
+    zigzag = lines[4].split()
+    assert zigzag[0] == "zigzag-paths" and zigzag[1].endswith("ms")
 
 
 def test_different_trajectories_refused(tmp_path):
@@ -42,4 +44,4 @@ def test_different_trajectories_refused(tmp_path):
         gradient.write("\n_exact = velocity\n"
                        "def velocity(curve):\n    return _exact(curve) * (1.0 + 1e-15)\n")
     with pytest.raises(AssertionError, match="different circle-small trajectories"):
-        abstep.compare(ROOT, tmp_path, sizes=(), run_blocks=0)
+        abstep.compare(ROOT, tmp_path, sizes=(), run_blocks=0, zigzag_blocks=0)

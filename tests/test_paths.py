@@ -7,6 +7,7 @@ import pytest
 
 import h1flow as h
 import h1flow.paths
+from h1flow.curves import _owned
 from h1flow.errors import DegenerateCurve, UsageError
 from h1flow.paths import _schedule_weights
 
@@ -67,6 +68,19 @@ class TestCurvePath:
         with pytest.raises(DegenerateCurve, match="^degenerate frame in path$"):
             h.CurvePath(frames=(h.circle(1.0, 16), h.PolyCurve(ring)))
 
+    @pytest.mark.parametrize("edge, refused", [(1e-200, True), (1e-160, False)])
+    def test_tiny_edge(self, edge, refused):
+        # the check compares squared edge lengths with 0: 1e-200 squared
+        # underflows to 0 and is refused, as its length sqrt(0) = 0 was;
+        # 1e-160 squared is subnormal but positive
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, edge]])
+        frames = (h.PolyCurve(square), h.PolyCurve(0.5 * square))
+        if refused:
+            with pytest.raises(DegenerateCurve, match="^degenerate frame in path$"):
+                h.CurvePath(frames=frames)
+        else:
+            assert h.CurvePath(frames=frames).n == 5
+
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             h.CurvePath(frames=(h.circle(1.0, 16), h.circle(0.9, 16)),
@@ -80,16 +94,20 @@ class TestCurvePath:
         assert h.as_mode(q, "full").mode == "full"
 
     def test_as_mode_measures_no_frame(self, monkeypatch):
-        # the frames were checked when the path was built
+        # the frames were checked when the path was built; the check forms
+        # each frame's edges by _diff
         p = translation_path()
         calls = []
-        original = h1flow.paths.edge_lengths
+        original = h1flow.paths._diff
 
-        def counted(curve):
+        def counted(a):
             calls.append(1)
-            return original(curve)
+            return original(a)
 
-        monkeypatch.setattr(h1flow.paths, "edge_lengths", counted)
+        monkeypatch.setattr(h1flow.paths, "_diff", counted)
+        h.CurvePath(frames=p.frames)
+        assert len(calls) == len(p.frames)
+        calls.clear()
         q = h.as_mode(p, "quotient")
         assert calls == []
         assert q.frames is p.frames
@@ -296,6 +314,51 @@ class TestZigzagPath:
             w = (pos - idx)[:, None]
             expect = stack[idx, rows] * (1.0 - w) + stack[idx + 1, rows] * w
             assert frame.vertices.tobytes() == expect.tobytes()
+
+    def test_frames_are_read_only_and_own_their_memory(self):
+        base = translation_path(n=64, frames=9)
+        z = h.zigzag_path(base, 2)
+        for frame in z.frames:
+            assert not frame.vertices.flags.writeable
+            assert not any(np.shares_memory(frame.vertices, b.vertices) for b in base.frames)
+        for a, b in zip(z.frames, z.frames[1:]):
+            assert not np.shares_memory(a.vertices, b.vertices)
+
+    def test_blend_beyond_the_bound_is_checked_per_frame(self, monkeypatch):
+        # coordinates up to DBL_MAX / 2 skip the per-frame finiteness check;
+        # at +-DBL_MAX every frame takes it. The blends are finite, but the
+        # path's check squares edges near DBL_MAX, which overflows to inf
+        n = 16
+        y = h.circle(1.0, n).vertices[:, 1]
+        checked = []
+        isfinite = np.isfinite
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == (n, 2):
+                checked.append(1)
+            return isfinite(a, *args, **kwargs)
+
+        top = np.finfo(float).max
+        for x, frames in ((1.0, 0), (top, 5)):
+            base = h.CurvePath(frames=(h.PolyCurve(np.c_[np.full(n, x), y]),
+                                       h.PolyCurve(np.c_[np.full(n, -x), y])))
+            monkeypatch.setattr(np, "isfinite", counted)
+            with np.errstate(over="ignore"):
+                z = h.zigzag_path(base, 1)
+            monkeypatch.undo()
+            assert len(checked) == frames
+            assert all(isfinite(f.vertices).all() for f in z.frames)
+            checked.clear()
+
+    def test_non_finite_blend_refused(self):
+        # No blend of finite frames was seen to overflow, so the non-finite
+        # blend comes from a frame made without PolyCurve's check; its
+        # scale, inf, sends every frame to the per-frame check
+        bad = h.circle(1.0, 16).vertices.copy()
+        bad[3, 0] = np.inf
+        base = h.CurvePath(frames=(h.circle(1.0, 16), _owned(bad)))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^vertices must be finite$"):
+            h.zigzag_path(base, 1)
 
     def test_detour_costs_more_in_full_mode(self):
         base = translation_path(n=64, d=2.0, frames=9)

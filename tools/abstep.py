@@ -14,7 +14,11 @@ alternating blocks, A first in the 1st, 3rd, ... block and B in the others:
 - 60 blocks per n = 64, 512 and 2048, each one chord_arc_min call on a
   measured circle of radius 1, after asserting that both trees return the
   same (value, i, j) on it;
-- 20 blocks, each a whole circle-small batch (all ten runs of run_flow).
+- 20 blocks, each a whole circle-small batch (all ten runs of run_flow);
+- 20 blocks, each the zigzag-paths run on its seed-1 base path, built as
+  benchmarks/workloads.py builds it (an n = 8192 circle translated over 65
+  frames): the zigzag paths of 1, 2, 4 and 8 teeth and their lengths in
+  both modes, after asserting that both trees give bit-equal lengths.
 For each it prints the median of the per-block ratios B / A, their
 quartiles, and the share of blocks in which B took less time. A ratio
 below 1 means B is faster. Step and monitor times are the medians over
@@ -25,13 +29,17 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import statistics
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 CIRCLE_RADII = (0.5, 0.75, 1.0, 1.25, 1.5)
 SIZES, BLOCKS, STEPS, RUN_BLOCKS, CHORD_BLOCKS = (64, 512, 2048), 300, 10, 20, 60
+ZIGZAG_BLOCKS, ZIGZAG_N, ZIGZAG_FRAMES, TEETH = 20, 8192, 65, (1, 2, 4, 8)
 
 
 def load(root, name):
@@ -77,6 +85,28 @@ def monitor(h, n):
     return lambda: h.chord_arc_min(ad)
 
 
+def zigzag(h, n):
+    """A callable that runs zigzag-paths on its seed-1 base path with n
+    vertices, as benchmarks/workloads.py builds and runs it, and returns
+    the quotient and the full lengths of the four zigzag paths."""
+    rng = np.random.default_rng(1)
+    radius = 1.0 + 0.02 * rng.uniform(-1.0, 1.0)
+    dist = 12.0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0))
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    ring = h.generate(h.GeneratorSpec(kind="circle", n=n, size=radius))
+    step = dist * np.array([math.cos(angle), math.sin(angle)])
+    base = h.CurvePath(frames=tuple(h.PolyCurve(ring.vertices + tk * step)
+                                    for tk in np.linspace(0.0, 1.0, ZIGZAG_FRAMES)))
+
+    def run():
+        lengths = []
+        for teeth in TEETH:
+            z = h.zigzag_path(base, teeth)
+            lengths += [h.path_length_l2ds(h.as_mode(z, "quotient")), h.path_length_l2ds(z)]
+        return lengths
+    return run
+
+
 def interleave(run_a, run_b, blocks):
     """Per-block wall times of run_a and run_b, alternating which goes first."""
     ta, tb = [], []
@@ -99,10 +129,10 @@ def summarise(ta, tb):
 
 
 def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=RUN_BLOCKS,
-            chord_blocks=CHORD_BLOCKS):
+            chord_blocks=CHORD_BLOCKS, zigzag_blocks=ZIGZAG_BLOCKS, zigzag_n=ZIGZAG_N):
     """Assert bit-equal circle-small trajectories, then time the two trees;
-    returns {label: summary} with labels "step n=N", "chord n=N" and
-    "circle-small"."""
+    returns {label: summary} with labels "step n=N", "chord n=N",
+    "circle-small" and "zigzag-paths"."""
     ha, hb = load(root_a, "h1flow_a"), load(root_b, "h1flow_b")
     for ta, tb in zip(circle_small(ha), circle_small(hb)):
         if _key(ta) != _key(tb):
@@ -119,12 +149,18 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=
     if run_blocks:
         out["circle-small"] = summarise(*interleave(lambda: circle_small(ha),
                                                     lambda: circle_small(hb), run_blocks))
+    if zigzag_blocks:
+        run_a, run_b = zigzag(ha, zigzag_n), zigzag(hb, zigzag_n)
+        if repr(run_a()) != repr(run_b()):
+            raise AssertionError("the two trees give different zigzag-paths lengths")
+        out["zigzag-paths"] = summarise(*interleave(run_a, run_b, zigzag_blocks))
     return out
 
 
 def print_table(out, steps=STEPS) -> None:
     """The summaries of compare, a step (out of blocks of `steps` steps) and
-    a monitor call in microseconds, a circle-small batch in milliseconds."""
+    a monitor call in microseconds, a circle-small batch and a zigzag-paths
+    run in milliseconds."""
     print("circle-small trajectories: bit-equal")
     print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}")
     for label, s in out.items():
