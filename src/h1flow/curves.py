@@ -16,17 +16,19 @@ that callers form once by _dot; norms, gradient's inner products and paths
 use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
 in the one shifted copy that _next or _prev makes, so each costs one new
-array. _unit_frames forms the outgoing unit edges and the unit tangent,
-which is all a quotient path length reads; _tangent_curvature shifts the
-edges once more for the turning angle.
+array. _unit_edges forms the outgoing unit edges u and, shifted once, the
+incoming ones p; _tangent sums them into the unit tangent in p's arrays.
+A quotient path length reads only the tangent, and _tangent_curvature
+reads p for the turning angle before the tangent is formed.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
-the block minima of _row_blocks or _pruned_blocks, which share the ratio
-helper _chord_ratios.
+by (value, i, j) the chunk minima of _row_blocks or _pruned_blocks, which
+share the ratio helper _chord_ratios.
 Reading and writing curves is the business of the output module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,19 +37,25 @@ import numpy as np
 from .errors import DegenerateCurve
 
 
-# pair entries per chord-arc block: at least one row of the row scan, or one
-# vertex against one block of the pruned path. For n <= 16384 each of the
-# three work arrays of the row scan, rows * (n - 1) doubles with
+# pair entries per chord-arc block: at least one row of the row scan, or
+# the vertex pairs of the fine block pairs that the pruned path evaluates
+# at once, and the fine block pairs it bounds at once. For n <= 16384 each
+# of the three work arrays of the row scan, rows * (n - 1) doubles with
 # rows = _CHORD_BLOCK // n, stays under glibc's 128 KiB mmap threshold, so
 # it is never mapped afresh
 _CHORD_BLOCK = 16384
 # vertex count from which chord_arc_min prunes block pairs. In-process, best
-# of 15, on a circle, a 5-lobed star and a 2:1 ellipse (2-vCPU Xeon): the
-# row scan took 0.6, 2.2 and 4.8 ms at n = 256, 512 and 768, the pruned path
-# 0.9-1.5, 1.2-2.2 and 1.6-2.9 ms. Its seed and bounds are a fixed cost: the
-# scan wins at 256, the two are about even at 384 and 512, and pruning wins
-# by 1.7x or more from 768 on
-_CHORD_PRUNE = 768
+# of 15 alternating calls, on a circle, a 5-lobed star and a 2:1 ellipse
+# (2-vCPU Xeon): the row scan took 0.49-0.51, 1.05-1.06 and 1.72-1.73 ms at
+# n = 256, 384 and 512, the pruned path 0.49-0.66, 0.58-0.84 and
+# 0.68-0.94 ms. Its seed and bounds are a fixed cost: the two are about
+# even at 256, and pruning wins from 384 on, by 1.8x or more at 512; the
+# threshold leaves the row scan to the curves that cost it 1 ms or less
+_CHORD_PRUNE = 512
+# vertices per fine and per coarse block of the pruned path (the fine ones
+# grow past n = 16384, so that there are at most about 2048), and the size
+# of its strided seed sample
+_CHORD_FINE, _CHORD_COARSE, _CHORD_SEED = 8, 64, 64
 
 
 @dataclass(frozen=True)
@@ -216,32 +224,36 @@ def frame_data(curve: PolyCurve) -> FrameData:
                      curvature=k)
 
 
-def _unit_frames(ad: ArcData):
-    """The outgoing unit edges u and the unit vertex tangents T of a measured
-    curve, each as its x and y columns: the frames of frame_data without the
-    curvature. T is u plus the incoming unit edge _prev(u), normalized; the
-    sum is formed in place in the shifted copy, so the incoming edges are
-    not kept. The normal is N = rot90(T) = (-T_y, T_x)."""
+def _unit_edges(ad: ArcData):
+    """The x and y columns of the outgoing unit edges u of a measured curve,
+    and of the incoming ones p = _prev(u), in their own shifted arrays."""
     ux = ad.edges[:, 0] / ad.edge_lengths
     uy = ad.edges[:, 1] / ad.edge_lengths
-    tx = _prev(ux)
-    tx += ux
-    ty = _prev(uy)
-    ty += uy
-    tn = np.sqrt(tx * tx + ty * ty)
+    return ux, uy, _prev(ux), _prev(uy)
+
+
+def _tangent(ux, uy, px, py):
+    """The x and y columns of the unit vertex tangent T, u + p normalized,
+    from the columns of _unit_edges. The sum is formed in place in p's
+    arrays, which it overwrites, so no further array is made; a caller that
+    reads p does so first. The normal is N = rot90(T) = (-T_y, T_x). A cusp,
+    where u + p vanishes, is refused."""
+    px += ux
+    py += uy
+    tn = np.sqrt(px * px + py * py)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
-    return (ux, uy), (tx / tn, ty / tn)
+    return px / tn, py / tn
 
 
 def _tangent_curvature(ad: ArcData):
     """The x and y columns of the unit vertex tangent T of a measured curve,
     and its signed curvature k_i: the turning angle at vertex i, from the
-    incoming unit edge p to the outgoing one u, divided by ds_i. A cusp is
-    refused as in _unit_frames."""
-    (ux, uy), tangent = _unit_frames(ad)
-    px, py = _prev(ux), _prev(uy)
-    return tangent, np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
+    incoming unit edge p to the outgoing one u, divided by ds_i. The angle
+    reads p before _tangent sums into it, so the edges are shifted once."""
+    ux, uy, px, py = _unit_edges(ad)
+    k = np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
+    return _tangent(ux, uy, px, py), k
 
 
 def _as_field(curve: PolyCurve, field) -> np.ndarray:
@@ -295,11 +307,13 @@ def _chord_ratios(xi, yi, si, xj, yj, sj, length, shape, work, positive):
     """chord / arc for the pairs of the broadcast vertex columns (xi, yi, si)
     and (xj, yj, sj), as an array of `shape` in the work arrays: chord =
     sqrt(dx * dx + dy * dy), arc = min(gap, L - gap) with gap = s_j - s_i,
-    and inf where the gap is not positive. work holds three float arrays and
-    positive a bool one, each of at least as many entries; every operation
-    writes into them in the order of the expressions it stands for, so the
-    bits are those of evaluating the pairs afresh."""
-    size = shape[0] * shape[1]
+    and inf where the arc is not positive, that is where either the gap or
+    L - gap is not; a NaN arc is kept, and gives a NaN ratio. work holds
+    three float arrays and positive a bool one, each of at least as many
+    entries; every operation writes into them in the order of the
+    expressions it stands for, so the bits are those of evaluating the
+    pairs afresh."""
+    size = math.prod(shape)
     a, b, c = (w[:size].reshape(shape) for w in work)
     pos = positive[:size].reshape(shape)
     np.subtract(xi, xj, out=a)  # dx
@@ -311,10 +325,22 @@ def _chord_ratios(xi, yi, si, xj, yj, sj, length, shape, work, positive):
     np.subtract(sj, si, out=b)  # gap
     np.subtract(length, b, out=c)
     np.minimum(b, c, out=c)  # arc
-    np.greater(b, 0.0, out=pos)
+    np.less_equal(c, 0.0, out=pos)
+    np.logical_not(pos, out=pos)
     b.fill(np.inf)
-    np.divide(a, c, out=b, where=pos)  # ratio, inf where gap <= 0
+    np.divide(a, c, out=b, where=pos)  # ratio, inf where the arc <= 0
     return b
+
+
+def _grid_min(x, y, s, length, rows, cols, work, positive):
+    """(value, i, j) of the first minimum, in row order, of the ratios of
+    the vertices of the slice rows against those of the slice cols."""
+    ri, ci = range(x.shape[0])[rows], range(x.shape[0])[cols]
+    r = _chord_ratios(x[rows, None], y[rows, None], s[rows, None],
+                      x[None, cols], y[None, cols], s[None, cols],
+                      length, (len(ri), len(ci)), work, positive)
+    k, col = divmod(int(np.argmin(r)), len(ci))
+    return r[k, col], ri[k], ci[col]
 
 
 def _row_blocks(x, y, s, length):
@@ -326,65 +352,90 @@ def _row_blocks(x, y, s, length):
     work = np.empty((3, rows * (n - 1)))
     positive = np.empty(rows * (n - 1), dtype=bool)
     for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        shape = (i1 - i0, n - 1 - i0)
-        r = _chord_ratios(x[i0:i1, None], y[i0:i1, None], s[i0:i1, None],
-                          x[None, i0 + 1:], y[None, i0 + 1:], s[None, i0 + 1:],
-                          length, shape, work, positive)
-        k, col = divmod(int(np.argmin(r)), shape[1])
-        yield r[k, col], i0 + k, i0 + 1 + col
+        yield _grid_min(x, y, s, length, slice(i0, min(i0 + rows, n - 1)), slice(i0 + 1, n),
+                        work, positive)
+
+
+def _boxes(x, y, s, size):
+    """Per block of `size` consecutive vertices, the last one shorter if n
+    is not a multiple: the x and y bounds of its bounding box, and its first
+    and last arclength."""
+    starts = np.arange(0, x.shape[0], size)
+    ends = np.minimum(starts + size, x.shape[0]) - 1
+    lo, hi = np.minimum.reduceat, np.maximum.reduceat
+    return lo(x, starts), hi(x, starts), lo(y, starts), hi(y, starts), s[starts], s[ends]
+
+
+def _reaches(box, p, q, length, limit):
+    """True for the block pairs (p, q), p <= q, of _boxes that may hold a
+    ratio at or below limit: those whose bound, the bounding-box distance
+    over the largest arc the pair can hold, min(s_hi,q - s_lo,p,
+    L - (s_lo,q - s_hi,p), L/2), does not exceed it, NaN included."""
+    x_lo, x_hi, y_lo, y_hi, s_lo, s_hi = box
+    with np.errstate(all="ignore"):
+        dist2 = 0.0  # the squared bounding-box distance, as chord^2 is summed
+        for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
+            gap = np.maximum(np.maximum(lo[q] - hi[p], lo[p] - hi[q]), 0.0)
+            dist2 = dist2 + gap * gap
+        arc = np.minimum(s_hi[q] - s_lo[p], length - (s_lo[q] - s_hi[p]))
+        return ~(np.sqrt(dist2) / np.minimum(arc, 0.5 * length) > limit)
 
 
 def _pruned_blocks(x, y, s, length):
-    """(value, i, j) of the first minimum of each chunk of the pairs that
-    survive the block bounds, in (i, j) order. The blocks hold
-    max(16, ceil(n / 128)) consecutive vertices, so there are at most 128,
-    and a chunk is about _CHORD_BLOCK pairs: vertices against whole blocks.
-    Only for curves whose every arc is positive and finite, s[-1] < L < inf."""
+    """(value, i, j) of the minimum of each chunk of the pairs that survive
+    the two-level block bounds, at the chunk's lowest (i, j); the chunks
+    come in no (i, j) order. Only for curves whose every arc is finite,
+    L < inf, so that no ratio is NaN."""
     n = x.shape[0]
-    stride = -(-n // 128)
-    bsz = max(16, stride)
-    nb = -(-n // bsz)
-    step = max(1, _CHORD_BLOCK // bsz)
-    work = np.empty((3, max(_CHORD_BLOCK, bsz)))
+    # fine blocks of _CHORD_FINE vertices, or more from n = 16384 on, so
+    # that there are at most about 2048, and coarse ones of `ratio` of them
+    fine = max(_CHORD_FINE, -(-n * _CHORD_FINE // _CHORD_BLOCK))
+    ratio = _CHORD_COARSE // _CHORD_FINE
+    work = np.empty((3, max(_CHORD_BLOCK, n, fine * fine)))
     positive = np.empty(work.shape[1], dtype=bool)
-    # the seed: a real pair's ratio, so at least the true minimum
-    idx = np.arange(0, n, stride)
-    seed = _chord_ratios(x[idx, None], y[idx, None], s[idx, None],
-                         x[None, idx], y[None, idx], s[None, idx],
-                         length, (idx.size, idx.size), work, positive).min()
-    # block columns padded to nb * bsz: x and y with the last vertex, which
-    # leaves the bounding boxes alone, s with NaN, whose gaps are not positive
-    xp, yp, sp = (np.concatenate((v, np.full(nb * bsz - n, pad)))
-                  for v, pad in ((x, x[-1]), (y, y[-1]), (s, np.nan)))
-    xb, yb, sb = (v.reshape(nb, bsz) for v in (xp, yp, sp))
-    s_lo = s[::bsz]
-    s_hi = s[np.minimum(np.arange(1, nb + 1) * bsz, n) - 1]
-    with np.errstate(all="ignore"):
-        dist2 = 0.0  # the squared bounding-box distance, as chord^2 is summed
-        for v in (xb, yb):
-            lo, hi = v.min(axis=1), v.max(axis=1)
-            gap = np.maximum(np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :]), 0.0)
-            dist2 = dist2 + gap * gap
-        arc = np.minimum(s_hi[None, :] - s_lo[:, None], length - (s_lo[None, :] - s_hi[:, None]))
-        bound = np.sqrt(dist2) / np.minimum(arc, 0.5 * length)
-        keep = np.triu(~(bound > seed * (1.0 + 1e-9)))
-    # the units (i, J), vertex i against block J, in (i, J) order: block
-    # row I contributes its bsz vertices, each against its kept blocks
-    blk, cols = np.nonzero(keep)
-    per_row = np.bincount(blk, minlength=nb)
-    first = np.concatenate(([0], per_row.cumsum()))
-    units = bsz * first
-    for u0 in range(0, units[-1], step):
-        u = np.arange(u0, min(u0 + step, units[-1]))
-        row = np.searchsorted(units, u, side="right") - 1
-        a, c = divmod(u - units[row], per_row[row])
-        i = row * bsz + a
-        col = cols[first[row] + c]
-        r = _chord_ratios(xp[i, None], yp[i, None], sp[i, None], xb[col], yb[col], sb[col],
-                          length, (u.size, bsz), work, positive)
-        k, b = divmod(int(np.argmin(r)), bsz)
-        yield r[k, b], int(i[k]), int(col[k]) * bsz + b
+    # the seed: the best pair (i, j) of a strided sample, then the best of
+    # the window of w <= stride about it, (2 w + 1)^2 <= _CHORD_BLOCK pairs,
+    # and the best pair (i, i + 2); real pairs' ratios, so at least the
+    # true minimum
+    stride = -(-n // _CHORD_SEED)
+    _, i, j = _grid_min(x, y, s, length, slice(0, n, stride), slice(0, n, stride), work, positive)
+    w = min(stride, _CHORD_SEED - 1)
+    seed, _, _ = _grid_min(x, y, s, length, slice(max(0, i - w), i + w + 1),
+                           slice(max(0, j - w), j + w + 1), work, positive)
+    near = _chord_ratios(x[None, :-2], y[None, :-2], s[None, :-2], x[None, 2:], y[None, 2:],
+                         s[None, 2:], length, (1, n - 2), work, positive).min()
+    limit = min(seed, near) * (1.0 + 1e-9)
+    # the coarse block pairs that survive, then, a chunk of them at a time,
+    # their fine block pairs that survive
+    P, Q = np.triu_indices(-(-n // (fine * ratio)))
+    keep = _reaches(_boxes(x, y, s, fine * ratio), P, Q, length, limit)
+    P, Q = P[keep], Q[keep]
+    boxes = _boxes(x, y, s, fine)
+    nf = boxes[0].size
+    da, db = np.divmod(np.arange(ratio * ratio), ratio)
+    # the blocks padded to nf * fine vertices; an s of -inf in the rows and
+    # of +inf in the columns skips every pair with a padded vertex
+    xb, yb, sb, sr = (np.append(v, np.full(nf * fine - n, pad)).reshape(nf, fine)
+                      for v, pad in ((x, 0.0), (y, 0.0), (s, np.inf), (s, -np.inf)))
+    step, pairs = _CHORD_BLOCK // ratio ** 2, max(1, _CHORD_BLOCK // fine ** 2)
+    for c0 in range(0, P.size, step):
+        p = (ratio * P[c0:c0 + step, None] + da).ravel()
+        q = (ratio * Q[c0:c0 + step, None] + db).ravel()
+        ok = (p <= q) & (q < nf)
+        p, q = p[ok], q[ok]
+        keep = _reaches(boxes, p, q, length, limit)
+        p, q = p[keep], q[keep]
+        # the surviving fine block pairs, about _CHORD_BLOCK vertex pairs at
+        # a time, each chunk's minimum at its lowest (i, j)
+        for f0 in range(0, p.size, pairs):
+            pf, qf = p[f0:f0 + pairs], q[f0:f0 + pairs]
+            r = _chord_ratios(xb[pf, :, None], yb[pf, :, None], sr[pf, :, None],
+                              xb[qf, None], yb[qf, None], sb[qf, None],
+                              length, (pf.size, fine, fine), work, positive)
+            f, a, b = np.unravel_index(np.flatnonzero(r == r.min()), r.shape)
+            i, j = fine * pf[f] + a, fine * qf[f] + b
+            k = np.lexsort((j, i))[0]
+            yield r[f[k], a[k], b[k]], int(i[k]), int(j[k])
 
 
 def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
@@ -393,25 +444,38 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     Ties resolve to the lexicographically lowest (i, j) pair. The value lies
     in (0, 1]; small values flag near self-contact.
 
-    A pair is evaluated by _chord_ratios where its gap s_j - s_i is
-    positive: s increases, so these are the pairs j > i whose separation is
-    representable, and a pair whose gap rounds to zero is skipped. The ratio
-    is exactly symmetric, so the lowest tied (i, j) lies in that triangle.
-    Below _CHORD_PRUNE vertices every such pair is evaluated, in row blocks.
-    From there on, a strided sample of at most 128 vertices gives a seed
-    ratio U, and the vertices are cut into at most 128 contiguous blocks.
-    A block pair is skipped when its bounding-box distance over the largest
+    A pair is evaluated by _chord_ratios where its arc min(gap, L - gap),
+    with gap = s_j - s_i, is positive: s increases, so these are the pairs
+    j > i whose separation is representable. A pair whose gap rounds to
+    zero is skipped, and so is one whose gap exceeds L, which happens when
+    the last edge is shorter than the rounding gap between arc_data's two
+    sums of the edges. The ratio is exactly symmetric, so the lowest tied
+    (i, j) lies in that triangle. Below _CHORD_PRUNE vertices every such
+    pair is evaluated, in row blocks.
+
+    From there on a seed ratio U comes from three real pairs' ratios: the
+    best pair of a strided sample of at most _CHORD_SEED vertices, the best
+    of a window of up to a stride about it, and the best pair (i, i + 2),
+    where the minimum of a jagged curve often lies. The vertices are cut
+    into fine blocks of _CHORD_FINE and coarse blocks of _CHORD_COARSE. A
+    block pair is skipped when its bounding-box distance over the largest
     arc it can hold, min(s_hi,J - s_lo,I, L - (s_lo,J - s_hi,I), L/2),
-    exceeds U (1 + 1e-9). Each operation of that bound rounds monotonically,
-    so it is at most every computed ratio in the block pair, and every pair
-    that can reach the minimum, or tie it, is evaluated; the margin is a
-    further guard, and a NaN bound or seed skips nothing. The bound needs
-    every arc positive and finite, s[-1] < L < inf; a curve without that is
-    scanned in full. The evaluated pairs come in (i, j) order, in blocks of
-    about _CHORD_BLOCK pairs in work arrays allocated once per call, so
-    memory is O(n). argmin keeps the first minimum of a block, and a later
-    block wins only when strictly smaller, or NaN, which argmin over all
-    pairs would pick.
+    exceeds U (1 + 1e-9): first every coarse pair is bounded, then only the
+    fine pairs inside the coarse survivors, a chunk of them at a time. Each
+    operation of that bound rounds monotonically, so it is at most every
+    computed ratio in the block pair, and every pair that can reach the
+    minimum, or tie it, is evaluated; the margin is a further guard, and a
+    NaN bound or seed skips nothing. A block pair whose largest arc is not
+    positive holds only skipped pairs. The bound needs every arc finite,
+    L < inf; a curve without that is scanned in full, and only there can a
+    ratio be NaN. The surviving pairs are evaluated with the row scan's
+    expressions, in chunks of about _CHORD_BLOCK pairs in work arrays
+    allocated once per call, so memory is O(n). The row scan's chunks come
+    in (i, j) order, and argmin keeps the first minimum of each; a pruned
+    chunk gives its minimum at its lowest (i, j). A later chunk wins when
+    its minimum is smaller, or NaN, which argmin over all pairs would pick,
+    or equal at a lower (i, j): the pruned path's chunks do not come in
+    (i, j) order, so an exact tie resolves by that key.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -419,10 +483,11 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     y = curve.vertices[:, 1]
     s = ad.s
     L = ad.length
-    blocks = _pruned_blocks if n >= _CHORD_PRUNE and s[-1] < L < np.inf else _row_blocks
+    blocks = _pruned_blocks if n >= _CHORD_PRUNE and L < np.inf else _row_blocks
     best = None
     for value, i, j in blocks(x, y, s, L):
-        if best is None or not value >= best.value:
+        if (best is None or not value >= best.value
+                or value == best.value and (i, j) < (best.i, best.j)):
             best = ChordArcResult(value=float(value), i=i, j=j)
             if np.isnan(value):
                 break

@@ -52,9 +52,10 @@ def length_directional_derivative(curve: PolyCurve, v) -> float:
 
 def velocity(curve: PolyCurve) -> np.ndarray:
     """V = K*X - X at every vertex, without the gradient norms; the stepper's
-    stages call this."""
+    stages call this. The - X is taken in the transposed write that brings
+    the sweep's component rows back to one row per vertex."""
     ad = arc_data(curve)
-    return _convolve(ad, ad.vertices) - ad.vertices
+    return np.subtract(_convolve(ad, ad.vertices).T, ad.vertices, order="C")
 
 
 def flow_velocity(curve: PolyCurve) -> VelocityField:

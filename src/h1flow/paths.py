@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _diff, _dot, _l2ds_term, _owned, _unit_frames, arc_data
+from .curves import PolyCurve, _diff, _dot, _l2ds_term, _owned, _tangent, _unit_edges, arc_data
 from .errors import DegenerateCurve, UsageError
 
 MODES = ("full", "quotient")
@@ -102,7 +102,7 @@ def path_length_l2ds(path: CurvePath) -> float:
         v /= dt
         if path.mode == "quotient":
             # the normal component <v, N> = v_y T_x - v_x T_y
-            tx, ty = _unit_frames(left)[1]
+            tx, ty = _tangent(*_unit_edges(left))
             vn = v[:, 1] * tx - v[:, 0] * ty
             q = vn * vn
         else:

@@ -425,7 +425,15 @@ class TestChordArcBlocks:
             assert peak <= 8e6
 
     # from here on the curves are large enough for the pruned path; its
-    # blocks hold max(16, ceil(n / 128)) vertices
+    # fine and coarse blocks hold _CHORD_FINE and _CHORD_COARSE vertices
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_threshold_edges(self, shift):
+        # the row scan just below the threshold, the pruned path at and just
+        # above it, where a last fine and coarse block is a single vertex
+        n = h.curves._CHORD_PRUNE + shift
+        for c in (random_polygon(n, seed=n), h.circle(1.0, n), h.ellipse(1.0, 0.5, n)):
+            assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
 
     @pytest.mark.parametrize("lobes", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("amplitude", [0.2, 0.35])
@@ -436,28 +444,31 @@ class TestChordArcBlocks:
         assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
 
     def test_pruned_random_polygon_with_a_short_last_block(self):
-        n = 2049
-        assert n >= h.curves._CHORD_PRUNE and n % max(16, -(-n // 128)) != 0
+        n = 2045
+        assert n >= h.curves._CHORD_PRUNE
+        assert n % h.curves._CHORD_FINE != 0 and n % h.curves._CHORD_COARSE != 0
         c = random_polygon(n, seed=n)
         assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
 
     def test_pruned_minimum_in_the_last_shorter_block(self):
         # the spike of test_minimum_in_the_last_shorter_block, at vertex
-        # n - 2 of a last block of 9 vertices against 17 in the others
-        n = 2049
-        bsz = max(16, -(-n // 128))
+        # n - 2, with the minimum (n - 3, n - 1) in a last fine block of 5
+        # vertices, itself in a last coarse block of 61
+        n = 2045
+        fine, coarse = h.curves._CHORD_FINE, h.curves._CHORD_COARSE
         v = h.circle(1.0, n).vertices.copy()
         v[-2] *= 3.0
         c = h.PolyCurve(v)
-        last = (n - 1) // bsz * bsz
-        assert n >= h.curves._CHORD_PRUNE and n - last < bsz
+        last = (n - 1) // fine * fine
+        assert n >= h.curves._CHORD_PRUNE and n - last < fine and n % coarse != 0
         res = h.chord_arc_min(c)
         assert res.i >= last
         assert as_tuple(res) == dense_chord_arc(c)
 
     def test_pruned_exact_tie_across_block_pairs(self):
         # the lattice square of test_exact_tie_across_blocks_keeps_the_first_pair
-        # at m = 600: its two exact 1/2 pairs lie in different block pairs
+        # at m = 600: its two exact 1/2 pairs lie in different fine and
+        # coarse block pairs
         m = 600
         side = np.arange(m, dtype=float)
         v = np.concatenate([
@@ -467,31 +478,40 @@ class TestChordArcBlocks:
             np.stack([np.zeros(m), m - side], axis=1),
         ])
         c = h.PolyCurve(v)
-        bsz = max(16, -(-c.n // 128))
+        fine, coarse = h.curves._CHORD_FINE, h.curves._CHORD_COARSE
         first, second = (m // 2, 2 * m + m // 2), (m + m // 2, 3 * m + m // 2)
         assert c.n >= h.curves._CHORD_PRUNE
-        assert [k // bsz for k in first] != [k // bsz for k in second]
+        for size in (fine, coarse):
+            assert [k // size for k in first] != [k // size for k in second]
         res = h.chord_arc_min(c)
         assert as_tuple(res) == dense_chord_arc(c) == (0.5, *first)
         # a dumbbell of unit steps, symmetric in both axes, with its neck
         # walls y = -1, 1 at half-integer x: the chords at x = 1/2 and
-        # x = -1/2 tie exactly. They nest, (t, b + 1) around (t + 1, b), and
-        # b + 1 opens the next block, so the block pair of the first pair
-        # comes later in the row of t's block
+        # x = -1/2 tie exactly. They nest, (t, b + 1) around (t + 1, b), t
+        # and t + 1 in one fine block, and b + 1 opens the next fine and
+        # coarse block, so the first pair lies in the later block pair
         corners = [(-10.5, -1), (10.5, -1), (10.5, -60), (130.5, -60), (130.5, 60),
                    (10.5, 60), (10.5, 1), (-10.5, 1), (-10.5, 60), (-130.5, 60),
                    (-130.5, -60), (-10.5, -60)]
         v = np.concatenate([
             p + np.sign(np.subtract(q, p)) * np.arange(np.abs(np.subtract(q, p)).sum())[:, None]
             for p, q in zip(corners, corners[1:] + corners[:1])])
-        bsz = max(16, -(-len(v) // 128))
-        b = 41 * bsz - 1
+        b = (len(v) // 2 // coarse + 1) * coarse - 1
         t = b - len(v) // 2
         c = h.PolyCurve(np.roll(v, b - np.flatnonzero((v[:, 0] == -0.5) & (v[:, 1] == -1))[0],
                                 axis=0))
-        assert c.n >= h.curves._CHORD_PRUNE and t // bsz == (t + 1) // bsz
+        assert c.n >= h.curves._CHORD_PRUNE and t >= 0 and t // fine == (t + 1) // fine
         assert tuple(c.vertices[t]) == (0.5, 1) and tuple(c.vertices[b + 1]) == (0.5, -1)
         assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c) == (2 / (c.n / 2 - 1), t, b + 1)
+
+    def test_tied_minima_resolve_by_key(self, monkeypatch):
+        # the pruned path's chunks come in no (i, j) order: an exact tie
+        # goes to the lowest (i, j) whichever chunk gives it first
+        def chunks(x, y, s, length):
+            yield from ((0.75, 5, 9), (0.5, 3, 9), (0.5, 2, 11), (0.5, 2, 12), (0.5, 3, 4))
+
+        monkeypatch.setattr(h.curves, "_pruned_blocks", chunks)
+        assert as_tuple(h.chord_arc_min(h.circle(1.0, h.curves._CHORD_PRUNE))) == (0.5, 2, 11)
 
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_pruned_overflowing_coordinates(self, scale):
@@ -502,9 +522,27 @@ class TestChordArcBlocks:
             want = dense_chord_arc(c)
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_arc_beyond_the_length_skipped(self, monkeypatch, prune):
+        # a last edge of 1e-15, below the rounding gap between the two sums
+        # of arc_data, puts s[-1] past L: the pair (0, n - 1) has the shorter
+        # arc L - s[-1] < 0, and a negative ratio if it is not skipped
+        v = random_polygon(1000, seed=3).vertices.copy()
+        v[-1] = v[0] + [1e-15, 0.0]
+        c = h.PolyCurve(v)
+        ad = h.arc_data(c)
+        assert ad.s[-1] > ad.length
+        if not prune:
+            monkeypatch.setattr(h.curves, "_CHORD_PRUNE", c.n + 1)
+        res = h.chord_arc_min(c)
+        assert 0.0 < res.value <= 1.0
+        assert h.record(c, 0.0).chord_arc_min == res.value
+        monkeypatch.undo()
+        assert as_tuple(res) == as_tuple(h.chord_arc_min(c))
+
     def test_pruning_skips_most_pairs(self, monkeypatch):
-        # pairs handed to the ratio helper: at most 15 % of them on a star
-        # above the threshold (about 7 %), every one below it
+        # pairs handed to the ratio helper: at most 5 % of them on a star
+        # above the threshold (about 2.5 %), every one below it
         exact = h.curves._chord_ratios
         counted = []
 
@@ -519,9 +557,9 @@ class TestChordArcBlocks:
             return sum(counted)
 
         monkeypatch.setattr(h.curves, "_chord_ratios", counting)
-        above, below = h.star(1.0, 0.3, 5, 2048), h.star(1.0, 0.3, 5, 512)
-        assert below.n < h.curves._CHORD_PRUNE <= above.n
-        assert evaluated(above) <= 0.15 * above.n * (above.n - 1) / 2
+        above = h.star(1.0, 0.3, 5, 2048)
+        below = h.star(1.0, 0.3, 5, h.curves._CHORD_PRUNE - 1)
+        assert evaluated(above) <= 0.05 * above.n * (above.n - 1) / 2
         assert evaluated(below) >= below.n * (below.n - 1) / 2
 
 

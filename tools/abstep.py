@@ -14,6 +14,10 @@ alternating blocks, A first in the 1st, 3rd, ... block and B in the others:
 - 60 blocks per n = 64, 512 and 2048, each one chord_arc_min call on a
   measured circle of radius 1, after asserting that both trees return the
   same (value, i, j) on it;
+- 40 blocks, each the ellipse-step run on its seed-1 ellipse, built as
+  benchmarks/workloads.py builds it (a 2:1 ellipse of n = 512, rotated;
+  forward Euler, dt = 1e-3, 100 steps, a record at each end), after
+  asserting that both trees give bit-equal trajectories and records;
 - 20 blocks, each a whole circle-small batch (all ten runs of run_flow);
 - 20 blocks, each the zigzag-paths run on its seed-1 base path, built as
   benchmarks/workloads.py builds it (an n = 8192 circle translated over 65
@@ -40,6 +44,7 @@ import numpy as np
 CIRCLE_RADII = (0.5, 0.75, 1.0, 1.25, 1.5)
 SIZES, BLOCKS, STEPS, RUN_BLOCKS, CHORD_BLOCKS = (64, 512, 2048), 300, 10, 20, 60
 ZIGZAG_BLOCKS, ZIGZAG_N, ZIGZAG_FRAMES, TEETH = 20, 8192, 65, (1, 2, 4, 8)
+ELLIPSE_BLOCKS, ELLIPSE_N, ELLIPSE_DT, ELLIPSE_STEPS = 40, 512, 1e-3, 100
 
 
 def load(root, name):
@@ -83,6 +88,20 @@ def monitor(h, n):
     """A callable that runs the chord-arc monitor on a measured circle."""
     ad = h.arc_data(h.circle(1.0, n))
     return lambda: h.chord_arc_min(ad)
+
+
+def ellipse_step(h, n):
+    """A callable that runs ellipse-step on its seed-1 ellipse with n
+    vertices, as benchmarks/workloads.py builds and runs it, and returns
+    the trajectory."""
+    rng = np.random.default_rng(1)
+    aspect = 2.0 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0))
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    spec = h.GeneratorSpec(kind="ellipse", n=n, size=1.0, size_b=1.0 / aspect)
+    c, s = math.cos(angle), math.sin(angle)
+    curve = h.PolyCurve(h.generate(spec).vertices @ np.array([[c, s], [-s, c]]))
+    cfg = h.FlowConfig(dt=ELLIPSE_DT, t1=ELLIPSE_STEPS * ELLIPSE_DT, record_every=ELLIPSE_STEPS)
+    return lambda: h.run_flow(curve, cfg)
 
 
 def zigzag(h, n):
@@ -129,10 +148,11 @@ def summarise(ta, tb):
 
 
 def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=RUN_BLOCKS,
-            chord_blocks=CHORD_BLOCKS, zigzag_blocks=ZIGZAG_BLOCKS, zigzag_n=ZIGZAG_N):
+            chord_blocks=CHORD_BLOCKS, zigzag_blocks=ZIGZAG_BLOCKS, zigzag_n=ZIGZAG_N,
+            ellipse_blocks=ELLIPSE_BLOCKS, ellipse_n=ELLIPSE_N):
     """Assert bit-equal circle-small trajectories, then time the two trees;
     returns {label: summary} with labels "step n=N", "chord n=N",
-    "circle-small" and "zigzag-paths"."""
+    "ellipse-step", "circle-small" and "zigzag-paths"."""
     ha, hb = load(root_a, "h1flow_a"), load(root_b, "h1flow_b")
     for ta, tb in zip(circle_small(ha), circle_small(hb)):
         if _key(ta) != _key(tb):
@@ -146,6 +166,11 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=
         if repr(run_a()) != repr(run_b()):
             raise AssertionError(f"the two trees give different chord-arc minima at n={n}")
         out[f"chord n={n}"] = summarise(*interleave(run_a, run_b, chord_blocks))
+    if ellipse_blocks:
+        run_a, run_b = ellipse_step(ha, ellipse_n), ellipse_step(hb, ellipse_n)
+        if _key(run_a()) != _key(run_b()):
+            raise AssertionError("the two trees give different ellipse-step trajectories")
+        out["ellipse-step"] = summarise(*interleave(run_a, run_b, ellipse_blocks))
     if run_blocks:
         out["circle-small"] = summarise(*interleave(lambda: circle_small(ha),
                                                     lambda: circle_small(hb), run_blocks))
@@ -159,8 +184,8 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, run_blocks=
 
 def print_table(out, steps=STEPS) -> None:
     """The summaries of compare, a step (out of blocks of `steps` steps) and
-    a monitor call in microseconds, a circle-small batch and a zigzag-paths
-    run in milliseconds."""
+    a monitor call in microseconds, an ellipse-step run, a circle-small
+    batch and a zigzag-paths run in milliseconds."""
     print("circle-small trajectories: bit-equal")
     print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}")
     for label, s in out.items():

@@ -17,8 +17,9 @@ Groups:
 - zigzag: the quotient and full lengths of conftest's zigzag_lengths;
 - scalars: reference values of the geometry, kernel, gradient, diagnostics
   and path functions on a star (n = 256) and an ellipse (n = 200) with
-  seeded random fields, and the vertices of squares and barbells at a few
-  (n, size, neck);
+  seeded random fields, the vertices of squares and barbells at a few
+  (n, size, neck), and convolve_kernel with k = 1, 2 and 3 components on
+  an n = 512 star scaled to lengths 500 and 1000, the segmented sweep;
 - cli: exit code, stdout and output files of the README commands, every
   argv in tests/test_cli.py and further error cases;
 - stderr: the stderr of the same invocations.
@@ -288,6 +289,16 @@ def reference_scalars() -> dict:
                             (2.0, 1e-6, 201), (3.0, 2.99, 1001)):
         out[f"barbell({radius}, {neck}, {n})"] = h.barbell(radius, neck, n).vertices
     out["CSV_COLUMNS"] = h.CSV_COLUMNS
+    # the segmented sweep: an n = 512 star scaled to L = 5e2 (one cut) and
+    # 1e3 (three cuts), with fields of k = 1, 2 and 3 components
+    star = h.star(1.0, 0.3, 5, 512)
+    for length in (5e2, 1e3):
+        c = h.PolyCurve(star.vertices * (length / h.total_length(star)))
+        fields = (np.ones(c.n), rng.standard_normal((c.n, 2)),
+                  np.column_stack([c.vertices, np.ones(c.n)]))
+        for f in fields:
+            k = 1 if f.ndim == 1 else f.shape[1]
+            out[f"convolve_kernel(star L={length:g}, k={k})"] = h.convolve_kernel(c, f)
     return out
 
 
