@@ -44,14 +44,16 @@ from .errors import DegenerateCurve
 # rows = _CHORD_BLOCK // n, stays under glibc's 128 KiB mmap threshold, so
 # it is never mapped afresh
 _CHORD_BLOCK = 16384
-# vertex count from which chord_arc_min prunes block pairs. In-process, best
-# of 15 alternating calls, on a circle, a 5-lobed star and a 2:1 ellipse
-# (2-vCPU Xeon): the row scan took 0.49-0.51, 1.05-1.06 and 1.72-1.73 ms at
-# n = 256, 384 and 512, the pruned path 0.49-0.66, 0.58-0.84 and
-# 0.68-0.94 ms. Its seed and bounds are a fixed cost: the two are about
-# even at 256, and pruning wins from 384 on, by 1.8x or more at 512; the
-# threshold leaves the row scan to the curves that cost it 1 ms or less
-_CHORD_PRUNE = 512
+# vertex count from which chord_arc_min prunes block pairs: the smallest n
+# at which pruning is not slower on a circle, a 5-lobed star, a 2:1 ellipse,
+# a square and a barbell. Pruned / row time, in-process, best of 7
+# alternating runs of 200 calls (2-vCPU Xeon), over two to four sets:
+# 0.99-1.56 at n = 224, 0.73-1.37 at 256, 0.64-1.04 at 272, 0.59-0.98 at
+# 288, 0.52-0.98 at 320, 0.43-0.86 at 352 (one set read 1.12 on the
+# circle) and 0.38-0.74 at 384. The circle is the slowest case: 1.03-1.04
+# at 272, 0.93-0.98 at 288, where its row scan takes about 0.5 ms; the
+# seed and the bounds are a fixed cost
+_CHORD_PRUNE = 288
 # vertices per fine and per coarse block of the pruned path (the fine ones
 # grow past n = 16384, so that there are at most about 2048), and the size
 # of its strided seed sample
@@ -472,10 +474,12 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     expressions, in chunks of about _CHORD_BLOCK pairs in work arrays
     allocated once per call, so memory is O(n). The row scan's chunks come
     in (i, j) order, and argmin keeps the first minimum of each; a pruned
-    chunk gives its minimum at its lowest (i, j). A later chunk wins when
-    its minimum is smaller, or NaN, which argmin over all pairs would pick,
-    or equal at a lower (i, j): the pruned path's chunks do not come in
-    (i, j) order, so an exact tie resolves by that key.
+    chunk gives its minimum at its lowest (i, j). The chunk minima reduce by
+    one min over the key (not NaN, value, i, j). A NaN, which argmin over
+    all pairs would pick, comes first; only the row scan gives one, and min
+    keeps its first NaN chunk, which holds the lowest NaN pair. An exact tie
+    resolves to the lower (i, j), as the pruned path's chunks come in no
+    (i, j) order.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -484,11 +488,5 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     s = ad.s
     L = ad.length
     blocks = _pruned_blocks if n >= _CHORD_PRUNE and L < np.inf else _row_blocks
-    best = None
-    for value, i, j in blocks(x, y, s, L):
-        if (best is None or not value >= best.value
-                or value == best.value and (i, j) < (best.i, best.j)):
-            best = ChordArcResult(value=float(value), i=i, j=j)
-            if np.isnan(value):
-                break
-    return best
+    value, i, j = min(blocks(x, y, s, L), key=lambda c: (not np.isnan(c[0]), c[0], c[1], c[2]))
+    return ChordArcResult(value=float(value), i=i, j=j)

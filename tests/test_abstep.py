@@ -1,7 +1,8 @@
 """tools/abstep.py: the interleaved A/B of two source trees, on this tree
-against itself and against a copy whose velocity is off by one part in 1e15."""
+against itself and against copies whose velocity is off by one part in 1e15."""
 import importlib.util
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,15 @@ _SPEC = importlib.util.spec_from_file_location("abstep", ROOT / "tools" / "abste
 abstep = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(abstep)
 
+WORKLOADS = {"ellipse-step": 2, "star-record": 2}
+
 
 def test_tree_against_itself():
-    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, run_blocks=1,
-                         chord_blocks=8, zigzag_blocks=2, zigzag_n=64, ellipse_blocks=2,
-                         ellipse_n=64)
-    assert list(out) == ["step n=16", "chord n=16", "ellipse-step", "circle-small",
-                         "zigzag-paths"]
+    package = sys.modules.get("h1flow")
+    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, chord_blocks=8,
+                         workloads=WORKLOADS)
+    assert sys.modules.get("h1flow") is package
+    assert list(out) == ["step n=16", "chord n=16", "ellipse-step", "star-record"]
     for s in out.values():
         assert 0.5 < s["ratio"] < 2.0
         assert s["q1"] <= s["ratio"] <= s["q3"]
@@ -26,16 +29,16 @@ def test_tree_against_itself():
 
 
 def test_table(capsys):
-    abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1, run_blocks=0,
-                                      chord_blocks=4, zigzag_blocks=1, zigzag_n=64,
-                                      ellipse_blocks=1, ellipse_n=64), steps=1)
+    abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1,
+                                      chord_blocks=4, workloads=dict.fromkeys(WORKLOADS, 1)),
+                       steps=1)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "circle-small trajectories: bit-equal"
+    assert lines[0] == "workload outputs: bit-equal, checks passed"
     assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower"]
     assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 6
     chord = lines[3].split()
     assert chord[:2] == ["chord", "n=16"] and chord[2].endswith("us")
-    for line, label in zip(lines[4:], ("ellipse-step", "zigzag-paths")):
+    for line, label in zip(lines[4:], WORKLOADS):
         assert line.split()[0] == label and line.split()[1].endswith("ms")
 
 
@@ -51,14 +54,25 @@ def _scaled_copy(tmp_path, min_n):
     return tmp_path
 
 
+def _refused(tmp_path, min_n, workloads):
+    """compare against the copy of _scaled_copy(min_n) is refused on the
+    last of the named workloads, and leaves sys.modules["h1flow"] as it was."""
+    package = sys.modules.get("h1flow")
+    with pytest.raises(AssertionError, match=f"different {workloads[-1]} outputs"):
+        abstep.compare(ROOT, _scaled_copy(tmp_path, min_n), sizes=(),
+                       workloads=dict.fromkeys(workloads, 1))
+    assert sys.modules.get("h1flow") is package
+
+
 def test_different_trajectories_refused(tmp_path):
-    with pytest.raises(AssertionError, match="different circle-small trajectories"):
-        abstep.compare(ROOT, _scaled_copy(tmp_path, 0), sizes=(), run_blocks=0,
-                       zigzag_blocks=0, ellipse_blocks=0)
+    _refused(tmp_path, 0, ["circle-small"])
 
 
 def test_different_ellipse_step_refused(tmp_path):
     # the copy differs only above circle-small's n = 64
-    with pytest.raises(AssertionError, match="different ellipse-step trajectories"):
-        abstep.compare(ROOT, _scaled_copy(tmp_path, 65), sizes=(), run_blocks=0,
-                       zigzag_blocks=0, ellipse_blocks=1, ellipse_n=128)
+    _refused(tmp_path, 65, ["circle-small", "ellipse-step"])
+
+
+def test_different_star_record_refused(tmp_path):
+    # the copy differs only from n = 1024, above ellipse-step's n = 512
+    _refused(tmp_path, 1024, ["ellipse-step", "star-record"])

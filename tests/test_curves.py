@@ -285,16 +285,17 @@ class TestNorms:
 
 def dense_chord_arc(curve):
     """The n x n form of chord_arc_min: the reference its row blocks must
-    reproduce bit for bit, ties included."""
+    reproduce bit for bit, ties included. A pair whose shorter arc is not
+    positive is skipped, as _chord_ratios skips it, the diagonal among them;
+    a NaN arc is kept."""
     ad = h.arc_data(curve)
     v = curve.vertices
     diff = v[:, None, :] - v[None, :, :]
     chord = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     gap = np.abs(ad.s[:, None] - ad.s[None, :])
     arc = np.minimum(gap, ad.length - gap)
-    np.fill_diagonal(arc, 1.0)
-    np.fill_diagonal(chord, 2.0)  # ratio 2 > any off-diagonal value
-    ratio = chord / arc
+    np.fill_diagonal(arc, 0.0)
+    ratio = np.divide(chord, arc, out=np.full_like(arc, np.inf), where=~(arc <= 0.0))
     i, j = divmod(int(np.argmin(ratio)), curve.n)
     return float(ratio[i, j]), i, j
 
@@ -380,8 +381,9 @@ class TestChordArcBlocks:
     def test_exact_tie_across_blocks_keeps_the_first_pair(self):
         # lattice square of side m through unit steps: s and L are exact
         # integers, and exactly the two mid-side pairs reach chord / arc =
-        # m / 2m = 1/2, one in each of two different row blocks
-        m = 100
+        # m / 2m = 1/2, one in each of two different row blocks of the row
+        # scan
+        m = 64
         side = np.arange(m, dtype=float)
         v = np.concatenate([
             np.stack([side, np.zeros(m)], axis=1),
@@ -391,16 +393,15 @@ class TestChordArcBlocks:
         ])
         c = h.PolyCurve(v)
         rows = 16384 // c.n
-        assert (m // 2) // rows != (m + m // 2) // rows
+        assert c.n < h.curves._CHORD_PRUNE and (m // 2) // rows != (m + m // 2) // rows
         res = h.chord_arc_min(c)
         assert as_tuple(res) == dense_chord_arc(c) == (0.5, m // 2, 2 * m + m // 2)
 
     def test_edge_below_the_arclength_ulp(self):
         # s_1 = s_2 = 1, so the pair (1, 2) has no representable gap and is
-        # skipped; the dense reference divides by that zero gap, so the
-        # value is compared with the literal
+        # skipped, by the dense reference too
         c = h.PolyCurve([[0, 0], [1, 0], [1, 1e-17], [1, 1], [0, 1]])
-        assert as_tuple(h.chord_arc_min(c)) == (math.sqrt(2.0) / 2.0, 0, 3)
+        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c) == (math.sqrt(2.0) / 2.0, 0, 3)
         assert h.record(c, 0.0).chord_arc_min == math.sqrt(2.0) / 2.0
 
     @pytest.mark.parametrize("scale", [1e155, 1e300])
@@ -430,7 +431,7 @@ class TestChordArcBlocks:
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_threshold_edges(self, shift):
         # the row scan just below the threshold, the pruned path at and just
-        # above it, where a last fine and coarse block is a single vertex
+        # above it, where a last fine block is a single vertex
         n = h.curves._CHORD_PRUNE + shift
         for c in (random_polygon(n, seed=n), h.circle(1.0, n), h.ellipse(1.0, 0.5, n)):
             assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
@@ -513,6 +514,15 @@ class TestChordArcBlocks:
         monkeypatch.setattr(h.curves, "_pruned_blocks", chunks)
         assert as_tuple(h.chord_arc_min(h.circle(1.0, h.curves._CHORD_PRUNE))) == (0.5, 2, 11)
 
+    def test_first_nan_chunk_wins(self, monkeypatch):
+        # a NaN chunk comes before every value, as argmin over all pairs
+        # would pick it, and the first of two is kept
+        def chunks(x, y, s, length):
+            yield from ((0.5, 0, 3), (math.nan, 4, 9), (0.25, 5, 6), (math.nan, 7, 8))
+
+        monkeypatch.setattr(h.curves, "_row_blocks", chunks)
+        assert repr(as_tuple(h.chord_arc_min(h.circle(1.0, 16)))) == "(nan, 4, 9)"
+
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_pruned_overflowing_coordinates(self, scale):
         # the cases of test_overflowing_coordinates at n = 2048
@@ -538,7 +548,7 @@ class TestChordArcBlocks:
         assert 0.0 < res.value <= 1.0
         assert h.record(c, 0.0).chord_arc_min == res.value
         monkeypatch.undo()
-        assert as_tuple(res) == as_tuple(h.chord_arc_min(c))
+        assert as_tuple(res) == as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
 
     def test_pruning_skips_most_pairs(self, monkeypatch):
         # pairs handed to the ratio helper: at most 5 % of them on a star
