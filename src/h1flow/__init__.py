@@ -13,14 +13,12 @@ from types import ModuleType as _ModuleType
 from .curves import (
     ArcData,
     ChordArcResult,
-    FieldNorms,
     FrameData,
     PolyCurve,
     arc_data,
     chord_arc_min,
     edge_lengths,
     frame_data,
-    norms,
     signed_area,
     sup_norm,
     total_length,

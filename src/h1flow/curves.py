@@ -3,17 +3,15 @@
 A curve is an ordered list of planar vertices with the closing edge implicit;
 PolyCurve keeps one read-only copy of its input.
 Everything here is a pure function of the vertex array: arclength data, area,
-tangent/normal frames, discrete curvature, field norms in the du and ds
-measures, and the chord-arc embeddedness monitor. The ArcData of arc_data is
-itself a curve, accepted in the curve's place, so a state is measured once;
-its cumulative arclength s is computed on first use, since only the kernel
-and the chord-arc monitor read it. arc_data measures a PolyCurve's vertices
-in place and checks and copies any other input through PolyCurve. The flow,
-which checks and owns its stepped arrays, makes them curves through _owned,
-with no copy and no second check.
+tangent/normal frames, discrete curvature, the sup norm, and the chord-arc
+embeddedness monitor. The ArcData of arc_data is itself a curve, accepted in
+the curve's place, so a state is measured once; its cumulative arclength s is
+computed on first use, since only the kernel and the chord-arc monitor read
+it. arc_data measures a PolyCurve's vertices in place and checks and copies
+any other input through PolyCurve. The flow, which checks and owns its stepped
+arrays, makes them curves through _owned, with no copy and no second check.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
-that callers form once by _dot; norms, gradient's inner products and paths
-use them.
+that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
 in the one shifted copy that _next or _prev makes, so each costs one new
 array. _unit_edges forms the outgoing unit edges u and, shifted once, the
@@ -115,15 +113,6 @@ class FrameData:
     tangent: np.ndarray
     normal: np.ndarray
     curvature: np.ndarray
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    linf: float
-    l2_du: float
-    l2_ds: float
-    h1_du: float
-    h1_ds: float
 
 
 @dataclass(frozen=True)
@@ -277,30 +266,6 @@ def _edge_term(ad: ArcData, q: np.ndarray) -> float:
     return float((q / ad.edge_lengths).sum())
 
 
-def norms(curve: PolyCurve, field) -> FieldNorms:
-    """Norms of a per-vertex planar field in the five metrics.
-
-    du uses the uniform weight 1/n; ds uses the arclength weights. Derivative
-    terms are per-edge difference quotients weighted by the respective edge
-    measure, so the H1 entries are sqrt(L2^2 + derivative part).
-    """
-    f = _as_field(curve, field)
-    n = curve.n
-    mag2 = _dot(f, f)
-    linf = float(np.sqrt(mag2.max()))
-    l2_du_sq = mag2.sum() / n
-    l2_du = float(np.sqrt(l2_du_sq))
-    df = _diff(f)
-    dmag2 = _dot(df, df)
-    # du edge measure 1/n, difference quotient df * n
-    h1_du = float(np.sqrt(l2_du_sq + n * dmag2.sum()))
-    ad = arc_data(curve)
-    l2_ds_sq = _l2ds_term(ad, mag2)
-    l2_ds = float(np.sqrt(l2_ds_sq))
-    h1_ds = float(np.sqrt(l2_ds_sq + _edge_term(ad, dmag2)))
-    return FieldNorms(linf=linf, l2_du=l2_du, l2_ds=l2_ds, h1_du=h1_du, h1_ds=h1_ds)
-
-
 def sup_norm(curve: PolyCurve) -> float:
     return float(_norm(curve.vertices).max())
 
@@ -444,7 +409,8 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     """Minimum over vertex pairs of chord length / shorter-arc separation.
 
     Ties resolve to the lexicographically lowest (i, j) pair. The value lies
-    in (0, 1]; small values flag near self-contact.
+    in [0, 1]: 0 means self-contact, two vertices that coincide, and small
+    values flag near self-contact.
 
     A pair is evaluated by _chord_ratios where its arc min(gap, L - gap),
     with gap = s_j - s_i, is positive: s increases, so these are the pairs

@@ -12,7 +12,8 @@ profile, passes once through _measure, which returns its arclength data or
 refuses it. It measures the array it is given, with no copy: one pass finds
 the largest coordinate, which refuses a non-finite state, and the array then
 becomes a curve through curves._owned, marked read-only in place, which
-arc_data measures. The Euler and RK4 steppers are internal to run_flow.
+arc_data measures. Euler and RK4 are one stage loop, _advance, over the
+table _TABLEAUX, internal to run_flow.
 Every state a run keeps, and its record, come from _kept, which forms and
 measures the rescaled profile when asked and keeps the measured vertices
 without a copy; asymptotic_profile applies the same _kept to a finished
@@ -35,7 +36,12 @@ from .diagnostics import DiagnosticsRecord, record
 from .errors import DegenerateCurve, RuntimeFailure
 from .gradient import velocity
 
-METHODS = ("euler", "rk4")
+# method -> (step divisor d, a (c, w) pair per stage after the first): a
+# stage's velocity k is taken at X + (c h) k_prev, and the step is
+# X + (h / d) (k_1 + sum w k). The row holds d, not 1/d: h / 6 and h * (1/6)
+# round differently.
+_TABLEAUX = {"euler": (1.0, ()), "rk4": (6.0, ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)))}
+METHODS = tuple(_TABLEAUX)
 # Coordinates below this bound have edges below 2^501, whose squared norms
 # stay under 2^1003: measuring them cannot overflow.
 _NO_OVERFLOW = 2.0 ** 500
@@ -124,17 +130,17 @@ def _measure(X: np.ndarray) -> ArcData:
 
 
 def _advance(ad: ArcData, h: float, method: str) -> np.ndarray:
-    """One Euler or classical RK4 step from a measured state to bare
-    vertices; h may be negative. Each RK4 stage state is measured, and so
-    applies the kernel of its own curve, before its velocity is taken."""
+    """One step of the method's _TABLEAUX row from a measured state to bare
+    vertices; h may be negative. Each further stage state X + (c h) k is
+    measured, and so applies the kernel of its own curve, before its
+    velocity is taken; the weighted velocities are summed left to right."""
     X = ad.vertices
-    k1 = velocity(ad)
-    if method == "euler":
-        return X + h * k1
-    k2 = velocity(_measure(X + 0.5 * h * k1))
-    k3 = velocity(_measure(X + 0.5 * h * k2))
-    k4 = velocity(_measure(X + h * k3))
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    d, stages = _TABLEAUX[method]
+    k = total = velocity(ad)
+    for c, w in stages:
+        k = velocity(_measure(X + c * h * k))
+        total = total + w * k
+    return X + (h / d) * total
 
 
 def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, DiagnosticsRecord]:

@@ -5,9 +5,10 @@ positive kernel K = -G, the discrete scheme as written, with no linear solve.
 The centered form V = K*X - (K*1) X, from the same sweep, is translation
 invariant; the two differ by the row-quadrature defect times |X|. The inner
 products and the first variation of length weight products formed once with
-the curves module's _dot by its L2(ds) sum and edge term, which norms shares.
-The squared H1(ds) norm of the velocity, and the record's L2(ds) norm of the
-curve, are these inner products of a field with itself.
+the curves module's _dot by its L2(ds) sum and edge term. The field norms in
+H1(ds) and L2(ds) are these inner products of a field with itself, the
+squared H1(ds) norm of the velocity and the record's L2(ds) norm of the
+curve among them.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ length functional integrates the L2(ds) speed with a left-endpoint rule; in
 quotient mode the velocity is first projected onto the left frame's normals,
 which is what makes reparametrization-heavy paths cheap and underlies the
 vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
-L2(ds) sum of the curves module, the one that gradient and norms use, of
-|v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
+L2(ds) sum of the curves module, the one that gradient's inner products use,
+of |v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
 
 A path's frames are checked once, when it is built, for a positive squared
 length of every edge; as_mode relabels the same frames. A path length

@@ -1,4 +1,4 @@
-"""Geometry layer: polygon validation, arclength data, frames, norms."""
+"""Geometry layer: polygon validation, arclength data, frames, field norms."""
 import math
 import tracemalloc
 
@@ -252,31 +252,30 @@ class TestFrames:
 
 
 class TestNorms:
+    # the field norms are the inner products of gradient with the field itself
     def test_constant_field(self):
         c = h.circle(1.0, 128)
         L = h.total_length(c)
         f = np.tile([3.0, 4.0], (128, 1))
-        nm = h.norms(c, f)
-        assert nm.linf == pytest.approx(5.0)
-        assert nm.l2_du == pytest.approx(5.0)
-        assert nm.l2_ds == pytest.approx(5.0 * math.sqrt(L), rel=1e-13)
-        # derivative part vanishes
-        assert nm.h1_du == pytest.approx(nm.l2_du)
-        assert nm.h1_ds == pytest.approx(nm.l2_ds)
+        assert math.sqrt(h.l2ds_inner(c, f, f)) == pytest.approx(5.0 * math.sqrt(L), rel=1e-13)
+        # the derivative part vanishes
+        assert h.h1ds_inner(c, f, f) == h.l2ds_inner(c, f, f)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         c = h.star(1.0, 0.3, 5, 64)
         f = rng.standard_normal((64, 2))
-        a = h.norms(c, f)
-        b = h.norms(c, 2.5 * f)
-        for name in ("linf", "l2_du", "l2_ds", "h1_du", "h1_ds"):
-            assert getattr(b, name) == pytest.approx(2.5 * getattr(a, name), rel=1e-12)
+        for inner in (h.l2ds_inner, h.h1ds_inner):
+            norm = math.sqrt(inner(c, f, f))
+            assert math.sqrt(inner(c, 2.5 * f, 2.5 * f)) == pytest.approx(2.5 * norm, rel=1e-12)
 
     def test_field_shape_checked(self):
         c = h.circle(1.0, 32)
-        with pytest.raises(ValueError):
-            h.norms(c, np.zeros((31, 2)))
+        good, bad = np.zeros((32, 2)), np.zeros((31, 2))
+        for inner in (h.l2ds_inner, h.h1ds_inner):
+            for v, w in ((bad, good), (good, bad), (bad.T, good), (good, good[:, :1])):
+                with pytest.raises(ValueError, match=r"field must have shape \(32, 2\)"):
+                    inner(c, v, w)
 
     def test_sup_norm(self):
         c = h.PolyCurve(h.circle(1.0, 64).vertices + np.array([10.0, 0.0]))
@@ -312,6 +311,21 @@ def as_tuple(res):
     return res.value, res.i, res.j
 
 
+def both_paths(monkeypatch, curve):
+    """chord_arc_min of the curve by the row scan and by the pruned path, as
+    tuples: each path is pinned by moving _CHORD_PRUNE past n or onto it."""
+    out = []
+    for threshold in (curve.n + 1, curve.n):
+        monkeypatch.setattr(h.curves, "_CHORD_PRUNE", threshold)
+        out.append(as_tuple(h.chord_arc_min(curve)))
+    monkeypatch.undo()
+    return out
+
+
+# two triangles that share the vertex (0, 0), visited twice
+SELF_CONTACT = h.PolyCurve([[0, 0], [1, 0], [1, 1], [0, 0], [-1, 0], [-1, -1]])
+
+
 class TestChordArc:
     def test_circle_minimum_at_antipodes(self):
         n = 512
@@ -328,6 +342,11 @@ class TestChordArc:
         for c in (h.circle(1.0, 64), h.star(1.0, 0.3, 5, 64), h.barbell(1.0, 0.25, 200)):
             v = h.chord_arc_min(c).value
             assert 0.0 < v <= 1.0
+
+    def test_self_contact_is_zero(self):
+        assert as_tuple(h.chord_arc_min(SELF_CONTACT)) == (0.0, 0, 3)
+        rec = h.record(SELF_CONTACT, 0.0)
+        assert rec.chord_arc_min == 0.0 and not rec.embeddedness_ok
 
     def test_near_contact_detected(self):
         # thin neck: chord 2h across a long detour
@@ -350,18 +369,20 @@ class TestChordArcBlocks:
 
     @pytest.mark.parametrize("curve", [unit_square4(), h.square(1.0, 8),
                                        h.star(1.0, 0.3, 5, 300),
-                                       h.barbell(1.0, 0.05, 400)],
-                             ids=["square4", "square8", "star", "barbell"])
-    def test_shapes(self, curve):
-        assert as_tuple(h.chord_arc_min(curve)) == dense_chord_arc(curve)
+                                       h.barbell(1.0, 0.05, 400), SELF_CONTACT],
+                             ids=["square4", "square8", "star", "barbell", "self_contact"])
+    def test_shapes(self, monkeypatch, curve):
+        want = dense_chord_arc(curve)
+        assert both_paths(monkeypatch, curve) == [want, want]
 
-    # n = 16384 // k - 1, 16384 // k, 16384 // k + 1: block edges just
-    # before, at and after a row
+    # n = 16384 // k - 1, 16384 // k, 16384 // k + 1: the row scan's block
+    # edges just before, at and after a row; each n runs both paths
     @pytest.mark.parametrize("n", [n for k in (16, 37, 64, 100)
                                    for n in (16384 // k - 1, 16384 // k, 16384 // k + 1)])
-    def test_random_polygons_at_block_edges(self, n):
+    def test_random_polygons_at_block_edges(self, monkeypatch, n):
         c = random_polygon(n, seed=n)
-        assert as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
+        want = dense_chord_arc(c)
+        assert both_paths(monkeypatch, c) == [want, want]
 
     @pytest.mark.parametrize("n", [700, 999, 1000])
     def test_minimum_in_the_last_shorter_block(self, n):

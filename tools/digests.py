@@ -261,7 +261,6 @@ def reference_scalars() -> dict:
             "arc_data": (ad.s, ad.ds, ad.length, ad.edges, ad.edge_lengths),
             "signed_area": h.signed_area(c),
             "frame_data": (fd.tangent, fd.normal, fd.curvature),
-            "norms": repr(h.norms(c, v)),
             "sup_norm": h.sup_norm(c), "chord_arc_min": repr(h.chord_arc_min(c)),
             "flow_velocity": (vel.velocity, vel.grad_norm_sq_h1ds,
                               math.sqrt(h.l2ds_inner(c, vel.velocity, vel.velocity))),
