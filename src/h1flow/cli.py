@@ -176,8 +176,9 @@ def _cmd_distance(args) -> int:
         frames = tuple(PolyCurve(base.vertices + np.array([3.0 * tk, 0.0])) for tk in t)
         path = zigzag_path(CurvePath(frames=frames, mode="full"), args.teeth)
         label = f"zigzag teeth={args.teeth} frames={len(path.frames)}"
-    full = path_length_l2ds(path)
+    # the quotient walk gives the full length too
     quot = path_length_l2ds(as_mode(path, "quotient"))
+    full = path_length_l2ds(path)
     print(f"{label} full={_fmt(full)} quotient={_fmt(quot)}")
     if args.out_json:
         write_json(path_to_json(path), args.out_json)

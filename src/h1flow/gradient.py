@@ -28,11 +28,13 @@ class VelocityField:
 
 
 def h1ds_inner(curve: PolyCurve, v, w) -> float:
-    """sum_i <v_i, w_i> ds_i + sum_edges <dv/de, dw/de> e, with e the edge length."""
+    """sum_i <v_i, w_i> ds_i + sum_edges <dv/de, dw/de> e, with e the edge length.
+    When w is v, the edge differences are formed once."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     ad = arc_data(curve)
-    return _l2ds_term(ad, _dot(v, w)) + _edge_term(ad, _dot(_diff(v), _diff(w)))
+    dv = _diff(v)
+    return _l2ds_term(ad, _dot(v, w)) + _edge_term(ad, _dot(dv, dv if w is v else _diff(w)))
 
 
 def l2ds_inner(curve: PolyCurve, v, w) -> float:

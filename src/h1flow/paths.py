@@ -8,25 +8,35 @@ vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
 L2(ds) sum of the curves module, the one that gradient's inner products use,
 of |v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
 
-A path's frames are checked once, when it is built, for a positive squared
-length of every edge; as_mode relabels the same frames. A path length
-measures each left frame once (its ArcData, whose arclength s it never
-reads) and, in quotient mode, takes the normal component from the columns
-of the unit tangent that frame_data uses.
+A path built from explicit frames keeps them in a tuple and checks them
+once, when it is built, for a positive squared length of every edge. The
+three families keep their recipe instead (the base columns with the
+schedule, the scale, or the twist), and their frames are a read-only
+sequence that forms frame k when it is read and checks it as it measures
+it, so a path's memory does not grow with its frame count. A length is one
+pairwise walk over the frames: each frame is formed once and each left
+frame measured once (its ArcData, whose arclength s it never reads). A
+quotient walk also sums the full speed from the same v and ds, and takes
+the normal component from the columns of the unit tangent that frame_data
+uses; a full walk never forms the tangent, so a cusp fails only the
+quotient length. The path keeps the lengths it has walked, shared with its
+as_mode copies, which relabel the same frames.
 
-The three families build each frame as a blend of finite vertices and make
-it a curve in place through curves._owned, with no copy (_blended). Such a
-blend cannot overflow while every coordinate is at most _BLEND_SAFE
-(DBL_MAX / 2), so one maximum over the source coordinates replaces the
-frames' finiteness checks; above it each frame is checked. zigzag_path
-gathers both base frames of a blend from one x and one y column of all the
-base frames, and writes the blend into the frame's own array.
+The families form each frame as a blend of finite vertices, in a fresh
+C-ordered (n, 2) array that becomes a curve in place through
+curves._owned, with no copy. Such a blend cannot overflow while every
+coordinate is at most _BLEND_SAFE (DBL_MAX / 2), so one maximum over the
+source coordinates replaces the frames' finiteness checks; above it every
+frame is formed and checked when the path is built, and the path keeps
+them in a tuple (_generated). zigzag_path gathers both base frames of a
+blend from one x and one y column of all the base frames.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,23 +49,56 @@ MODES = ("full", "quotient")
 _BLEND_SAFE = np.finfo(float).max / 2
 
 
+class _Frames(Sequence):
+    """The frames of a generated path, formed on demand: frame k is the
+    curve of form(k), a fresh C-ordered float (n, 2) array of finite
+    vertices, measured as it is formed. The measurement is its check: a
+    frame with an edge of zero length raises DegenerateCurve. An index
+    reads one frame, negative ones included, and a slice a tuple of them;
+    each read forms its frames afresh."""
+
+    def __init__(self, count: int, form):
+        self._count = count
+        self._form = form
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k):
+        at = range(self._count)[k]
+        return tuple(map(self._frame, at)) if isinstance(at, range) else self._frame(at)
+
+    def __iter__(self):
+        return map(self._frame, range(self._count))
+
+    def _frame(self, k: int) -> PolyCurve:
+        try:
+            return arc_data(_owned(self._form(k)))
+        except DegenerateCurve:
+            raise DegenerateCurve("degenerate frame in path") from None
+
+
 @dataclass(frozen=True)
 class CurvePath:
-    frames: tuple
+    frames: Sequence
     mode: str = "full"
+    # the walked lengths by mode, shared with the as_mode copies
+    _lengths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) < 2:
-            raise ValueError("a path needs at least 2 frames")
-        n = frames[0].n
-        for f in frames:
-            if f.n != n:
-                raise UsageError(f"frame with {f.n} vertices among n = {n}")
-            # the squared lengths: sqrt is monotone and maps 0 to 0
-            e = _diff(f.vertices)
-            if _dot(e, e).min() <= 0.0:
-                raise DegenerateCurve("degenerate frame in path")
+        frames = self.frames
+        if not isinstance(frames, _Frames):
+            frames = tuple(frames)
+            if len(frames) < 2:
+                raise ValueError("a path needs at least 2 frames")
+            n = frames[0].n
+            for f in frames:
+                if f.n != n:
+                    raise UsageError(f"frame with {f.n} vertices among n = {n}")
+                # the squared lengths: sqrt is monotone and maps 0 to 0
+                e = _diff(f.vertices)
+                if _dot(e, e).min() <= 0.0:
+                    raise DegenerateCurve("degenerate frame in path")
         _check_mode(self.mode)
         object.__setattr__(self, "frames", frames)
 
@@ -69,59 +112,82 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def _blended(verts: np.ndarray, scale: float) -> PolyCurve:
-    """The frame whose vertices are verts, a fresh float (n, 2) array that
-    the caller blended, with weights in [0, 1] summing to 1, from the
-    vertices of finite curves at most scale in magnitude: made a curve in
-    place through _owned, with no copy. Up to _BLEND_SAFE the blend cannot
-    overflow; above it the frame is checked, and refused as PolyCurve
-    refuses a non-finite one."""
-    if scale > _BLEND_SAFE and not np.isfinite(verts).all():
-        raise ValueError("vertices must be finite")
-    return _owned(verts)
+def _generated(count: int, form, scale: float) -> CurvePath:
+    """The full-mode path of the frames form(0), ..., form(count - 1), each a
+    fresh float (n, 2) array that form blends, with weights in [0, 1]
+    summing to 1, from the vertices of finite curves at most scale in
+    magnitude. Up to _BLEND_SAFE no blend can overflow, and the path forms
+    its frames on demand. Above it every frame is formed now, refused as
+    PolyCurve refuses a non-finite one, and checked as an explicit frame."""
+    if scale <= _BLEND_SAFE:
+        return CurvePath(frames=_Frames(count, form), mode="full")
+    frames = []
+    for k in range(count):
+        verts = form(k)
+        if not np.isfinite(verts).all():
+            raise ValueError("vertices must be finite")
+        frames.append(_owned(verts))
+    return CurvePath(frames=tuple(frames), mode="full")
 
 
 def as_mode(path: CurvePath, mode: str) -> CurvePath:
-    """The path's frames, the same tuple, under another mode. Only the mode
-    is checked: the frames were checked when the path was built."""
+    """The path's frames, the same sequence, under another mode. Only the
+    mode is checked: the frames were checked when the path was built, or
+    are checked as they are formed. The copy shares the path's lengths."""
     _check_mode(mode)
     out = copy.copy(path)
     object.__setattr__(out, "mode", mode)
     return out
 
 
-def path_length_l2ds(path: CurvePath) -> float:
-    """sum_k sqrt(sum_i |v_i|^2 ds_i) dt with v the frame difference quotient;
-    ds and (in quotient mode) the normals come from the left frame."""
-    m = len(path.frames)
-    dt = 1.0 / (m - 1)
-    total = 0.0
-    for k in range(m - 1):
-        left = arc_data(path.frames[k])
-        v = path.frames[k + 1].vertices - left.vertices
+def _walk(frames, quotient: bool) -> dict:
+    """The full length and, when quotient, the quotient length of the
+    frames, by mode, from one pass: each frame is read once, and each left
+    frame measured once."""
+    dt = 1.0 / (len(frames) - 1)
+    full = quot = 0.0
+    it = iter(frames)
+    right = next(it)
+    for frame in it:
+        left = arc_data(right)
+        right = frame
+        v = right.vertices - left.vertices
         v /= dt
-        if path.mode == "quotient":
+        full += np.sqrt(_l2ds_term(left, _dot(v, v))) * dt
+        if quotient:
             # the normal component <v, N> = v_y T_x - v_x T_y
             tx, ty = _tangent(*_unit_edges(left))
             vn = v[:, 1] * tx - v[:, 0] * ty
-            q = vn * vn
-        else:
-            q = _dot(v, v)
-        total += np.sqrt(_l2ds_term(left, q)) * dt
-    return float(total)
+            quot += np.sqrt(_l2ds_term(left, vn * vn)) * dt
+    return {"full": float(full), "quotient": float(quot)} if quotient else {"full": float(full)}
+
+
+def path_length_l2ds(path: CurvePath) -> float:
+    """sum_k sqrt(sum_i |v_i|^2 ds_i) dt with v the frame difference quotient;
+    ds and (in quotient mode) the normals come from the left frame. A
+    length the path, or an as_mode copy of it, has walked is not walked
+    again; a quotient walk gives the full length too."""
+    lengths = path._lengths
+    if path.mode not in lengths:
+        lengths.update(_walk(path.frames, path.mode == "quotient"))
+    return lengths[path.mode]
 
 
 def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
-    """Linear homothety toward lam * curve: frame k is ((1 - t_k) + t_k lam) * curve."""
+    """Linear homothety toward lam * curve: frame k is ((1 - t_k) + t_k lam) * curve.
+    The frames are formed on demand (see _generated); a degenerate frame
+    raises DegenerateCurve("degenerate frame in path") when it is formed."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     if frames < 2:
         raise ValueError("frames must be >= 2")
     t = np.linspace(0.0, 1.0, frames)
     V = curve.vertices
-    scale = float(np.abs(V).max())
-    out = [_blended(((1.0 - tk) + tk * lam) * V, scale) for tk in t]
-    return CurvePath(frames=tuple(out), mode="full")
+
+    def form(k):
+        return ((1.0 - t[k]) + t[k] * lam) * V
+
+    return _generated(frames, form, float(np.abs(V).max()))
 
 
 def _sample_polygon(curve: PolyCurve, positions: np.ndarray) -> np.ndarray:
@@ -141,7 +207,9 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     index i + t_k * twist_i. The twist is a per-vertex index displacement whose
     endpoint i + twist_i must stay strictly increasing (an orientation-
     preserving circle bijection); anything else, a non-finite twist among
-    them, raises UsageError.
+    them, raises UsageError. The frames are formed on demand (see
+    _generated); a degenerate frame raises
+    DegenerateCurve("degenerate frame in path") when it is formed.
     """
     if frames < 2:
         raise ValueError("frames must be >= 2")
@@ -157,9 +225,11 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
         raise UsageError("i + twist_i must be strictly increasing around the circle")
     t = np.linspace(0.0, 1.0, frames)
     base = np.arange(n, dtype=float)
-    scale = float(np.abs(curve.vertices).max())
-    out = [_blended(_sample_polygon(curve, base + tk * delta), scale) for tk in t]
-    return CurvePath(frames=tuple(out), mode="full")
+
+    def form(k):
+        return _sample_polygon(curve, base + t[k] * delta)
+
+    return _generated(frames, form, float(np.abs(curve.vertices).max()))
 
 
 def _schedule_weights(n: int, teeth: int) -> np.ndarray:
@@ -196,12 +266,12 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
 
     Vertex i of frame j blends vertex i of the two base frames around its
     phase. The base frames' x and y columns are laid end to end, one array
-    each, and both frames are gathered from a column at one index, the
-    right-hand one through the view that starts a frame later. The blend is
-    written into the frame's own (n, 2) array, which becomes the curve with
-    no copy. A blend of coordinates up to _BLEND_SAFE cannot overflow, so
-    one maximum over the base columns stands in for every frame's
-    finiteness check; above it each frame is checked.
+    each, and both frames are gathered from a column, the right-hand one at
+    the index a frame later. The blend is written into the frame's own
+    (n, 2) array, which becomes the curve with no copy. The path keeps the
+    columns and the schedule and forms frame j when it is read (see
+    _generated); a degenerate frame raises
+    DegenerateCurve("degenerate frame in path") when it is formed.
     """
     if base.mode != "full":
         raise ValueError("zigzag needs a full-mode base path")
@@ -214,11 +284,10 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     # column c of frame k, vertex i is cols[c, k * n + i]
     cols = np.empty((2, m * n))
     np.concatenate([f.vertices.T for f in base.frames], axis=1, out=cols)
-    scale = float(np.abs(cols).max())
     rows = np.arange(n)
-    out = []
     out_frames = 4 * (m - 1) + 1
-    for j in range(out_frames):
+
+    def form(j):
         t = j / (out_frames - 1)
         # (1 - mu) min(2t, 1) + mu max(2t - 1, 0) without its exact terms:
         # mu * 0.0 adds +0.0 and (1 - mu) * 1.0 is 1 - mu
@@ -230,12 +299,15 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         ow = 1.0 - w
         at = idx * n
         at += rows
+        right = at + n
         verts = np.empty((n, 2))
         for c, col in enumerate(cols):
             a = col.take(at)
             a *= ow
-            b = col[n:].take(at)
+            b = col.take(right)
             b *= w
             np.add(a, b, out=verts[:, c])
-        out.append(_blended(verts, scale))
-    return CurvePath(frames=tuple(out), mode="full")
+        return verts
+
+    # the largest magnitude, without an absolute copy of the columns
+    return _generated(out_frames, form, float(max(cols.max(), -cols.min())))

@@ -3,6 +3,7 @@ against itself and against copies whose velocity is off by one part in 1e15."""
 import importlib.util
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,18 @@ def test_tree_against_itself():
                          workloads=WORKLOADS)
     assert sys.modules.get("h1flow") is package
     assert list(out) == ["step n=16", "chord n=16", "ellipse-step", "star-record"]
-    for s in out.values():
+    for label, s in out.items():
         assert 0.5 < s["ratio"] < 2.0
         assert s["q1"] <= s["ratio"] <= s["q3"]
         assert 0.0 <= s["b_lower"] <= 1.0
         assert s["a_s"] > 0.0 and s["b_s"] > 0.0
+        # each workload is traced once per tree; the two runs of the same
+        # tree allocate alike
+        if label in WORKLOADS:
+            assert 0.0 < s["a_peak_mb"] and 0.5 < s["b_peak_mb"] / s["a_peak_mb"] < 2.0
+        else:
+            assert "a_peak_mb" not in s and "b_peak_mb" not in s
+    assert not tracemalloc.is_tracing()
 
 
 def test_table(capsys):
@@ -34,12 +42,15 @@ def test_table(capsys):
                        steps=1)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload outputs: bit-equal, checks passed"
-    assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower"]
+    assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower",
+                                "A", "peak", "B", "peak"]
     assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 6
     chord = lines[3].split()
-    assert chord[:2] == ["chord", "n=16"] and chord[2].endswith("us")
+    assert chord[:2] == ["chord", "n=16"] and chord[2].endswith("us") and len(chord) == 8
     for line, label in zip(lines[4:], WORKLOADS):
-        assert line.split()[0] == label and line.split()[1].endswith("ms")
+        cells = line.split()
+        assert cells[0] == label and cells[1].endswith("ms") and len(cells) == 9
+        assert cells[7].endswith("MB") and cells[8].endswith("MB")
 
 
 def _scaled_copy(tmp_path, min_n):

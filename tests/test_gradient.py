@@ -36,6 +36,14 @@ class TestInnerProducts:
             2 * h.h1ds_inner(c, v, w) + h.h1ds_inner(c, z, w), rel=1e-10
         )
 
+    def test_norm_bit_equal_to_inner_with_a_copy(self):
+        # with w is v the edge differences are formed once; a copy of v
+        # takes the general path
+        rng = np.random.default_rng(6)
+        for c in (h.star(1.0, 0.3, 5, 256), h.ellipse(1.0, 0.5, 200)):
+            v = rng.standard_normal((c.n, 2))
+            assert h.h1ds_inner(c, v, v) == h.h1ds_inner(c, v, v.copy())
+
     def test_h1_dominates_l2(self):
         rng = np.random.default_rng(5)
         c = h.star(1.0, 0.3, 5, 64)

@@ -1,6 +1,7 @@
 """Paths in curve space: length functional, shrink/twist/zigzag families."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,128 @@ class TestZigzagPath:
 
     def test_full_cost_never_below_base(self, zigzag_lengths):
         assert min(zigzag_lengths["full"].values()) >= zigzag_lengths["base_full"]
+
+
+GENERATED = {
+    "shrink": lambda: h.shrink_path(h.star(1.0, 0.3, 5, 64), 0.5, 9),
+    "reparam": twist_path,
+    "zigzag": lambda: h.zigzag_path(translation_path(n=64, frames=9), 2),
+    "jittered-shrink": lambda: h.shrink_path(jittered_polygon(), 0.5, 9),
+}
+# vertex 3 turns back along its incoming edge: a cusp in every frame
+SPIKE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [2.0, 1.0]])
+
+
+class TestGeneratedFrames:
+    @pytest.mark.parametrize("first", ["full", "quotient"])
+    @pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED)
+    def test_lengths_are_those_of_the_explicit_frames(self, make, first):
+        # a quotient walk gives the full length too; either order, the
+        # lengths are the bits of separate walks over the frames in a tuple
+        p = make()
+        modes = (first, "quotient" if first == "full" else "full")
+        got = {mode: h.path_length_l2ds(h.as_mode(p, mode)) for mode in modes}
+        frames = tuple(p.frames)
+        assert isinstance(p.frames, h1flow.paths._Frames)
+        for mode in modes:
+            assert got[mode] == h.path_length_l2ds(h.CurvePath(frames=frames, mode=mode))
+            assert h.path_length_l2ds(h.as_mode(p, mode)) == got[mode]
+
+    @pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED)
+    def test_a_frame_read_twice_is_formed_afresh(self, make):
+        p = make()
+        frames = p.frames
+        a, b = frames[3], frames[3]
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert not np.shares_memory(a.vertices, b.vertices)
+        assert not a.vertices.flags.writeable
+
+    @pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED)
+    def test_a_sequence_as_the_tuple_was(self, make):
+        frames = make().frames
+        listed = [f.vertices.tobytes() for f in frames]
+        assert len(frames) == len(listed)
+        assert frames[-1].vertices.tobytes() == listed[-1]
+        assert frames[-len(listed)].vertices.tobytes() == listed[0]
+        part = frames[1:6:2]
+        assert type(part) is tuple
+        assert [f.vertices.tobytes() for f in part] == listed[1:6:2]
+        assert frames[len(listed):] == ()
+        assert [f.vertices.tobytes() for f in reversed(frames)] == listed[::-1]
+        for k in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                frames[k]
+
+    @pytest.mark.parametrize("mode", ["full", "quotient"])
+    def test_degenerate_frame_refused_when_formed(self, mode):
+        # a repeated vertex makes every frame degenerate; the path is built,
+        # and each frame is refused as it is formed, with the message of an
+        # explicit frame, not arc_data's
+        ring = h.circle(1.0, 16).vertices.copy()
+        ring[1] = ring[0]
+        c = h.PolyCurve(ring)
+        for p in (h.shrink_path(c, 0.5, 5), h.reparam_path(c, np.zeros(16), 5)):
+            with pytest.raises(DegenerateCurve, match="^degenerate frame in path$"):
+                p.frames[2]
+            with pytest.raises(DegenerateCurve, match="^degenerate frame in path$"):
+                h.path_length_l2ds(h.as_mode(p, mode))
+
+    @pytest.mark.parametrize("first", ["full", "quotient"])
+    @pytest.mark.parametrize("generated", [False, True], ids=["explicit", "generated"])
+    def test_cusp_fails_only_the_quotient_length(self, generated, first):
+        frames = (h.PolyCurve(SPIKE), h.PolyCurve(0.5 * SPIKE))
+        p = h.shrink_path(frames[0], 0.5, 2) if generated else h.CurvePath(frames=frames)
+        expect = h.path_length_l2ds(h.CurvePath(frames=frames))
+        for mode in (first, "quotient" if first == "full" else "full"):
+            if mode == "full":
+                assert h.path_length_l2ds(p) == expect
+            else:
+                with pytest.raises(DegenerateCurve, match="^cusp vertex"):
+                    h.path_length_l2ds(h.as_mode(p, "quotient"))
+        assert math.isfinite(expect) and expect > 0.0
+
+
+def _traced_peak(fn):
+    """The peak of the memory that fn allocates, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _both_lengths(path):
+    return h.path_length_l2ds(h.as_mode(path, "quotient")), h.path_length_l2ds(path)
+
+
+class TestPathMemory:
+    # a generated path keeps its recipe, and a walk holds two frames at a
+    # time: at n = 8192, 257 frames of 128 KiB would take 33.7 MB
+    N = 8192
+
+    @pytest.mark.parametrize("family", ["shrink", "reparam"])
+    def test_build_and_walks_bounded_in_the_frame_count(self, family):
+        c = h.circle(1.0, self.N)
+        twist = 2.0 * np.sin(2.0 * np.pi * np.arange(self.N) / self.N)
+
+        def run(frames):
+            if family == "shrink":
+                return lambda: _both_lengths(h.shrink_path(c, 0.5, frames))
+            return lambda: _both_lengths(h.reparam_path(c, twist, frames))
+
+        few, many = _traced_peak(run(33)), _traced_peak(run(257))
+        assert many - few <= 2e6
+
+    def test_zigzag_bounded_beyond_its_base_columns(self):
+        # the zigzag's recipe holds the base frames' columns, 16 m n bytes
+        # for m base frames; beyond them its peak does not grow
+        beyond = {}
+        for m in (9, 65):
+            base = translation_path(n=self.N, frames=m)
+            peak = _traced_peak(lambda: _both_lengths(h.zigzag_path(base, 8)))
+            beyond[4 * (m - 1) + 1] = peak - 16 * m * self.N
+        assert beyond[257] - beyond[33] <= 2e6
 
 
 class TestPathJson:

@@ -21,7 +21,9 @@ the 1st, 3rd, ... block and B in the others:
 For each it prints the median of the per-block ratios B / A, their
 quartiles, and the share of blocks in which B took less time. A ratio
 below 1 means B is faster. Step and monitor times are the medians over
-blocks.
+blocks. After its timing, each workload runs once more in each tree under
+tracemalloc, and the table gives that run's traced peak in MB, the most
+memory it held at once of what it allocated.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SIZES, BLOCKS, STEPS, CHORD_BLOCKS = (64, 512, 2048), 300, 10, 60
@@ -129,6 +132,16 @@ def interleave(run_a, run_b, blocks):
     return ta, tb
 
 
+def traced_peak_mb(run):
+    """The tracemalloc peak of one call of run, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def summarise(ta, tb):
     """Median ratio B / A with its quartiles, and B's share of faster blocks."""
     ratios = [b / a for a, b in zip(ta, tb)]
@@ -143,7 +156,9 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, chord_block
     """Assert that both trees pass the checks of the named workloads with
     bit-equal outputs, in the order given, then time the two trees; returns
     {label: summary} with labels "step n=N", "chord n=N" and the workload
-    names, each timed in as many blocks as `workloads` maps it to."""
+    names, each timed in as many blocks as `workloads` maps it to and then
+    traced once per tree, its summary with the peaks a_peak_mb and
+    b_peak_mb."""
     ha, hb = load(root_a, "h1flow_a"), load(root_b, "h1flow_b")
     wa, wb = load_workloads(ha), load_workloads(hb)
     runs = {}
@@ -163,19 +178,24 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, chord_block
         out[f"chord n={n}"] = summarise(*interleave(run_a, run_b, chord_blocks))
     for name, (run_a, run_b) in runs.items():
         out[name] = summarise(*interleave(run_a, run_b, workloads[name]))
+        out[name].update(a_peak_mb=traced_peak_mb(run_a), b_peak_mb=traced_peak_mb(run_b))
     return out
 
 
 def print_table(out, steps=STEPS) -> None:
     """The summaries of compare, a step (out of blocks of `steps` steps) and
-    a monitor call in microseconds, a workload run in milliseconds."""
+    a monitor call in microseconds, a workload run in milliseconds with
+    its traced peaks in MB."""
     print("workload outputs: bit-equal, checks passed")
-    print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}")
+    print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}"
+          f" {'A peak':>9} {'B peak':>9}")
     for label, s in out.items():
         scale, unit = {"step": (1e6 / steps, "us"),
                        "chord": (1e6, "us")}.get(label.split()[0], (1e3, "ms"))
+        peaks = (f" {s['a_peak_mb']:7.1f}MB {s['b_peak_mb']:7.1f}MB"
+                 if "a_peak_mb" in s else "")
         print(f"{label:14} {scale * s['a_s']:8.1f}{unit} {scale * s['b_s']:8.1f}{unit} "
-              f"{s['ratio']:7.3f} {s['q1']:7.3f} {s['q3']:7.3f} {s['b_lower']:8.0%}")
+              f"{s['ratio']:7.3f} {s['q1']:7.3f} {s['q3']:7.3f} {s['b_lower']:8.0%}{peaks}")
 
 
 def main(argv=None) -> None:
