@@ -8,8 +8,11 @@ embeddedness monitor. The ArcData of arc_data is itself a curve, accepted in
 the curve's place, so a state is measured once; its cumulative arclength s is
 computed on first use, since only the kernel and the chord-arc monitor read
 it. arc_data measures a PolyCurve's vertices in place and checks and copies
-any other input through PolyCurve. The flow, which checks and owns its stepped
-arrays, makes them curves through _owned, with no copy and no second check.
+any other input through PolyCurve. An array the library forms itself, a state
+of the flow or a frame of a generated path, is accepted in one place,
+_measure: one maximum checks it finite, _owned makes it a curve with no copy
+and no second check, and arc_data measures it, under an overflow context
+from _NO_OVERFLOW up, refusing a length that overflows.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
@@ -56,6 +59,9 @@ _CHORD_PRUNE = 288
 # grow past n = 16384, so that there are at most about 2048), and the size
 # of its strided seed sample
 _CHORD_FINE, _CHORD_COARSE, _CHORD_SEED = 8, 64, 64
+# Coordinates below this bound have edges below 2^501, whose squared norms
+# stay under 2^1003: measuring them cannot overflow.
+_NO_OVERFLOW = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ def total_length(curve: PolyCurve) -> float:
 def _owned(X: np.ndarray) -> PolyCurve:
     """The curve whose vertices are X itself, marked read-only in place and
     neither copied nor checked. Only for a float (n, 2) array that its caller
-    owns and has found finite with n >= 3, as the flow does its states."""
+    owns and has found finite with n >= 3, as _measure does."""
     X.flags.writeable = False
     curve = object.__new__(PolyCurve)
     object.__setattr__(curve, "vertices", X)
@@ -192,6 +198,34 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     ds += el
     ds *= 0.5
     return ArcData(vertices=X, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
+
+
+def _measure(X: np.ndarray) -> ArcData:
+    """The measured curve with vertices X: the one place where an array the
+    library formed, a state of the flow or a frame of a generated path, is
+    accepted or refused. Non-finite coordinates, or finite ones whose length
+    overflows, raise FloatingPointError; the flow has no velocity there. A
+    collapsed edge raises DegenerateCurve. Finiteness is checked first, so a
+    non-finite array is refused as such whatever its edges.
+
+    X itself becomes the vertices, not a copy: every caller passes a fresh
+    array or a curve's vertices, and _owned marks X read-only and makes it a
+    curve, which this module's arc_data binding measures. The largest
+    coordinate is the one finiteness check (NaN or inf if any coordinate
+    is), and below _NO_OVERFLOW it lets the measurement skip the overflow
+    context."""
+    m = float(np.abs(X).max())
+    if not math.isfinite(m):
+        raise FloatingPointError("curve coordinates are not finite")
+    curve = _owned(X)
+    if m < _NO_OVERFLOW:
+        ad = arc_data(curve)
+    else:
+        with np.errstate(over="ignore"):
+            ad = arc_data(curve)
+    if not math.isfinite(ad.length):
+        raise FloatingPointError("curve length overflows the double range")
+    return ad
 
 
 def signed_area(curve: PolyCurve) -> float:

@@ -88,8 +88,10 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
     """All monitors for one state, from one measurement of its geometry."""
     ad = arc_data(curve)
     area = signed_area(ad)
+    # the enclosed area |A|: the ratio and the deficit are orientation-blind
+    enclosed = abs(area)
     L2 = ad.length * ad.length
-    iso = L2 / (4.0 * math.pi * abs(area)) if area != 0.0 else math.inf
+    iso = L2 / (4.0 * math.pi * enclosed) if enclosed != 0.0 else math.inf
     max_k = float(np.abs(_tangent_curvature(ad)[1]).max())
     try:
         rescaled_k = math.exp(-t) * max_k
@@ -103,7 +105,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
         length=ad.length,
         area=area,
         iso_ratio=iso,
-        deficit=L2 - 4.0 * math.pi * area,
+        deficit=L2 - 4.0 * math.pi * enclosed,
         linf=sup_norm(ad),
         l2ds=math.sqrt(l2ds_inner(ad, ad.vertices, ad.vertices)),
         xu_l2=xu,

@@ -8,12 +8,13 @@ ordinary.
 
 The flow acts on immersed curves of finite length. Every state it takes or
 keeps, the initial one, each RK4 stage, each stepped one and each rescaled
-profile, passes once through _measure, which returns its arclength data or
-refuses it. It measures the array it is given, with no copy: one pass finds
-the largest coordinate, which refuses a non-finite state, and the array then
-becomes a curve through curves._owned, marked read-only in place, which
-arc_data measures. Euler and RK4 are one stage loop, _advance, over the
-table _TABLEAUX, internal to run_flow.
+profile, passes once through curves._measure, which returns its arclength
+data or refuses it, as it does the frames of a generated path. It measures
+the array it is given, with no copy: one pass finds the largest coordinate,
+which refuses a non-finite state, and the array then becomes a curve through
+curves._owned, marked read-only in place, which arc_data measures. Euler and
+RK4 are one stage loop, _advance, over the table _TABLEAUX, internal to
+run_flow.
 Every state a run keeps, and its record, come from _kept, which forms and
 measures the rescaled profile when asked and keeps the measured vertices
 without a copy; asymptotic_profile applies the same _kept to a finished
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import ArcData, PolyCurve, _owned, arc_data, total_length
+from .curves import ArcData, PolyCurve, _measure, _owned, total_length
 from .diagnostics import DiagnosticsRecord, record
 from .errors import DegenerateCurve, RuntimeFailure
 from .gradient import velocity
@@ -42,9 +43,6 @@ from .gradient import velocity
 # round differently.
 _TABLEAUX = {"euler": (1.0, ()), "rk4": (6.0, ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)))}
 METHODS = tuple(_TABLEAUX)
-# Coordinates below this bound have edges below 2^501, whose squared norms
-# stay under 2^1003: measuring them cannot overflow.
-_NO_OVERFLOW = 2.0 ** 500
 
 
 class Termination(enum.Enum):
@@ -99,34 +97,6 @@ class Trajectory:
     states: tuple
     records: tuple
     termination: Termination
-
-
-def _measure(X: np.ndarray) -> ArcData:
-    """The measured state with vertices X: the one place where the flow
-    accepts a state or refuses it. Non-finite coordinates, or finite ones
-    whose length overflows, raise FloatingPointError; the flow has no
-    velocity there. A collapsed edge raises DegenerateCurve. Finiteness is
-    checked first, so a non-finite state is refused as such whatever its
-    edges.
-
-    X itself becomes the vertices, not a copy: every caller passes a fresh
-    array or a curve's vertices, and _owned marks X read-only and makes it a
-    curve, which the flow's arc_data binding measures. The largest
-    coordinate is the one finiteness check (NaN or inf if any coordinate
-    is), and below _NO_OVERFLOW it lets the measurement skip the overflow
-    context."""
-    m = float(np.abs(X).max())
-    if not math.isfinite(m):
-        raise FloatingPointError("curve coordinates are not finite")
-    curve = _owned(X)
-    if m < _NO_OVERFLOW:
-        ad = arc_data(curve)
-    else:
-        with np.errstate(over="ignore"):
-            ad = arc_data(curve)
-    if not math.isfinite(ad.length):
-        raise FloatingPointError("curve length overflows the double range")
-    return ad
 
 
 def _advance(ad: ArcData, h: float, method: str) -> np.ndarray:

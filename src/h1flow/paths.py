@@ -12,24 +12,22 @@ A path built from explicit frames keeps them in a tuple and checks them
 once, when it is built, for a positive squared length of every edge. The
 three families keep their recipe instead (the base columns with the
 schedule, the scale, or the twist), and their frames are a read-only
-sequence that forms frame k when it is read and checks it as it measures
-it, so a path's memory does not grow with its frame count. A length is one
-pairwise walk over the frames: each frame is formed once and each left
-frame measured once (its ArcData, whose arclength s it never reads). A
-quotient walk also sums the full speed from the same v and ds, and takes
-the normal component from the columns of the unit tangent that frame_data
-uses; a full walk never forms the tangent, so a cusp fails only the
-quotient length. The path keeps the lengths it has walked, shared with its
-as_mode copies, which relabel the same frames.
+sequence that forms frame k when it is read and accepts it through
+curves._measure, the gate of the flow's states, so a path's memory does not
+grow with its frame count. A length is one pairwise walk over the frames:
+each frame is formed once and each left frame measured once (its ArcData,
+whose arclength s it never reads). A quotient walk also sums the full speed
+from the same v and ds, and takes the normal component from the columns of
+the unit tangent that frame_data uses; a full walk never forms the tangent,
+so a cusp fails only the quotient length. The path keeps the lengths it has
+walked, shared with its as_mode copies, which relabel the same frames.
 
-The families form each frame as a blend of finite vertices, in a fresh
-C-ordered (n, 2) array that becomes a curve in place through
-curves._owned, with no copy. Such a blend cannot overflow while every
-coordinate is at most _BLEND_SAFE (DBL_MAX / 2), so one maximum over the
-source coordinates replaces the frames' finiteness checks; above it every
-frame is formed and checked when the path is built, and the path keeps
-them in a tuple (_generated). zigzag_path gathers both base frames of a
-blend from one x and one y column of all the base frames.
+The families form each frame as a blend of vertices, in a fresh C-ordered
+(n, 2) array that _measure makes a curve in place, with no copy. No family
+bounds its source coordinates in advance: _measure's one maximum refuses a
+non-finite frame, and its measurement one whose length overflows, when the
+frame is formed. zigzag_path gathers both base frames of a blend from one x
+and one y column of all the base frames.
 """
 
 from __future__ import annotations
@@ -40,20 +38,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PolyCurve, _diff, _dot, _l2ds_term, _owned, _tangent, _unit_edges, arc_data
+from .curves import PolyCurve, _diff, _dot, _l2ds_term, _measure, _tangent, _unit_edges, arc_data
 from .errors import DegenerateCurve, UsageError
 
 MODES = ("full", "quotient")
-# a blend a (1 - w) + b w with 0 <= w <= 1 of coordinates at most this large
-# in magnitude is at most |a| + |b| <= DBL_MAX, so it cannot overflow
-_BLEND_SAFE = np.finfo(float).max / 2
 
 
 class _Frames(Sequence):
     """The frames of a generated path, formed on demand: frame k is the
-    curve of form(k), a fresh C-ordered float (n, 2) array of finite
-    vertices, measured as it is formed. The measurement is its check: a
-    frame with an edge of zero length raises DegenerateCurve. An index
+    curve of form(k), a fresh C-ordered float (n, 2) array, accepted by
+    _measure as it is formed. A frame with a non-finite coordinate, or a
+    length past the double range, raises FloatingPointError, and one with an
+    edge of zero length DegenerateCurve("degenerate frame in path"). An index
     reads one frame, negative ones included, and a slice a tuple of them;
     each read forms its frames afresh."""
 
@@ -73,7 +69,7 @@ class _Frames(Sequence):
 
     def _frame(self, k: int) -> PolyCurve:
         try:
-            return arc_data(_owned(self._form(k)))
+            return _measure(self._form(k))
         except DegenerateCurve:
             raise DegenerateCurve("degenerate frame in path") from None
 
@@ -110,24 +106,6 @@ class CurvePath:
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-
-
-def _generated(count: int, form, scale: float) -> CurvePath:
-    """The full-mode path of the frames form(0), ..., form(count - 1), each a
-    fresh float (n, 2) array that form blends, with weights in [0, 1]
-    summing to 1, from the vertices of finite curves at most scale in
-    magnitude. Up to _BLEND_SAFE no blend can overflow, and the path forms
-    its frames on demand. Above it every frame is formed now, refused as
-    PolyCurve refuses a non-finite one, and checked as an explicit frame."""
-    if scale <= _BLEND_SAFE:
-        return CurvePath(frames=_Frames(count, form), mode="full")
-    frames = []
-    for k in range(count):
-        verts = form(k)
-        if not np.isfinite(verts).all():
-            raise ValueError("vertices must be finite")
-        frames.append(_owned(verts))
-    return CurvePath(frames=tuple(frames), mode="full")
 
 
 def as_mode(path: CurvePath, mode: str) -> CurvePath:
@@ -175,8 +153,8 @@ def path_length_l2ds(path: CurvePath) -> float:
 
 def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
     """Linear homothety toward lam * curve: frame k is ((1 - t_k) + t_k lam) * curve.
-    The frames are formed on demand (see _generated); a degenerate frame
-    raises DegenerateCurve("degenerate frame in path") when it is formed."""
+    The frames are formed on demand (see _Frames) and refused, a degenerate
+    one with DegenerateCurve("degenerate frame in path"), when formed."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     if frames < 2:
@@ -187,7 +165,7 @@ def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
     def form(k):
         return ((1.0 - t[k]) + t[k] * lam) * V
 
-    return _generated(frames, form, float(np.abs(V).max()))
+    return CurvePath(frames=_Frames(frames, form))
 
 
 def _sample_polygon(curve: PolyCurve, positions: np.ndarray) -> np.ndarray:
@@ -207,9 +185,9 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     index i + t_k * twist_i. The twist is a per-vertex index displacement whose
     endpoint i + twist_i must stay strictly increasing (an orientation-
     preserving circle bijection); anything else, a non-finite twist among
-    them, raises UsageError. The frames are formed on demand (see
-    _generated); a degenerate frame raises
-    DegenerateCurve("degenerate frame in path") when it is formed.
+    them, raises UsageError. The frames are formed on demand (see _Frames)
+    and refused, a degenerate one with
+    DegenerateCurve("degenerate frame in path"), when formed.
     """
     if frames < 2:
         raise ValueError("frames must be >= 2")
@@ -229,7 +207,7 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     def form(k):
         return _sample_polygon(curve, base + t[k] * delta)
 
-    return _generated(frames, form, float(np.abs(curve.vertices).max()))
+    return CurvePath(frames=_Frames(frames, form))
 
 
 def _schedule_weights(n: int, teeth: int) -> np.ndarray:
@@ -270,8 +248,8 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     the index a frame later. The blend is written into the frame's own
     (n, 2) array, which becomes the curve with no copy. The path keeps the
     columns and the schedule and forms frame j when it is read (see
-    _generated); a degenerate frame raises
-    DegenerateCurve("degenerate frame in path") when it is formed.
+    _Frames); a frame is refused, a degenerate one with
+    DegenerateCurve("degenerate frame in path"), when formed.
     """
     if base.mode != "full":
         raise ValueError("zigzag needs a full-mode base path")
@@ -309,5 +287,4 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
             np.add(a, b, out=verts[:, c])
         return verts
 
-    # the largest magnitude, without an absolute copy of the columns
-    return _generated(out_frames, form, float(max(cols.max(), -cols.min())))
+    return CurvePath(frames=_Frames(out_frames, form))

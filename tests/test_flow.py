@@ -161,8 +161,8 @@ class TestSingleSteps:
         with pytest.raises(DegenerateCurve):
             h1flow.flow._measure(Y)
 
-    @pytest.mark.parametrize("scale", [1.0, 0.99 * h1flow.flow._NO_OVERFLOW,
-                                       1.01 * h1flow.flow._NO_OVERFLOW, 2e153])
+    @pytest.mark.parametrize("scale", [1.0, 0.99 * h1flow.curves._NO_OVERFLOW,
+                                       1.01 * h1flow.curves._NO_OVERFLOW, 2e153])
     def test_measured_state_is_the_array_itself(self, scale):
         # no copy: the stepped array becomes the read-only vertices, measured
         # as arc_data measures a PolyCurve, on both sides of the bound under
@@ -467,6 +467,40 @@ def test_decay_and_energy_identity_on_random_shapes(seed):
     assert defect[128] / defect[256] >= 3.0
 
 
+DIHEDRAL_CURVES = {
+    "star": h.star(1.0, 0.3, 5, 256),
+    "ellipse": h.ellipse(1.0, 0.5, 300),
+    "barbell": h.barbell(1.0, 0.25, 128),
+}
+# a symmetry of the square lattice, exact in floating point, and the sign it
+# gives the signed area: the quarter turn (x, y) -> (-y, x) keeps the
+# orientation, the mirror x -> -x reverses it
+DIHEDRAL = {
+    "rotation": (lambda X: np.stack((-X[:, 1], X[:, 0]), axis=1), 1.0),
+    "reflection": (lambda X: np.stack((-X[:, 0], X[:, 1]), axis=1), -1.0),
+}
+
+
+@pytest.mark.parametrize("move", DIHEDRAL)
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("name", DIHEDRAL_CURVES)
+def test_dihedral_symmetry_is_exact(name, method, move):
+    # the moved curve's run is the moved run, bit for bit, and its records
+    # are the run's own, the signed area's sign aside: every other field,
+    # the isoperimetric deficit among them, is orientation-blind
+    f, sign = DIHEDRAL[move]
+    cfg = h.FlowConfig(dt=0.01, t1=0.2, method=method, record_every=5)
+    curve = DIHEDRAL_CURVES[name]
+    ref = h.run_flow(curve, cfg)
+    got = h.run_flow(h.PolyCurve(f(curve.vertices)), cfg)
+    assert got.times == ref.times
+    assert got.termination is ref.termination is h.Termination.COMPLETED
+    assert len(got.states) == len(ref.states) == 5
+    for a, b in zip(got.states, ref.states):
+        assert a.vertices.tobytes() == f(b.vertices).tobytes()
+    assert got.records == tuple(replace(r, area=sign * r.area) for r in ref.records)
+
+
 class TestAsymptoticProfile:
     def test_vertex_zero_pinned_at_origin(self, circle_t4_profile):
         for st in circle_t4_profile.states:
@@ -568,14 +602,16 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_rk4_measurements_pass_through_arc_data(self, monkeypatch, k):
-        # the flow measures through its arc_data binding, which the benchmark
-        # tracer wraps: the initial state and its profile, three stages and
-        # the stepped state per step, and the final profile
-        calls = _count_calls(monkeypatch, h1flow.flow, "arc_data")
-        h.run_flow(h.circle(1.0, 32),
-                   h.FlowConfig(dt=0.05, t1=0.05 * k, method="rk4", record_every=k,
-                                rescale_profile=True))
-        assert len(calls) == 4 * k + 3
+        # the flow measures through curves' arc_data binding, which the
+        # benchmark tracer wraps: the initial state and its profile, three
+        # stages and the stepped state per step, and the final profile; each
+        # of the two records' chord-arc monitors passes it the measured profile
+        calls = _count_calls(monkeypatch, h1flow.curves, "arc_data")
+        traj = h.run_flow(h.circle(1.0, 32),
+                          h.FlowConfig(dt=0.05, t1=0.05 * k, method="rk4", record_every=k,
+                                       rescale_profile=True))
+        assert len(traj.records) == 2
+        assert len(calls) == 4 * k + 3 + len(traj.records)
 
     def test_geometry_measured_once_per_state(self, monkeypatch):
         # every function that takes a curve reuses the ArcData it is given

@@ -2,11 +2,13 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.curves
 import h1flow.paths
 from h1flow.curves import _owned
 from h1flow.errors import DegenerateCurve, UsageError
@@ -23,10 +25,10 @@ def translation_path(n=64, d=2.0, frames=9):
     return h.CurvePath(frames=fs, mode="full")
 
 
-def twist_path(n=64, lam=0.5, frames=9):
+def twist_path(n=64, lam=0.5, frames=9, radius=1.0):
     """The reparam demo of the CLI: one smooth twist bump."""
     delta = lam * n / (2.0 * math.pi) * np.sin(2.0 * math.pi * np.arange(n) / n)
-    return h.reparam_path(h.circle(1.0, n), delta, frames)
+    return h.reparam_path(h.circle(radius, n), delta, frames)
 
 
 def jittered_polygon(n=64, seed=18):
@@ -325,41 +327,19 @@ class TestZigzagPath:
         for a, b in zip(z.frames, z.frames[1:]):
             assert not np.shares_memory(a.vertices, b.vertices)
 
-    def test_blend_beyond_the_bound_is_checked_per_frame(self, monkeypatch):
-        # coordinates up to DBL_MAX / 2 skip the per-frame finiteness check;
-        # at +-DBL_MAX every frame takes it. The blends are finite, but the
-        # path's check squares edges near DBL_MAX, which overflows to inf
-        n = 16
-        y = h.circle(1.0, n).vertices[:, 1]
-        checked = []
-        isfinite = np.isfinite
-
-        def counted(a, *args, **kwargs):
-            if np.shape(a) == (n, 2):
-                checked.append(1)
-            return isfinite(a, *args, **kwargs)
-
-        top = np.finfo(float).max
-        for x, frames in ((1.0, 0), (top, 5)):
-            base = h.CurvePath(frames=(h.PolyCurve(np.c_[np.full(n, x), y]),
-                                       h.PolyCurve(np.c_[np.full(n, -x), y])))
-            monkeypatch.setattr(np, "isfinite", counted)
-            with np.errstate(over="ignore"):
-                z = h.zigzag_path(base, 1)
-            monkeypatch.undo()
-            assert len(checked) == frames
-            assert all(isfinite(f.vertices).all() for f in z.frames)
-            checked.clear()
-
-    def test_non_finite_blend_refused(self):
-        # No blend of finite frames was seen to overflow, so the non-finite
-        # blend comes from a frame made without PolyCurve's check; its
-        # scale, inf, sends every frame to the per-frame check
+    def test_non_finite_blend_refused_when_formed(self):
+        # a base frame made without PolyCurve's check puts inf into every
+        # blend (inf, or inf * 0 = nan); the path builds, and each frame is
+        # refused when it is read or walked, as the flow refuses a state
         bad = h.circle(1.0, 16).vertices.copy()
         bad[3, 0] = np.inf
         base = h.CurvePath(frames=(h.circle(1.0, 16), _owned(bad)))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^vertices must be finite$"):
-            h.zigzag_path(base, 1)
+        z = h.zigzag_path(base, 1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
+                z.frames[2]
+            with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
+                h.path_length_l2ds(z)
 
     def test_detour_costs_more_in_full_mode(self):
         base = translation_path(n=64, d=2.0, frames=9)
@@ -444,6 +424,27 @@ class TestGeneratedFrames:
                 p.frames[2]
             with pytest.raises(DegenerateCurve, match="^degenerate frame in path$"):
                 h.path_length_l2ds(h.as_mode(p, mode))
+
+    def test_overflowing_frame_refused_by_name(self):
+        # squared edges past the double range: the frame is refused as the
+        # flow refuses such a state, with no RuntimeWarning from the squares
+        p = h.shrink_path(h.circle(1e155, 16), 0.5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+                p.frames[1]
+            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+                h.path_length_l2ds(p)
+
+    def test_frame_above_the_overflow_bound_is_measured(self):
+        # from curves._NO_OVERFLOW up the frame is measured under the
+        # overflow context, to the bits of arc_data on a checked copy
+        frame = twist_path(radius=1e152).frames[4]
+        assert np.abs(frame.vertices).max() >= h1flow.curves._NO_OVERFLOW
+        ref = h.arc_data(h.PolyCurve(frame.vertices))
+        assert frame.length == ref.length == 6.275062947298852e+152
+        for name in ("vertices", "ds", "edges", "edge_lengths", "s"):
+            assert getattr(frame, name).tobytes() == getattr(ref, name).tobytes()
 
     @pytest.mark.parametrize("first", ["full", "quotient"])
     @pytest.mark.parametrize("generated", [False, True], ids=["explicit", "generated"])

@@ -12,7 +12,9 @@ check with bit-equal outputs. It then times alternating blocks, A first in
 the 1st, 3rd, ... block and B in the others:
 - 300 blocks per n = 64, 512 and 2048, each of 10 RK4 steps of a circle of
   radius 1, each step with the measurement of its stepped state
-  (flow._advance, then flow._measure);
+  (flow._advance, then flow._measure, the measurement of curves that
+  flow imports, so that a tree which still defines it in flow is timed
+  through the same name);
 - 60 blocks per n = 64, 512 and 2048, each one chord_arc_min call on a
   measured circle of radius 1, after asserting that both trees return the
   same (value, i, j) on it;
