@@ -19,20 +19,27 @@ each frame is formed once and each left frame measured once (its ArcData,
 whose arclength s it never reads). A quotient walk also sums the full speed
 from the same v and ds, and takes the normal component from the columns of
 the unit tangent that frame_data uses; a full walk never forms the tangent,
-so a cusp fails only the quotient length. The path keeps the lengths it has
-walked, shared with its as_mode copies, which relabel the same frames.
+so a cusp fails only the quotient length. The walk's products run with
+overflow ignored, and a sum that is not finite (inf, or NaN from inf - inf
+in <v, N>) is refused with FloatingPointError; the frames are formed and
+measured outside that context. The path keeps the lengths it has walked,
+shared with its as_mode copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh C-ordered
 (n, 2) array that _measure makes a curve in place, with no copy. No family
 bounds its source coordinates in advance: _measure's one maximum refuses a
 non-finite frame, and its measurement one whose length overflows, when the
 frame is formed. zigzag_path gathers both base frames of a blend from one x
-and one y column of all the base frames.
+and one y column of all the base frames: one read-only table per base,
+which the base holds only weakly, so the zigzags of one base share it while
+any of them is alive, and it is freed with the last.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -74,12 +81,25 @@ class _Frames(Sequence):
             raise DegenerateCurve("degenerate frame in path") from None
 
 
+class _Held:
+    """A weak reference to one array, or to none: ref() is the array while
+    anything else holds it, and None after. A pickle or a deep copy of it
+    holds none, where a bare weakref.ref would not pickle at all."""
+
+    ref = staticmethod(lambda: None)
+
+    def __reduce__(self):
+        return _Held, ()
+
+
 @dataclass(frozen=True)
 class CurvePath:
     frames: Sequence
     mode: str = "full"
     # the walked lengths by mode, shared with the as_mode copies
     _lengths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the frames' column table of zigzag_path, held weakly, shared likewise
+    _columns: _Held = field(default_factory=_Held, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = self.frames
@@ -129,14 +149,18 @@ def _walk(frames, quotient: bool) -> dict:
     for frame in it:
         left = arc_data(right)
         right = frame
-        v = right.vertices - left.vertices
-        v /= dt
-        full += np.sqrt(_l2ds_term(left, _dot(v, v))) * dt
-        if quotient:
-            # the normal component <v, N> = v_y T_x - v_x T_y
-            tx, ty = _tangent(*_unit_edges(left))
-            vn = v[:, 1] * tx - v[:, 0] * ty
-            quot += np.sqrt(_l2ds_term(left, vn * vn)) * dt
+        # an overflow here makes a sum inf, or NaN from inf - inf: refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = right.vertices - left.vertices
+            v /= dt
+            full += np.sqrt(_l2ds_term(left, _dot(v, v))) * dt
+            if quotient:
+                # the normal component <v, N> = v_y T_x - v_x T_y
+                tx, ty = _tangent(*_unit_edges(left))
+                vn = v[:, 1] * tx - v[:, 0] * ty
+                quot += np.sqrt(_l2ds_term(left, vn * vn)) * dt
+    if not (math.isfinite(full) and math.isfinite(quot)):
+        raise FloatingPointError("path length overflows the double range")
     return {"full": float(full), "quotient": float(quot)} if quotient else {"full": float(full)}
 
 
@@ -144,7 +168,8 @@ def path_length_l2ds(path: CurvePath) -> float:
     """sum_k sqrt(sum_i |v_i|^2 ds_i) dt with v the frame difference quotient;
     ds and (in quotient mode) the normals come from the left frame. A
     length the path, or an as_mode copy of it, has walked is not walked
-    again; a quotient walk gives the full length too."""
+    again; a quotient walk gives the full length too. A length past the
+    double range raises FloatingPointError, and is not kept."""
     lengths = path._lengths
     if path.mode not in lengths:
         lengths.update(_walk(path.frames, path.mode == "quotient"))
@@ -243,13 +268,18 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     phases (see _schedule_weights). The final frame is the base's final frame.
 
     Vertex i of frame j blends vertex i of the two base frames around its
-    phase. The base frames' x and y columns are laid end to end, one array
-    each, and both frames are gathered from a column, the right-hand one at
-    the index a frame later. The blend is written into the frame's own
-    (n, 2) array, which becomes the curve with no copy. The path keeps the
-    columns and the schedule and forms frame j when it is read (see
-    _Frames); a frame is refused, a degenerate one with
-    DegenerateCurve("degenerate frame in path"), when formed.
+    phase. The base frames' x and y columns are laid end to end, the two
+    rows of one read-only table, and both frames are gathered at one index,
+    the right-hand one from the view of the table a frame later. The blend
+    is written into the frame's own (n, 2) array, which becomes the curve
+    with no copy. The path keeps the table and the schedule and forms frame
+    j when it is read (see _Frames); a frame is refused, a degenerate one
+    with DegenerateCurve("degenerate frame in path"), when formed.
+
+    The base holds the table weakly (CurvePath._columns, shared with its
+    as_mode copies): a zigzag of a base whose table another zigzag still
+    holds gathers from that table, and once no zigzag of the base is alive
+    the table is freed. A pickle or a deep copy of the base holds none.
     """
     if base.mode != "full":
         raise ValueError("zigzag needs a full-mode base path")
@@ -259,9 +289,15 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     mu = _schedule_weights(n, teeth)
     omu = 1.0 - mu
     m = len(base.frames)
-    # column c of frame k, vertex i is cols[c, k * n + i]
-    cols = np.empty((2, m * n))
-    np.concatenate([f.vertices.T for f in base.frames], axis=1, out=cols)
+    # column c of frame k, vertex i is cols[c, k * n + i]; one read-only
+    # table per base while a zigzag of it holds the table
+    cols = base._columns.ref()
+    if cols is None:
+        cols = np.empty((2, m * n))
+        np.concatenate([f.vertices.T for f in base.frames], axis=1, out=cols)
+        cols.flags.writeable = False
+        base._columns.ref = weakref.ref(cols)
+    ahead = cols[:, n:]  # the columns a frame later
     rows = np.arange(n)
     out_frames = 4 * (m - 1) + 1
 
@@ -271,18 +307,17 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         # mu * 0.0 adds +0.0 and (1 - mu) * 1.0 is 1 - mu
         w = omu * (2.0 * t) if t < 0.5 else omu + mu * (2.0 * t - 1.0)
         w *= m - 1  # the position in the base frames
-        idx = w.astype(int)
-        np.minimum(idx, m - 2, out=idx)
-        w -= idx  # the right-hand frame's weight
+        at = w.astype(int)
+        np.minimum(at, m - 2, out=at)
+        w -= at  # the right-hand frame's weight
         ow = 1.0 - w
-        at = idx * n
+        at *= n
         at += rows
-        right = at + n
         verts = np.empty((n, 2))
-        for c, col in enumerate(cols):
-            a = col.take(at)
+        for c in range(2):
+            a = cols[c].take(at)
             a *= ow
-            b = col.take(right)
+            b = ahead[c].take(at)
             b *= w
             np.add(a, b, out=verts[:, c])
         return verts

@@ -1,6 +1,9 @@
 """Paths in curve space: length functional, shrink/twist/zigzag families."""
+import copy
+import gc
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -341,6 +344,58 @@ class TestZigzagPath:
             with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
                 h.path_length_l2ds(z)
 
+    def test_as_mode_copies_of_the_base_share_the_table(self):
+        base = translation_path(n=64, frames=9)
+        assert base._columns.ref() is None
+        z = h.zigzag_path(base, 2)
+        table = base._columns.ref()
+        assert table.shape == (2, 9 * 64)
+        again = h.as_mode(h.as_mode(base, "quotient"), "full")
+        assert again._columns is base._columns
+        z2 = h.zigzag_path(again, 4)
+        assert again._columns.ref() is table
+        # the table lives while a zigzag of the base does, and no longer
+        del z
+        gc.collect()
+        assert base._columns.ref() is table
+        del table, z2
+        gc.collect()
+        assert base._columns.ref() is None
+
+    def test_explicit_path_pickles_after_a_zigzag_of_it(self):
+        base = h.as_mode(translation_path(n=16, frames=3), "quotient")
+        z = h.zigzag_path(h.as_mode(base, "full"), 1)
+        assert base._columns.ref() is not None
+        length = h.path_length_l2ds(base)
+        for other in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base)):
+            assert other._columns is not base._columns
+            assert other._columns.ref() is None
+            assert other.mode == "quotient" and other._lengths == base._lengths
+            assert [f.vertices.tobytes() for f in other.frames] == [f.vertices.tobytes() for f in base.frames]
+            assert h.path_length_l2ds(other) == length
+        # the copies leave the base's table, which z holds, as it was
+        assert base._columns.ref() is not None and z.frames
+
+    def test_shared_table_gives_the_bits_of_a_fresh_one(self):
+        base = translation_path(n=64, frames=9)
+        first = h.zigzag_path(base, 4)
+        table = base._columns.ref()
+        shared = h.zigzag_path(base, 2)  # gathers from first's table
+        assert base._columns.ref() is table and first.frames
+        fresh = h.zigzag_path(h.CurvePath(frames=tuple(base.frames)), 2)
+        assert [f.vertices.tobytes() for f in shared.frames] == [f.vertices.tobytes() for f in fresh.frames]
+        assert _both_lengths(shared) == _both_lengths(fresh)
+
+    def test_table_is_read_only_and_frames_share_no_memory_with_it(self):
+        base = translation_path(n=64, frames=9)
+        z = h.zigzag_path(base, 2)
+        table = base._columns.ref()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        for frame in z.frames:
+            assert not np.shares_memory(frame.vertices, table)
+
     def test_detour_costs_more_in_full_mode(self):
         base = translation_path(n=64, d=2.0, frames=9)
         z = h.zigzag_path(base, 1)
@@ -446,6 +501,21 @@ class TestGeneratedFrames:
         for name in ("vertices", "ds", "edges", "edge_lengths", "s"):
             assert getattr(frame, name).tobytes() == getattr(ref, name).tobytes()
 
+    @pytest.mark.parametrize("mode", ["full", "quotient"])
+    @pytest.mark.parametrize("make", [lambda: h.shrink_path(h.circle(1e120, 16), 0.5, 3),
+                                      lambda: twist_path(radius=1e152)], ids=["shrink", "twist"])
+    def test_overflowing_walk_refused_by_name(self, make, mode):
+        # every frame is accepted, but |v|^2 ds overflows (and inf - inf in
+        # <v, N> gives NaN): the walk is refused, with no RuntimeWarning
+        # from its products, and no length is kept
+        p = h.as_mode(make(), mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert all(math.isfinite(f.length) for f in p.frames)
+            with pytest.raises(FloatingPointError, match="^path length overflows the double range$"):
+                h.path_length_l2ds(p)
+        assert p._lengths == {}
+
     @pytest.mark.parametrize("first", ["full", "quotient"])
     @pytest.mark.parametrize("generated", [False, True], ids=["explicit", "generated"])
     def test_cusp_fails_only_the_quotient_length(self, generated, first):
@@ -502,6 +572,29 @@ class TestPathMemory:
             peak = _traced_peak(lambda: _both_lengths(h.zigzag_path(base, 8)))
             beyond[4 * (m - 1) + 1] = peak - 16 * m * self.N
         assert beyond[257] - beyond[33] <= 2e6
+
+    def test_zigzags_of_one_base_share_its_columns(self):
+        # the workload's case: a second zigzag built while the first is
+        # alive gathers from the first's table, not from a copy of 16 m n
+        # bytes; once neither is alive, neither is the table
+        tracemalloc.start()
+        try:
+            base = translation_path(n=self.N, frames=65)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            first = h.zigzag_path(base, 8)
+            _both_lengths(first)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            second = h.zigzag_path(base, 4)
+            _both_lengths(second)
+            assert tracemalloc.get_traced_memory()[1] - before <= 2e6
+            del first, second
+            gc.collect()
+            # less than one column of n doubles is left beyond the base
+            assert tracemalloc.get_traced_memory()[0] - held < 8 * self.N
+        finally:
+            tracemalloc.stop()
 
 
 class TestPathJson:
