@@ -173,7 +173,9 @@ def total_length(curve: PolyCurve) -> float:
 def _owned(X: np.ndarray) -> PolyCurve:
     """The curve whose vertices are X itself, marked read-only in place and
     neither copied nor checked. Only for a float (n, 2) array that its caller
-    owns and has found finite with n >= 3, as _measure does."""
+    owns and has found finite with n >= 3, as _measure does, or for a row of
+    a read-only table of checked vertices that its caller owns, as an
+    explicit path's frames are."""
     X.flags.writeable = False
     curve = object.__new__(PolyCurve)
     object.__setattr__(curve, "vertices", X)

@@ -8,45 +8,45 @@ vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
 L2(ds) sum of the curves module, the one that gradient's inner products use,
 of |v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
 
-A path built from explicit frames keeps them in a tuple and checks them
-once, when it is built, for a positive squared length of every edge. The
-three families keep their recipe instead (the base columns with the
-schedule, the scale, or the twist), and their frames are a read-only
-sequence that forms frame k when it is read and accepts it through
-curves._measure, the gate of the flow's states, so a path's memory does not
-grow with its frame count. A length is one pairwise walk over the frames:
-each frame is formed once and each left frame measured once (its ArcData,
-whose arclength s it never reads). A quotient walk also sums the full speed
-from the same v and ds, and takes the normal component from the columns of
-the unit tangent that frame_data uses; a full walk never forms the tangent,
-so a cusp fails only the quotient length. The walk's products run with
-overflow ignored, and a sum that is not finite (inf, or NaN from inf - inf
-in <v, N>) is refused with FloatingPointError; the frames are formed and
-measured outside that context. The path keeps the lengths it has walked,
-shared with its as_mode copies, which relabel the same frames.
+A path built from explicit frames checks them once, when it is built, for a
+positive squared length of every edge and for edges and squares inside the
+double range, and copies their vertices into one read-only (m, n, 2) table;
+its frames are a tuple of curves on the table's rows. The three families
+keep their recipe instead (the base table with the schedule, the scale, or
+the twist), and their frames are a read-only sequence that forms frame k
+when it is read and accepts it through curves._measure, the gate of the
+flow's states, so a path's memory does not grow with its frame count. A
+length is one pairwise walk over the frames: each frame is formed once and
+each left frame measured once (its ArcData, whose arclength s it never
+reads). A quotient walk also sums the full speed from the same v and ds, and
+takes the normal component from the columns of the unit tangent that
+frame_data uses; a full walk never forms the tangent, so a cusp fails only
+the quotient length. The walk's products run with overflow ignored, and a
+sum that is not finite (inf, or NaN from inf - inf in <v, N>) is refused
+with FloatingPointError; the frames are formed and measured outside that
+context. The path keeps the lengths it has walked, shared with its as_mode
+copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh C-ordered
 (n, 2) array that _measure makes a curve in place, with no copy. No family
 bounds its source coordinates in advance: _measure's one maximum refuses a
 non-finite frame, and its measurement one whose length overflows, when the
-frame is formed. zigzag_path gathers both base frames of a blend from one x
-and one y column of all the base frames: one read-only table per base,
-which the base holds only weakly, so the zigzags of one base share it while
-any of them is alive, and it is freed with the last.
+frame is formed. zigzag_path gathers both base frames of a blend from the
+table of an explicit base, so all the zigzags of one base share it.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PolyCurve, _diff, _dot, _l2ds_term, _measure, _tangent, _unit_edges, arc_data
+from .curves import PolyCurve, _diff, _dot, _l2ds_term, _measure, _owned, _tangent, _unit_edges, arc_data
 from .errors import DegenerateCurve, UsageError
+from .shapes import _count
 
 MODES = ("full", "quotient")
 
@@ -81,25 +81,14 @@ class _Frames(Sequence):
             raise DegenerateCurve("degenerate frame in path") from None
 
 
-class _Held:
-    """A weak reference to one array, or to none: ref() is the array while
-    anything else holds it, and None after. A pickle or a deep copy of it
-    holds none, where a bare weakref.ref would not pickle at all."""
-
-    ref = staticmethod(lambda: None)
-
-    def __reduce__(self):
-        return _Held, ()
-
-
 @dataclass(frozen=True)
 class CurvePath:
     frames: Sequence
     mode: str = "full"
     # the walked lengths by mode, shared with the as_mode copies
     _lengths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the frames' column table of zigzag_path, held weakly, shared likewise
-    _columns: _Held = field(default_factory=_Held, init=False, repr=False, compare=False)
+    # an explicit path's frames, stacked: the (m, n, 2) table that they view
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = self.frames
@@ -108,13 +97,24 @@ class CurvePath:
             if len(frames) < 2:
                 raise ValueError("a path needs at least 2 frames")
             n = frames[0].n
-            for f in frames:
-                if f.n != n:
-                    raise UsageError(f"frame with {f.n} vertices among n = {n}")
-                # the squared lengths: sqrt is monotone and maps 0 to 0
-                e = _diff(f.vertices)
-                if _dot(e, e).min() <= 0.0:
-                    raise DegenerateCurve("degenerate frame in path")
+            with np.errstate(over="ignore"):
+                for f in frames:
+                    if f.n != n:
+                        raise UsageError(f"frame with {f.n} vertices among n = {n}")
+                    # the squared lengths: sqrt is monotone and maps 0 to 0
+                    e = _diff(f.vertices)
+                    sq = _dot(e, e)
+                    if sq.min() <= 0.0:
+                        raise DegenerateCurve("degenerate frame in path")
+                    # finite vertices whose edges or squares overflow; an inf
+                    # vertex, which only a curve made without PolyCurve's
+                    # check has, is refused where a frame is formed from it
+                    if sq.max() == np.inf and np.isfinite(f.vertices).all():
+                        raise FloatingPointError("curve length overflows the double range")
+            table = np.stack([f.vertices for f in frames])
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)
+            frames = tuple(map(_owned, table))
         _check_mode(self.mode)
         object.__setattr__(self, "frames", frames)
 
@@ -182,8 +182,7 @@ def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
     one with DegenerateCurve("degenerate frame in path"), when formed."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    if frames < 2:
-        raise ValueError("frames must be >= 2")
+    _count("frames", frames, 2)
     t = np.linspace(0.0, 1.0, frames)
     V = curve.vertices
 
@@ -214,8 +213,7 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     and refused, a degenerate one with
     DegenerateCurve("degenerate frame in path"), when formed.
     """
-    if frames < 2:
-        raise ValueError("frames must be >= 2")
+    _count("frames", frames, 2)
     delta = np.asarray(twist, dtype=float)
     n = curve.n
     if delta.shape != (n,):
@@ -268,18 +266,15 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     phases (see _schedule_weights). The final frame is the base's final frame.
 
     Vertex i of frame j blends vertex i of the two base frames around its
-    phase. The base frames' x and y columns are laid end to end, the two
-    rows of one read-only table, and both frames are gathered at one index,
-    the right-hand one from the view of the table a frame later. The blend
-    is written into the frame's own (n, 2) array, which becomes the curve
-    with no copy. The path keeps the table and the schedule and forms frame
-    j when it is read (see _Frames); a frame is refused, a degenerate one
-    with DegenerateCurve("degenerate frame in path"), when formed.
-
-    The base holds the table weakly (CurvePath._columns, shared with its
-    as_mode copies): a zigzag of a base whose table another zigzag still
-    holds gathers from that table, and once no zigzag of the base is alive
-    the table is freed. A pickle or a deep copy of the base holds none.
+    phase. Both frames are gathered, a coordinate at a time, at one index
+    into the flat table of the base frames, the right-hand one from the
+    view of the table a frame later. The table is the explicit base's own,
+    shared by all its zigzags; a generated base is made explicit, its
+    frames stacked into one, for each zigzag. The blend is written into the
+    frame's own (n, 2) array, which becomes the curve with no copy. The path
+    keeps the table and the schedule and forms frame j when it is read (see
+    _Frames); a frame is refused, a degenerate one with
+    DegenerateCurve("degenerate frame in path"), when formed.
     """
     if base.mode != "full":
         raise ValueError("zigzag needs a full-mode base path")
@@ -289,16 +284,11 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     mu = _schedule_weights(n, teeth)
     omu = 1.0 - mu
     m = len(base.frames)
-    # column c of frame k, vertex i is cols[c, k * n + i]; one read-only
-    # table per base while a zigzag of it holds the table
-    cols = base._columns.ref()
-    if cols is None:
-        cols = np.empty((2, m * n))
-        np.concatenate([f.vertices.T for f in base.frames], axis=1, out=cols)
-        cols.flags.writeable = False
-        base._columns.ref = weakref.ref(cols)
-    ahead = cols[:, n:]  # the columns a frame later
-    rows = np.arange(n)
+    if base._table is None:
+        base = CurvePath(frames=tuple(base.frames))  # stacks the formed frames
+    # coordinate c of frame k, vertex i is flat[2 (k n + i) + c]
+    flat = base._table.ravel()
+    rows = np.arange(0, 2 * n, 2)
     out_frames = 4 * (m - 1) + 1
 
     def form(j):
@@ -311,13 +301,13 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         np.minimum(at, m - 2, out=at)
         w -= at  # the right-hand frame's weight
         ow = 1.0 - w
-        at *= n
+        at *= 2 * n
         at += rows
         verts = np.empty((n, 2))
         for c in range(2):
-            a = cols[c].take(at)
+            a = flat[c:].take(at)
             a *= ow
-            b = ahead[c].take(at)
+            b = flat[2 * n + c:].take(at)  # the frame a step later
             b *= w
             np.add(a, b, out=verts[:, c])
         return verts

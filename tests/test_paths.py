@@ -87,6 +87,21 @@ class TestCurvePath:
         else:
             assert h.CurvePath(frames=frames).n == 5
 
+    def test_overflowing_frame_refused_by_name(self):
+        # squared edges past the double range: refused as the gate of a
+        # generated frame refuses it, with no RuntimeWarning from the squares;
+        # at 1e150 the squares are finite, and the path builds and walks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # squared edges past the range, and an edge past it
+            wide = h.PolyCurve([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]])
+            for last in (h.circle(1e155, 16), wide):
+                with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+                    h.CurvePath(frames=(h.circle(1e150, last.n), last))
+            p = h.CurvePath(frames=(h.circle(1e150, 16),) * 2)
+            assert _both_lengths(p) == (0.0, 0.0)
+            assert all(math.isfinite(f.length) for f in h.zigzag_path(p, 2).frames)
+
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             h.CurvePath(frames=(h.circle(1.0, 16), h.circle(0.9, 16)),
@@ -201,6 +216,10 @@ class TestShrinkPath:
                 h.shrink_path(c, lam, 5)
         with pytest.raises(ValueError, match="^frames must be >= 2$"):
             h.shrink_path(c, 0.5, 1)
+        # the count rule of shapes: a float is refused, a NumPy integer kept
+        with pytest.raises(ValueError, match="^frames must be an integer, got 2.5$"):
+            h.shrink_path(c, 0.5, 2.5)
+        assert len(h.shrink_path(c, 0.5, np.int64(3)).frames) == 3
         # lam = 1 is the constant path
         assert h.path_length_l2ds(h.shrink_path(c, 1.0, 5)) == pytest.approx(0.0,
                                                                              abs=1e-14)
@@ -242,6 +261,9 @@ class TestReparamPath:
             h.reparam_path(c, np.zeros(n - 1), 5)  # wrong size
         with pytest.raises(ValueError, match="^frames must be >= 2$"):
             h.reparam_path(c, np.zeros(n), 1)
+        with pytest.raises(ValueError, match="^frames must be an integer, got 3.5$"):
+            h.reparam_path(c, np.zeros(n), 3.5)
+        assert len(h.reparam_path(c, np.zeros(n), np.int64(3)).frames) == 3
         for bad in (np.nan, np.inf):
             # a NaN passes every order test; refused before any arithmetic,
             # so with no RuntimeWarning (an error under the suite's filters)
@@ -346,54 +368,51 @@ class TestZigzagPath:
 
     def test_as_mode_copies_of_the_base_share_the_table(self):
         base = translation_path(n=64, frames=9)
-        assert base._columns.ref() is None
-        z = h.zigzag_path(base, 2)
-        table = base._columns.ref()
-        assert table.shape == (2, 9 * 64)
+        table = base._table
+        assert table.shape == (9, 64, 2) and table.flags.c_contiguous
         again = h.as_mode(h.as_mode(base, "quotient"), "full")
-        assert again._columns is base._columns
-        z2 = h.zigzag_path(again, 4)
-        assert again._columns.ref() is table
-        # the table lives while a zigzag of the base does, and no longer
-        del z
-        gc.collect()
-        assert base._columns.ref() is table
-        del table, z2
-        gc.collect()
-        assert base._columns.ref() is None
+        assert again._table is table and again.frames is base.frames
+        expect = [f.vertices.tobytes() for f in h.zigzag_path(base, 2).frames]
+        assert [f.vertices.tobytes() for f in h.zigzag_path(again, 2).frames] == expect
+        # a generated path keeps its recipe, not a table
+        assert h.shrink_path(h.circle(1.0, 16), 0.5, 3)._table is None
 
     def test_explicit_path_pickles_after_a_zigzag_of_it(self):
         base = h.as_mode(translation_path(n=16, frames=3), "quotient")
         z = h.zigzag_path(h.as_mode(base, "full"), 1)
-        assert base._columns.ref() is not None
-        length = h.path_length_l2ds(base)
+        length, lengths = h.path_length_l2ds(base), _both_lengths(z)
         for other in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base)):
-            assert other._columns is not base._columns
-            assert other._columns.ref() is None
             assert other.mode == "quotient" and other._lengths == base._lengths
             assert [f.vertices.tobytes() for f in other.frames] == [f.vertices.tobytes() for f in base.frames]
+            assert other._table.tobytes() == base._table.tobytes()
             assert h.path_length_l2ds(other) == length
-        # the copies leave the base's table, which z holds, as it was
-        assert base._columns.ref() is not None and z.frames
+            assert h.path_length_l2ds(h.CurvePath(frames=other.frames, mode="quotient")) == length
+            assert _both_lengths(h.zigzag_path(h.as_mode(other, "full"), 1)) == lengths
 
     def test_shared_table_gives_the_bits_of_a_fresh_one(self):
-        base = translation_path(n=64, frames=9)
-        first = h.zigzag_path(base, 4)
-        table = base._columns.ref()
-        shared = h.zigzag_path(base, 2)  # gathers from first's table
-        assert base._columns.ref() is table and first.frames
-        fresh = h.zigzag_path(h.CurvePath(frames=tuple(base.frames)), 2)
+        # a generated base is stacked afresh for each zigzag; its explicit
+        # copy gathers from the one table it holds
+        generated = h.shrink_path(h.circle(1.0, 64), 0.5, 9)
+        explicit = h.CurvePath(frames=tuple(generated.frames))
+        fresh, shared = h.zigzag_path(generated, 2), h.zigzag_path(explicit, 2)
         assert [f.vertices.tobytes() for f in shared.frames] == [f.vertices.tobytes() for f in fresh.frames]
         assert _both_lengths(shared) == _both_lengths(fresh)
 
     def test_table_is_read_only_and_frames_share_no_memory_with_it(self):
-        base = translation_path(n=64, frames=9)
-        z = h.zigzag_path(base, 2)
-        table = base._columns.ref()
+        ring = h.circle(1.0, 64).vertices
+        caller = tuple(h.PolyCurve(ring + [0.25 * k, 0.0]) for k in range(9))
+        base = h.CurvePath(frames=caller)
+        table = base._table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 0.0
-        for frame in z.frames:
+            table[0, 0, 0] = 0.0
+        # each frame is a row of the table, a copy of the caller's vertices
+        for frame, c in zip(base.frames, caller):
+            assert type(frame) is h.PolyCurve and frame.vertices.flags.c_contiguous
+            assert np.shares_memory(frame.vertices, table)
+            assert not np.shares_memory(frame.vertices, c.vertices)
+            assert frame.vertices.tobytes() == c.vertices.tobytes()
+        for frame in h.zigzag_path(base, 2).frames:
             assert not np.shares_memory(frame.vertices, table)
 
     def test_detour_costs_more_in_full_mode(self):
@@ -564,14 +583,13 @@ class TestPathMemory:
         assert many - few <= 2e6
 
     def test_zigzag_bounded_beyond_its_base_columns(self):
-        # the zigzag's recipe holds the base frames' columns, 16 m n bytes
-        # for m base frames; beyond them its peak does not grow
-        beyond = {}
+        # the zigzag gathers from the table of the base's m frames, which the
+        # base holds: its build and walks do not grow with m
+        peak = {}
         for m in (9, 65):
             base = translation_path(n=self.N, frames=m)
-            peak = _traced_peak(lambda: _both_lengths(h.zigzag_path(base, 8)))
-            beyond[4 * (m - 1) + 1] = peak - 16 * m * self.N
-        assert beyond[257] - beyond[33] <= 2e6
+            peak[m] = _traced_peak(lambda: _both_lengths(h.zigzag_path(base, 8)))
+        assert peak[65] - peak[9] <= 2e6
 
     def test_zigzags_of_one_base_share_its_columns(self):
         # the workload's case: a second zigzag built while the first is
