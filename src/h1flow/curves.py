@@ -8,11 +8,14 @@ embeddedness monitor. The ArcData of arc_data is itself a curve, accepted in
 the curve's place, so a state is measured once; its cumulative arclength s is
 computed on first use, since only the kernel and the chord-arc monitor read
 it. arc_data measures a PolyCurve's vertices in place and checks and copies
-any other input through PolyCurve. An array the library forms itself, a state
-of the flow or a frame of a generated path, is accepted in one place,
-_measure: one maximum checks it finite, _owned makes it a curve with no copy
-and no second check, and arc_data measures it, under an overflow context
-from _NO_OVERFLOW up, refusing a length that overflows.
+any other input through PolyCurve. It is the one place where a curve is
+accepted or refused, by its gate _edges: one maximum refuses a non-finite
+coordinate and decides whether the edges are formed under an overflow
+context, from _NO_OVERFLOW up; then a collapsed edge, and a length that
+overflows, are refused. An array the library forms itself, a state of the
+flow or a frame of a generated path, becomes a curve by _measure, which
+_owned makes with no copy and no second check, and arc_data measures; an
+explicit path checks its frames by _edges alone.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
@@ -29,6 +32,7 @@ Reading and writing curves is the business of the output module.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +66,9 @@ _CHORD_FINE, _CHORD_COARSE, _CHORD_SEED = 8, 64, 64
 # Coordinates below this bound have edges below 2^501, whose squared norms
 # stay under 2^1003: measuring them cannot overflow.
 _NO_OVERFLOW = 2.0 ** 500
+# the context of a measurement below _NO_OVERFLOW: the caller's, unchanged.
+# One stateless instance serves every call, as creating one costs more
+_NO_CONTEXT = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,11 @@ class PolyCurve:
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
+
+    def __setstate__(self, state):
+        """A pickled or deep-copied curve keeps its vertices read-only."""
+        self.__dict__.update(state)
+        self.vertices.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -172,9 +184,9 @@ def total_length(curve: PolyCurve) -> float:
 
 def _owned(X: np.ndarray) -> PolyCurve:
     """The curve whose vertices are X itself, marked read-only in place and
-    neither copied nor checked. Only for a float (n, 2) array that its caller
-    owns and has found finite with n >= 3, as _measure does, or for a row of
-    a read-only table of checked vertices that its caller owns, as an
+    neither copied nor checked. Only for a float (n, 2) array with n >= 3
+    that its caller owns and has arc_data check, as _measure does, or for a
+    row of a read-only table of checked vertices that its caller owns, as an
     explicit path's frames are."""
     X.flags.writeable = False
     curve = object.__new__(PolyCurve)
@@ -182,52 +194,55 @@ def _owned(X: np.ndarray) -> PolyCurve:
     return curve
 
 
+def _edges(X: np.ndarray):
+    """The edges X_{i+1} - X_i of the vertices X, their lengths and the
+    total length, or the refusal of X: the gate of arc_data, which builds no
+    ArcData. One maximum of |X| refuses a non-finite coordinate (it is NaN
+    or inf if any coordinate is), and from _NO_OVERFLOW up the edges are
+    formed with overflow ignored; a collapsed edge raises DegenerateCurve,
+    and a length past the double range FloatingPointError, in that order."""
+    m = float(np.abs(X).max())
+    if not math.isfinite(m):
+        raise FloatingPointError("curve coordinates are not finite")
+    with np.errstate(over="ignore") if m >= _NO_OVERFLOW else _NO_CONTEXT:
+        ev = _diff(X)
+        el = _norm(ev)
+        length = float(el.sum())
+    if el.min() <= 0.0:
+        raise DegenerateCurve("zero-length edge")
+    if not math.isfinite(length):
+        raise FloatingPointError("curve length overflows the double range")
+    return ev, el, length
+
+
 def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     """Edges, edge lengths and the vertex quadrature weight
     ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
-    s_i follows on first use. A curve that is already measured is returned
-    as it is, and a PolyCurve's vertices are measured in place. Any other
-    input, an array read-only or not, is checked and copied by PolyCurve.
+    s_i follows on first use. The one place where a curve is accepted or
+    refused, by _edges: a non-finite coordinate, or a length that overflows,
+    raises FloatingPointError, and a collapsed edge DegenerateCurve. A curve
+    that is already measured is returned as it is, and a PolyCurve's
+    vertices are measured in place. Any other input, an array read-only or
+    not, is checked and copied by PolyCurve first.
     """
     if isinstance(curve, ArcData):
         return curve
     X = (curve if isinstance(curve, PolyCurve) else PolyCurve(curve)).vertices
-    ev = _diff(X)
-    el = _norm(ev)
-    if el.min() <= 0.0:
-        raise DegenerateCurve("zero-length edge")
+    ev, el, length = _edges(X)
+    # outside the overflow context: a finite length bounds every sum of two
+    # edge lengths
     ds = _prev(el)
     ds += el
     ds *= 0.5
-    return ArcData(vertices=X, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
+    return ArcData(vertices=X, ds=ds, length=length, edges=ev, edge_lengths=el)
 
 
 def _measure(X: np.ndarray) -> ArcData:
-    """The measured curve with vertices X: the one place where an array the
-    library formed, a state of the flow or a frame of a generated path, is
-    accepted or refused. Non-finite coordinates, or finite ones whose length
-    overflows, raise FloatingPointError; the flow has no velocity there. A
-    collapsed edge raises DegenerateCurve. Finiteness is checked first, so a
-    non-finite array is refused as such whatever its edges.
-
-    X itself becomes the vertices, not a copy: every caller passes a fresh
-    array or a curve's vertices, and _owned marks X read-only and makes it a
-    curve, which this module's arc_data binding measures. The largest
-    coordinate is the one finiteness check (NaN or inf if any coordinate
-    is), and below _NO_OVERFLOW it lets the measurement skip the overflow
-    context."""
-    m = float(np.abs(X).max())
-    if not math.isfinite(m):
-        raise FloatingPointError("curve coordinates are not finite")
-    curve = _owned(X)
-    if m < _NO_OVERFLOW:
-        ad = arc_data(curve)
-    else:
-        with np.errstate(over="ignore"):
-            ad = arc_data(curve)
-    if not math.isfinite(ad.length):
-        raise FloatingPointError("curve length overflows the double range")
-    return ad
+    """The measured curve with vertices X itself, not a copy, for an array
+    the library formed, a state of the flow or a frame of a generated path:
+    _owned marks X read-only and makes it a curve, which this module's
+    arc_data binding accepts or refuses."""
+    return arc_data(_owned(X))
 
 
 def signed_area(curve: PolyCurve) -> float:
@@ -311,11 +326,10 @@ def _chord_ratios(xi, yi, si, xj, yj, sj, length, shape, work, positive):
     and (xj, yj, sj), as an array of `shape` in the work arrays: chord =
     sqrt(dx * dx + dy * dy), arc = min(gap, L - gap) with gap = s_j - s_i,
     and inf where the arc is not positive, that is where either the gap or
-    L - gap is not; a NaN arc is kept, and gives a NaN ratio. work holds
-    three float arrays and positive a bool one, each of at least as many
-    entries; every operation writes into them in the order of the
-    expressions it stands for, so the bits are those of evaluating the
-    pairs afresh."""
+    L - gap is not. work holds three float arrays and positive a bool one,
+    each of at least as many entries; every operation writes into them in
+    the order of the expressions it stands for, so the bits are those of
+    evaluating the pairs afresh."""
     size = math.prod(shape)
     a, b, c = (w[:size].reshape(shape) for w in work)
     pos = positive[:size].reshape(shape)
@@ -328,8 +342,7 @@ def _chord_ratios(xi, yi, si, xj, yj, sj, length, shape, work, positive):
     np.subtract(sj, si, out=b)  # gap
     np.subtract(length, b, out=c)
     np.minimum(b, c, out=c)  # arc
-    np.less_equal(c, 0.0, out=pos)
-    np.logical_not(pos, out=pos)
+    np.greater(c, 0.0, out=pos)
     b.fill(np.inf)
     np.divide(a, c, out=b, where=pos)  # ratio, inf where the arc <= 0
     return b
@@ -387,8 +400,7 @@ def _reaches(box, p, q, length, limit):
 def _pruned_blocks(x, y, s, length):
     """(value, i, j) of the minimum of each chunk of the pairs that survive
     the two-level block bounds, at the chunk's lowest (i, j); the chunks
-    come in no (i, j) order. Only for curves whose every arc is finite,
-    L < inf, so that no ratio is NaN."""
+    come in no (i, j) order."""
     n = x.shape[0]
     # fine blocks of _CHORD_FINE vertices, or more from n = 16384 on, so
     # that there are at most about 2048, and coarse ones of `ratio` of them
@@ -469,19 +481,16 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     operation of that bound rounds monotonically, so it is at most every
     computed ratio in the block pair, and every pair that can reach the
     minimum, or tie it, is evaluated; the margin is a further guard, and a
-    NaN bound or seed skips nothing. A block pair whose largest arc is not
-    positive holds only skipped pairs. The bound needs every arc finite,
-    L < inf; a curve without that is scanned in full, and only there can a
-    ratio be NaN. The surviving pairs are evaluated with the row scan's
-    expressions, in chunks of about _CHORD_BLOCK pairs in work arrays
-    allocated once per call, so memory is O(n). The row scan's chunks come
-    in (i, j) order, and argmin keeps the first minimum of each; a pruned
-    chunk gives its minimum at its lowest (i, j). The chunk minima reduce by
-    one min over the key (not NaN, value, i, j). A NaN, which argmin over
-    all pairs would pick, comes first; only the row scan gives one, and min
-    keeps its first NaN chunk, which holds the lowest NaN pair. An exact tie
+    NaN bound skips nothing. A block pair whose largest arc is not
+    positive holds only skipped pairs. The surviving pairs are evaluated
+    with the row scan's expressions, in chunks of about _CHORD_BLOCK pairs
+    in work arrays allocated once per call, so memory is O(n). The row
+    scan's chunks come in (i, j) order, and argmin keeps the first minimum
+    of each; a pruned chunk gives its minimum at its lowest (i, j). The
+    chunk minima reduce by one min over (value, i, j), so an exact tie
     resolves to the lower (i, j), as the pruned path's chunks come in no
-    (i, j) order.
+    (i, j) order. arc_data refuses a curve whose length overflows, so every
+    arc is finite and no ratio is NaN.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -489,6 +498,6 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     y = curve.vertices[:, 1]
     s = ad.s
     L = ad.length
-    blocks = _pruned_blocks if n >= _CHORD_PRUNE and L < np.inf else _row_blocks
-    value, i, j = min(blocks(x, y, s, L), key=lambda c: (not np.isnan(c[0]), c[0], c[1], c[2]))
+    blocks = _pruned_blocks if n >= _CHORD_PRUNE else _row_blocks
+    value, i, j = min(blocks(x, y, s, L))
     return ChordArcResult(value=float(value), i=i, j=j)

@@ -8,11 +8,11 @@ ordinary.
 
 The flow acts on immersed curves of finite length. Every state it takes or
 keeps, the initial one, each RK4 stage, each stepped one and each rescaled
-profile, passes once through curves._measure, which returns its arclength
-data or refuses it, as it does the frames of a generated path. It measures
-the array it is given, with no copy: one pass finds the largest coordinate,
-which refuses a non-finite state, and the array then becomes a curve through
-curves._owned, marked read-only in place, which arc_data measures. Euler and
+profile, passes once through curves._measure. That makes the array it is
+given a curve through curves._owned, marked read-only in place with no copy,
+and returns its arclength data from arc_data, the one gate that accepts or
+refuses every curve the library measures, the frames of paths among them: a
+non-finite state, a collapsed edge or a length that overflows. Euler and
 RK4 are one stage loop, _advance, over the table _TABLEAUX, internal to
 run_flow.
 Every state a run keeps, and its record, come from _kept, which forms and

@@ -8,14 +8,16 @@ vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
 L2(ds) sum of the curves module, the one that gradient's inner products use,
 of |v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
 
-A path built from explicit frames checks them once, when it is built, for a
-positive squared length of every edge and for edges and squares inside the
-double range, and copies their vertices into one read-only (m, n, 2) table;
-its frames are a tuple of curves on the table's rows. The three families
+Every frame passes the gate of curves.arc_data, which refuses a non-finite
+coordinate, a collapsed edge or a length past the double range. A path built
+from explicit frames checks them once, when it is built, by the gate's edge
+measurement, curves._edges, and copies their vertices into one read-only
+(m, n, 2) table; its frames are a tuple of curves on the table's rows, and a
+pickle or deep copy of it views its own table again. The three families
 keep their recipe instead (the base table with the schedule, the scale, or
 the twist), and their frames are a read-only sequence that forms frame k
-when it is read and accepts it through curves._measure, the gate of the
-flow's states, so a path's memory does not grow with its frame count. A
+when it is read and measures it by curves._measure, as the flow measures
+its states, so a path's memory does not grow with its frame count. A
 length is one pairwise walk over the frames: each frame is formed once and
 each left frame measured once (its ArcData, whose arclength s it never
 reads). A quotient walk also sums the full speed from the same v and ds, and
@@ -29,22 +31,21 @@ copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh C-ordered
 (n, 2) array that _measure makes a curve in place, with no copy. No family
-bounds its source coordinates in advance: _measure's one maximum refuses a
-non-finite frame, and its measurement one whose length overflows, when the
-frame is formed. zigzag_path gathers both base frames of a blend from the
-table of an explicit base, so all the zigzags of one base share it.
+bounds its source coordinates in advance: the gate refuses a non-finite
+frame, or one whose length overflows, when the frame is formed. zigzag_path
+gathers both base frames of a blend from the table of an explicit base, so
+all the zigzags of one base share it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PolyCurve, _diff, _dot, _l2ds_term, _measure, _owned, _tangent, _unit_edges, arc_data
+from .curves import PolyCurve, _dot, _edges, _l2ds_term, _measure, _owned, _tangent, _unit_edges, arc_data
 from .errors import DegenerateCurve, UsageError
 from .shapes import _count
 
@@ -53,7 +54,7 @@ MODES = ("full", "quotient")
 
 class _Frames(Sequence):
     """The frames of a generated path, formed on demand: frame k is the
-    curve of form(k), a fresh C-ordered float (n, 2) array, accepted by
+    curve of form(k), a fresh C-ordered float (n, 2) array, measured by
     _measure as it is formed. A frame with a non-finite coordinate, or a
     length past the double range, raises FloatingPointError, and one with an
     edge of zero length DegenerateCurve("degenerate frame in path"). An index
@@ -75,10 +76,17 @@ class _Frames(Sequence):
         return map(self._frame, range(self._count))
 
     def _frame(self, k: int) -> PolyCurve:
-        try:
-            return _measure(self._form(k))
-        except DegenerateCurve:
-            raise DegenerateCurve("degenerate frame in path") from None
+        return _accept(_measure, self._form(k))
+
+
+def _accept(gate, X: np.ndarray):
+    """gate(X), with a collapsed edge refused as DegenerateCurve("degenerate
+    frame in path"): the gate is _measure for a formed frame, and the edge
+    measurement of arc_data, curves._edges, for an explicit one."""
+    try:
+        return gate(X)
+    except DegenerateCurve:
+        raise DegenerateCurve("degenerate frame in path") from None
 
 
 @dataclass(frozen=True)
@@ -97,26 +105,24 @@ class CurvePath:
             if len(frames) < 2:
                 raise ValueError("a path needs at least 2 frames")
             n = frames[0].n
-            with np.errstate(over="ignore"):
-                for f in frames:
-                    if f.n != n:
-                        raise UsageError(f"frame with {f.n} vertices among n = {n}")
-                    # the squared lengths: sqrt is monotone and maps 0 to 0
-                    e = _diff(f.vertices)
-                    sq = _dot(e, e)
-                    if sq.min() <= 0.0:
-                        raise DegenerateCurve("degenerate frame in path")
-                    # finite vertices whose edges or squares overflow; an inf
-                    # vertex, which only a curve made without PolyCurve's
-                    # check has, is refused where a frame is formed from it
-                    if sq.max() == np.inf and np.isfinite(f.vertices).all():
-                        raise FloatingPointError("curve length overflows the double range")
+            for f in frames:
+                if f.n != n:
+                    raise UsageError(f"frame with {f.n} vertices among n = {n}")
+                _accept(_edges, f.vertices)
             table = np.stack([f.vertices for f in frames])
             table.flags.writeable = False
             object.__setattr__(self, "_table", table)
             frames = tuple(map(_owned, table))
         _check_mode(self.mode)
         object.__setattr__(self, "frames", frames)
+
+    def __setstate__(self, state):
+        """A pickled or deep-copied explicit path's frames view its table,
+        read-only, again."""
+        self.__dict__.update(state)
+        if self._table is not None:
+            self._table.flags.writeable = False
+            self.__dict__["frames"] = tuple(map(_owned, self._table))
 
     @property
     def n(self) -> int:
@@ -131,10 +137,11 @@ def _check_mode(mode: str) -> None:
 def as_mode(path: CurvePath, mode: str) -> CurvePath:
     """The path's frames, the same sequence, under another mode. Only the
     mode is checked: the frames were checked when the path was built, or
-    are checked as they are formed. The copy shares the path's lengths."""
+    are checked as they are formed. The copy shares the path's frames, table
+and lengths."""
     _check_mode(mode)
-    out = copy.copy(path)
-    object.__setattr__(out, "mode", mode)
+    out = object.__new__(CurvePath)
+    out.__dict__.update(path.__dict__, mode=mode)
     return out
 
 

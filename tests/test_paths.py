@@ -76,9 +76,9 @@ class TestCurvePath:
 
     @pytest.mark.parametrize("edge, refused", [(1e-200, True), (1e-160, False)])
     def test_tiny_edge(self, edge, refused):
-        # the check compares squared edge lengths with 0: 1e-200 squared
-        # underflows to 0 and is refused, as its length sqrt(0) = 0 was;
-        # 1e-160 squared is subnormal but positive
+        # the gate compares edge lengths with 0: 1e-200 squared underflows
+        # to 0, and its length sqrt(0) = 0 is refused; 1e-160 squared is
+        # subnormal but positive
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, edge]])
         frames = (h.PolyCurve(square), h.PolyCurve(0.5 * square))
         if refused:
@@ -116,16 +116,16 @@ class TestCurvePath:
 
     def test_as_mode_measures_no_frame(self, monkeypatch):
         # the frames were checked when the path was built; the check forms
-        # each frame's edges by _diff
+        # each frame's edges by the _diff of arc_data's gate
         p = translation_path()
         calls = []
-        original = h1flow.paths._diff
+        original = h1flow.curves._diff
 
         def counted(a):
             calls.append(1)
             return original(a)
 
-        monkeypatch.setattr(h1flow.paths, "_diff", counted)
+        monkeypatch.setattr(h1flow.curves, "_diff", counted)
         h.CurvePath(frames=p.frames)
         assert len(calls) == len(p.frames)
         calls.clear()
@@ -353,18 +353,20 @@ class TestZigzagPath:
             assert not np.shares_memory(a.vertices, b.vertices)
 
     def test_non_finite_blend_refused_when_formed(self):
-        # a base frame made without PolyCurve's check puts inf into every
-        # blend (inf, or inf * 0 = nan); the path builds, and each frame is
-        # refused when it is read or walked, as the flow refuses a state
+        # a curve made without PolyCurve's check, with an inf vertex: as an
+        # explicit frame it is refused when the path is built, by the gate
+        # of arc_data; as the source of a generated path, the path builds
+        # and each frame (inf, or inf * 0 = nan) is refused when it is read
+        # or walked, as the flow refuses a state
         bad = h.circle(1.0, 16).vertices.copy()
         bad[3, 0] = np.inf
-        base = h.CurvePath(frames=(h.circle(1.0, 16), _owned(bad)))
-        z = h.zigzag_path(base, 1)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
-                z.frames[2]
-            with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
-                h.path_length_l2ds(z)
+        with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
+            h.CurvePath(frames=(h.circle(1.0, 16), _owned(bad)))
+        p = h.shrink_path(_owned(bad), 0.5, 3)
+        with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
+            p.frames[2]
+        with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
+            h.path_length_l2ds(p)
 
     def test_as_mode_copies_of_the_base_share_the_table(self):
         base = translation_path(n=64, frames=9)
@@ -385,6 +387,12 @@ class TestZigzagPath:
             assert other.mode == "quotient" and other._lengths == base._lengths
             assert [f.vertices.tobytes() for f in other.frames] == [f.vertices.tobytes() for f in base.frames]
             assert other._table.tobytes() == base._table.tobytes()
+            # the copy's frames are rows of its own read-only table again
+            assert not other._table.flags.writeable
+            assert not np.shares_memory(other._table, base._table)
+            for frame in other.frames:
+                assert np.shares_memory(frame.vertices, other._table)
+                assert not frame.vertices.flags.writeable
             assert h.path_length_l2ds(other) == length
             assert h.path_length_l2ds(h.CurvePath(frames=other.frames, mode="quotient")) == length
             assert _both_lengths(h.zigzag_path(h.as_mode(other, "full"), 1)) == lengths
