@@ -13,12 +13,10 @@ from types import ModuleType as _ModuleType
 from .curves import (
     ArcData,
     ChordArcResult,
-    FrameData,
     PolyCurve,
     arc_data,
     chord_arc_min,
     edge_lengths,
-    frame_data,
     signed_area,
     sup_norm,
     total_length,
@@ -43,7 +41,6 @@ from .flow import (
     FlowConfig,
     Termination,
     Trajectory,
-    asymptotic_profile,
     run_flow,
     trajectory_h1ds_length,
 )

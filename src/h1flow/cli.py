@@ -185,6 +185,10 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+# the errors that exit 2; any other ValueError exits 1
+_RUNTIME = (RuntimeFailure, FloatingPointError, OverflowError, OSError)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -193,12 +197,9 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_distance(args)
-    except (RuntimeFailure, FloatingPointError, OverflowError, OSError) as exc:
+    except (*_RUNTIME, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _RUNTIME) else 1
 
 
 if __name__ == "__main__":

@@ -3,12 +3,15 @@
 A curve is an ordered list of planar vertices with the closing edge implicit;
 PolyCurve keeps one read-only copy of its input.
 Everything here is a pure function of the vertex array: arclength data, area,
-tangent/normal frames, discrete curvature, the sup norm, and the chord-arc
-embeddedness monitor. The ArcData of arc_data is itself a curve, accepted in
-the curve's place, so a state is measured once; its cumulative arclength s is
-computed on first use, since only the kernel and the chord-arc monitor read
-it. arc_data measures a PolyCurve's vertices in place and checks and copies
-any other input through PolyCurve. It is the one place where a curve is
+the sup norm, and the chord-arc embeddedness monitor, all public, and the
+vertex tangent and discrete curvature, which are internal: records and paths
+read them from _tangent_curvature, and frame_data, which the package does
+not export, returns them for the benchmark tracer's layer list. The ArcData
+of arc_data is itself a curve, accepted in the curve's place, so a state is
+measured once; its cumulative arclength s is computed on first use, since
+only the kernel and the chord-arc monitor read it. arc_data measures a
+PolyCurve's vertices in place and checks and copies any other input
+through PolyCurve. It is the one place where a curve is
 accepted or refused, by its gate _edges: one maximum refuses a non-finite
 coordinate and decides whether the edges are formed under an overflow
 context, from _NO_OVERFLOW up; then a collapsed edge, and a length that
@@ -26,7 +29,8 @@ A quotient path length reads only the tangent, and _tangent_curvature
 reads p for the turning angle before the tangent is formed.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
 by (value, i, j) the chunk minima of _row_blocks or _pruned_blocks, which
-share the ratio helper _chord_ratios.
+share the ratio helper _chord_ratios; from L >= _NO_OVERFLOW it scans the
+curve scaled by a power of two, so that no chord's square overflows.
 Reading and writing curves is the business of the output module.
 """
 
@@ -122,15 +126,6 @@ class ArcData(PolyCurve):
         s[1:] = s[:-1]
         s[0] = 0.0
         return s
-
-
-@dataclass(frozen=True)
-class FrameData:
-    """Unit tangent T, unit normal N = rot90(T), signed curvature k per vertex."""
-
-    tangent: np.ndarray
-    normal: np.ndarray
-    curvature: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,25 +240,22 @@ def _measure(X: np.ndarray) -> ArcData:
     return arc_data(_owned(X))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def signed_area(curve: PolyCurve) -> float:
-    """Shoelace area; positive for counterclockwise orientation."""
+    """Shoelace area; positive for counterclockwise orientation. Past the
+    double range it is inf or nan, with no RuntimeWarning."""
     x = curve.vertices[:, 0]
     y = curve.vertices[:, 1]
     nxt = _next(curve.vertices)
     return float(0.5 * np.sum(x * nxt[:, 1] - nxt[:, 0] * y))
 
 
-def frame_data(curve: PolyCurve) -> FrameData:
-    """Vertex frames from adjacent edges.
-
-    T_i is the normalized average of the two adjacent edge directions,
-    N_i = rot90(T_i), and k_i is the signed turning angle at the vertex
-    divided by ds_i.
-    """
-    (tx, ty), k = _tangent_curvature(arc_data(curve))
-    return FrameData(tangent=np.stack([tx, ty], axis=1),
-                     normal=np.stack([-ty, tx], axis=1),
-                     curvature=k)
+def frame_data(curve: PolyCurve):
+    """((T_x, T_y), k): the columns of the unit vertex tangent and the signed
+    curvature of _tangent_curvature, for any curve arc_data accepts; the
+    normal is N = rot90(T) = (-T_y, T_x). Not exported: it stays defined as
+    a layer that the benchmark tracer lists."""
+    return _tangent_curvature(arc_data(curve))
 
 
 def _unit_edges(ad: ArcData):
@@ -317,7 +309,10 @@ def _edge_term(ad: ArcData, q: np.ndarray) -> float:
     return float((q / ad.edge_lengths).sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sup_norm(curve: PolyCurve) -> float:
+    """max_i |X_i|; inf, with no RuntimeWarning, once a squared norm
+    overflows."""
     return float(_norm(curve.vertices).max())
 
 
@@ -491,6 +486,12 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     resolves to the lower (i, j), as the pruned path's chunks come in no
     (i, j) order. arc_data refuses a curve whose length overflows, so every
     arc is finite and no ratio is NaN.
+
+    From L >= _NO_OVERFLOW on, a chord's square could overflow: the scan
+    then runs on x, y, s and L scaled by 2^-e, with 2^e the power of two
+    just above L. Every chord is at most L/2 < 1 there, and a power of two
+    scales each ratio exactly, so the result is that of the exactly scaled
+    curve.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -498,6 +499,9 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     y = curve.vertices[:, 1]
     s = ad.s
     L = ad.length
+    if L >= _NO_OVERFLOW:
+        e = -math.frexp(L)[1]
+        x, y, s, L = np.ldexp(x, e), np.ldexp(y, e), np.ldexp(s, e), math.ldexp(L, e)
     blocks = _pruned_blocks if n >= _CHORD_PRUNE else _row_blocks
     value, i, j = min(blocks(x, y, s, L))
     return ChordArcResult(value=float(value), i=i, j=j)

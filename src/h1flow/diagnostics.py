@@ -84,8 +84,12 @@ def embeddedness_condition(curve: PolyCurve) -> EmbeddednessCheck:
     return EmbeddednessCheck(ok=lhs > rhs, lhs=lhs, rhs=rhs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
-    """All monitors for one state, from one measurement of its geometry."""
+    """All monitors for one state, from one measurement of its geometry. A
+    curve that arc_data accepts can still overflow the squares behind the
+    norms, the area and the gradient norm; they are kept as inf or nan, and
+    no RuntimeWarning is raised."""
     ad = arc_data(curve)
     area = signed_area(ad)
     # the enclosed area |A|: the ratio and the deficit are orientation-blind

@@ -17,8 +17,10 @@ RK4 are one stage loop, _advance, over the table _TABLEAUX, internal to
 run_flow.
 Every state a run keeps, and its record, come from _kept, which forms and
 measures the rescaled profile when asked and keeps the measured vertices
-without a copy; asymptotic_profile applies the same _kept to a finished
-trajectory. A step of run_flow is one try: the first refusal in it ends the
+without a copy. Profiles are public through FlowConfig(rescale_profile=True);
+asymptotic_profile, which applies the same _kept to a finished trajectory,
+is not exported and stays defined for the benchmark tracer's layer list and
+the tests. A step of run_flow is one try: the first refusal in it ends the
 run, at the length guard or as a numerical failure.
 """
 
@@ -123,14 +125,14 @@ def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, Diagnos
     vertices, made by _owned with no copy. A finite state can still overflow
     the record's norms and area; the record keeps them as inf or nan."""
     X = curve.vertices
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rescale:
-            try:
+    if rescale:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
                 curve = _measure(math.exp(t) * (X - X[0]))
-            except (OverflowError, FloatingPointError, DegenerateCurve) as exc:
-                kind = DegenerateCurve if isinstance(exc, DegenerateCurve) else FloatingPointError
-                raise kind(f"rescaled profile at t={t!r}: {exc}") from None
-        rec = record(curve, t)
+        except (OverflowError, FloatingPointError, DegenerateCurve) as exc:
+            kind = DegenerateCurve if isinstance(exc, DegenerateCurve) else FloatingPointError
+            raise kind(f"rescaled profile at t={t!r}: {exc}") from None
+    rec = record(curve, t)
     if rescale:
         rec = replace(rec, rescaled_max_k=rec.max_abs_k)
     return _owned(curve.vertices), rec
@@ -142,9 +144,9 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     kept state or record is refused: as LENGTH_GUARD when the stepped state
     is at or under the length guard (recorded if its record can be formed),
     as NUMERICAL_FAILURE otherwise. With rescale_profile, the recorded states
-    are those of asymptotic_profile. An initial curve that _measure or _kept
-    refuses raises its error, and one at or below the length guard raises
-    DegenerateCurve.
+    are the profiles Y(t) = e^t (X(t) - X(t, vertex 0)). An initial curve
+    that _measure or _kept refuses raises its error, and one at or below the
+    length guard raises DegenerateCurve.
     """
     h = cfg.signed_step
     nsteps = cfg.steps
@@ -185,7 +187,8 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
 
 def asymptotic_profile(traj: Trajectory) -> Trajectory:
     """The trajectory with each state X(t) replaced by its profile Y(t) and
-    its record recomputed, as run_flow keeps them with rescale_profile."""
+    its record recomputed, as run_flow keeps them with rescale_profile. Not
+    exported: FlowConfig(rescale_profile=True) is the public route."""
     kept = [_kept(state, t, True) for t, state in zip(traj.times, traj.states)]
     return replace(traj, states=tuple(s for s, _ in kept), records=tuple(r for _, r in kept))
 

@@ -61,9 +61,11 @@ def velocity(curve: PolyCurve) -> np.ndarray:
     return np.subtract(_convolve(ad, ad.vertices).T, ad.vertices, order="C")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def flow_velocity(curve: PolyCurve) -> VelocityField:
     """Velocity of the flow at every vertex and its squared H1(ds) norm, the
-    squared norm of the gradient of length."""
+    squared norm of the gradient of length; a norm past the double range
+    is inf, with no RuntimeWarning."""
     ad = arc_data(curve)
     V = velocity(ad)
     return VelocityField(velocity=V, grad_norm_sq_h1ds=h1ds_inner(ad, V, V))

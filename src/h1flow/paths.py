@@ -21,13 +21,13 @@ its states, so a path's memory does not grow with its frame count. A
 length is one pairwise walk over the frames: each frame is formed once and
 each left frame measured once (its ArcData, whose arclength s it never
 reads). A quotient walk also sums the full speed from the same v and ds, and
-takes the normal component from the columns of the unit tangent that
-frame_data uses; a full walk never forms the tangent, so a cusp fails only
-the quotient length. The walk's products run with overflow ignored, and a
-sum that is not finite (inf, or NaN from inf - inf in <v, N>) is refused
-with FloatingPointError; the frames are formed and measured outside that
-context. The path keeps the lengths it has walked, shared with its as_mode
-copies, which relabel the same frames.
+takes the normal component from the columns of the unit tangent of
+_tangent, which records' curvature shares; a full walk never forms the
+tangent, so a cusp fails only the quotient length. The walk's products run
+with overflow ignored, and a sum that is not finite (inf, or NaN from
+inf - inf in <v, N>) is refused with FloatingPointError; the frames are
+formed and measured outside that context. The path keeps the lengths it
+has walked, shared with its as_mode copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh C-ordered
 (n, 2) array that _measure makes a curve in place, with no copy. No family
@@ -71,9 +71,6 @@ class _Frames(Sequence):
     def __getitem__(self, k):
         at = range(self._count)[k]
         return tuple(map(self._frame, at)) if isinstance(at, range) else self._frame(at)
-
-    def __iter__(self):
-        return map(self._frame, range(self._count))
 
     def _frame(self, k: int) -> PolyCurve:
         return _accept(_measure, self._form(k))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.flow
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +70,7 @@ def circle_t4():
 
 @pytest.fixture(scope="session")
 def circle_t4_profile(circle_t4):
-    return h.asymptotic_profile(circle_t4)
+    return h1flow.flow.asymptotic_profile(circle_t4)
 
 
 @pytest.fixture(scope="session")
@@ -112,7 +113,7 @@ def ellipse_t8():
 
 @pytest.fixture(scope="session")
 def ellipse_t8_profile(ellipse_t8):
-    return h.asymptotic_profile(ellipse_t8)
+    return h1flow.flow.asymptotic_profile(ellipse_t8)
 
 
 @pytest.fixture(scope="session")

@@ -144,6 +144,87 @@ def test_ac08_gradient_inequality_bounds(circle_t2, circle_rk4_t2, circle_t4,
             assert rec.grad_sq_h1ds <= L + 2.0 * L ** 3 + L ** 5 / 4.0 + 1e-6
 
 
+# The H1(ds) metric's sharp inequality |grad L|^2_H1 <= L, by Cauchy-Schwarz
+# on dL(h) = <T, h_s>: every fixture's largest e_max * L over its states, the
+# longest edge times the length, rounded up. Past 21.7 the scheme's velocity
+# may raise the length, and the bound fails by up to 5e4 times.
+_FIXTURE_EL = {
+    "circle_t2": 0.16, "circle_rk4_t2": 0.16, "circle_rk4_t2_n128": 0.31,
+    "circle_back": 0.35, "circle_t4": 0.16, "circle_t4_profile": 0.42,
+    "square_trajs": 1.29, "barbell_traj": 1.23, "square_profile": 0.12,
+    "ellipse_short": 0.06, "ellipse_t8": 0.06, "ellipse_t8_profile": 0.11,
+}
+
+
+def _trajectories(name, value):
+    if name == "circle_t2":
+        value = value[0]
+    return value.values() if isinstance(value, dict) else (value,)
+
+
+def _edge_times_length(curve):
+    ad = h.arc_data(curve)
+    return float(ad.edge_lengths.max()) * ad.length
+
+
+def test_sharp_gradient_bound_on_every_state(request):
+    # 1e-12: round-off of the two sums; the largest excess seen over 1500
+    # random polygons of scale 1e-8 to 1e-2 is 2.2e-16 relative
+    for name, stated in _FIXTURE_EL.items():
+        for traj in _trajectories(name, request.getfixturevalue(name)):
+            assert max(map(_edge_times_length, traj.states)) <= stated < 21.7
+            for rec in traj.records:
+                assert rec.grad_sq_h1ds <= rec.length * (1 + 1e-12), (name, rec.t)
+    rng = np.random.default_rng(18)
+    checked = 0
+    for k in range(240):
+        n = int(rng.integers(3, 200))
+        scale = 10.0 ** rng.uniform(-2.0, 1.0)
+        if k % 2:
+            th = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+            r = 1.0 + 0.3 * rng.uniform(size=n)
+            curve = h.PolyCurve(scale * np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+        else:
+            curve = h.PolyCurve(scale * rng.standard_normal((n, 2)))
+        if _edge_times_length(curve) < 21.7:
+            assert h.flow_velocity(curve).grad_norm_sq_h1ds <= h.total_length(curve) * (1 + 1e-12)
+            checked += 1
+    assert checked >= 100
+
+
+def test_sharp_decay_and_path_length_bounds(circle_t2, circle_rk4_t2, circle_rk4_t2_n128,
+                                            circle_t4, square_trajs, barbell_traj,
+                                            ellipse_short, ellipse_t8):
+    # the sharp inequality gives dL/dt >= -L, so L(t) >= L0 e^{-(t - t0)},
+    # and d sqrt(L)/dt >= -|grad L|_H1 / 2, so the H1(ds) length of the run
+    # is at least 2 (sqrt(L0) - sqrt(L1)). At their own steps the forward
+    # fixtures clear the first by 3.5e-5 or more after t0; 1e-6 is the
+    # margin of round-off where the ratio is 1, at t0 itself. Every speed
+    # but one falls in time, so the left-endpoint sum of
+    # trajectory_h1ds_length overestimates the integral, and it clears the
+    # bound by 5.7 % or more here; 1e-3 allows for a quadrature error the
+    # other way. The squares' Euler steps of h = 0.2 lose (1 - h)^k against
+    # e^{-kh} (side 1 reaches 0.39 of e^{-t}): there Euler's factor 1 - h
+    # stands for e^{-h}, and 1 + sqrt(1 - h) for the 2, as a step with
+    # L_{k+1} >= (1 - h) L_k and, to first order, L_k - L_{k+1} <= h |V|^2
+    # lowers sqrt(L) by at most h |V| / (1 + sqrt(1 - h)).
+    runs = [(circle_t2[0], None), (circle_rk4_t2, None), (circle_rk4_t2_n128, None),
+            (circle_t4, None), (barbell_traj, None), (ellipse_short, None),
+            (ellipse_t8, None), *((traj, 0.2) for traj in square_trajs.values())]
+    for traj, euler_h in runs:
+        first, last = traj.records[0], traj.records[-1]
+        L0, t0 = first.length, first.t
+        for rec in traj.records:
+            if euler_h is None:
+                envelope = math.exp(-(rec.t - t0))
+            else:
+                envelope = (1.0 - euler_h) ** round((rec.t - t0) / euler_h)
+            assert rec.length >= L0 * envelope * (1 - 1e-6), rec.t
+        factor = 2.0 if euler_h is None else 1.0 + math.sqrt(1.0 - euler_h)
+        drop = math.sqrt(L0) - math.sqrt(last.length)
+        assert h.trajectory_h1ds_length(traj) >= factor * drop * (1 - 1e-3)
+
+
 def test_ac09_profile_convergence(square_profile):
     frames = [state.vertices for state in square_profile.states]
     diffs = [np.abs(b - a).max() for a, b in zip(frames, frames[1:])]

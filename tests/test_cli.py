@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output files, and printed results."""
+import io
 import json
 import math
 import os
@@ -185,9 +186,12 @@ def _raiser(exc):
 
 
 class TestExitCodes:
-    # every error class is exactly one of the two kinds, so the exit code
-    # cannot depend on the order of main's except clauses
-    @pytest.mark.parametrize("cls", [h.RuntimeFailure, *h.RuntimeFailure.__subclasses__()])
+    # every error class is exactly one of the two kinds; NumPy's and Python's
+    # runtime errors exit 2 too, io.UnsupportedOperation, both an OSError and
+    # a ValueError, among them
+    @pytest.mark.parametrize("cls", [h.RuntimeFailure, *h.RuntimeFailure.__subclasses__(),
+                                     FloatingPointError, OverflowError, OSError,
+                                     io.UnsupportedOperation])
     def test_runtime_failure_exits_2(self, monkeypatch, capsys, cls):
         monkeypatch.setattr(cli, "_cmd_oracle", _raiser(cls("boom")))
         assert run_cli(["oracle", "--t", "0"], capsys) == (2, "", "error: boom\n")
@@ -201,7 +205,8 @@ class TestExitCodes:
         (lambda _: h.reparam_path(h.circle(1.0, 8), np.full(8, np.nan), 2),
          "twist must be finite"),
         (lambda _: h.lambert_w0(-1.0), "lambert_w0 requires x >= -1/e, got -1.0"),
-    ], ids=["UsageError", "MismatchedFrames", "NonMonotoneTwist", "OutOfDomain"])
+        (_raiser(ValueError("boom")), "boom"),
+    ], ids=["UsageError", "MismatchedFrames", "NonMonotoneTwist", "OutOfDomain", "ValueError"])
     def test_usage_error_exits_1(self, monkeypatch, capsys, site, message):
         monkeypatch.setattr(cli, "_cmd_oracle", site)
         assert run_cli(["oracle", "--t", "0"], capsys) == (1, "", f"error: {message}\n")

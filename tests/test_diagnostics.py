@@ -1,6 +1,7 @@
 """Per-state monitors, the embeddedness criterion, monotonicity verdicts."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,36 @@ class TestEmbeddedness:
         assert h.embeddedness_condition(c).lhs == pytest.approx(
             h.chord_arc_min(c).value, rel=1e-13
         )
+
+
+class TestOverflowingSquares:
+    # circles that arc_data accepts, whose squared norms, area sums and
+    # gradient norm pass the double range: each value is the inf or nan
+    # that the flow's records hold, and no RuntimeWarning escapes
+    @pytest.mark.parametrize("radius", [1e154, 1.5e154])
+    @pytest.mark.parametrize("fn", [
+        lambda c: h.record(c, 0.0), h.flow_velocity, h.signed_area, h.sup_norm,
+        h.embeddedness_condition,
+    ], ids=["record", "flow_velocity", "signed_area", "sup_norm", "embeddedness_condition"])
+    def test_no_runtime_warning(self, fn, radius):
+        c = h.circle(radius, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = repr(fn(c))
+        with np.errstate(all="ignore"):
+            assert got == repr(fn(c))
+
+    @pytest.mark.parametrize("radius", [1e154, 1.5e154])
+    def test_chord_arc_minimum_of_the_scaled_copy(self, radius):
+        # the minimum, by itself and in the record of a run, is that of the
+        # copy scaled by 2^-600, whose chord squares do not overflow
+        c = h.circle(radius, 16)
+        want = h.chord_arc_min(h.PolyCurve(np.ldexp(c.vertices, -600)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert repr(h.chord_arc_min(c)) == repr(want)
+            traj = h.run_flow(c, h.FlowConfig(dt=0.1, t1=0.1))
+        assert traj.records[0].chord_arc_min == want.value
 
 
 class TestMonotonicityReport:

@@ -528,7 +528,7 @@ class TestAsymptoticProfile:
         raw = h.run_flow(h.circle(1.0, 64), h.FlowConfig(**cfg))
         flagged = h.run_flow(h.circle(1.0, 64),
                              h.FlowConfig(**cfg, rescale_profile=True))
-        manual = h.asymptotic_profile(raw)
+        manual = h1flow.flow.asymptotic_profile(raw)
         assert len(flagged.states) == len(manual.states) == 21
         for a, b in zip(flagged.states, manual.states):
             assert np.array_equal(a.vertices, b.vertices)
@@ -544,7 +544,7 @@ class TestAsymptoticProfile:
         cfg = h.FlowConfig(dt=0.01, t1=2.0, method="rk4", record_every=50)
         raw = h.run_flow(curve, cfg)
         for prof in (h.run_flow(curve, replace(cfg, rescale_profile=True)),
-                     h.asymptotic_profile(raw)):
+                     h1flow.flow.asymptotic_profile(raw)):
             assert prof.times == raw.times
             for a, b in zip(raw.records, prof.records):
                 assert b.rescaled_max_k == b.max_abs_k
@@ -552,13 +552,13 @@ class TestAsymptoticProfile:
 
     def test_profile_of_empty_trajectory_is_empty(self):
         empty = h.Trajectory(times=(), states=(), records=(), termination=h.Termination.COMPLETED)
-        assert h.asymptotic_profile(empty) == empty
+        assert h1flow.flow.asymptotic_profile(empty) == empty
 
     def test_overflowing_profile_named(self):
         traj = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.1, t1=0.1))
         with pytest.raises(FloatingPointError,
                            match=r"^rescaled profile at t=700\.0: curve length overflows"):
-            h.asymptotic_profile(replace(traj, times=(700.0, 700.1)))
+            h1flow.flow.asymptotic_profile(replace(traj, times=(700.0, 700.1)))
 
     def test_profile_length_bounded(self, circle_t4_profile):
         # e^t L(t) settles instead of shrinking to zero

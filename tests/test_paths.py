@@ -45,16 +45,17 @@ def jittered_polygon(n=64, seed=18):
 
 
 def quotient_length_via_frame_data(path):
-    """The quotient path length with the normals of frame_data: the reference
-    for path_length_l2ds, which takes the same normals without computing
-    the curvature."""
+    """The quotient path length with the normals N = (-T_y, T_x) of the
+    tangent of frame_data: the reference for path_length_l2ds, which takes
+    the same normals without computing the curvature."""
     m = len(path.frames)
     dt = 1.0 / (m - 1)
     total = 0.0
     for k in range(m - 1):
         left = h.arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
-        vn = np.einsum("ij,ij->i", v, h.frame_data(left).normal)
+        (tx, ty), _ = h1flow.curves.frame_data(left)
+        vn = np.einsum("ij,ij->i", v, np.stack([-ty, tx], axis=1))
         total += np.sqrt(float((vn * vn * left.ds).sum())) * dt
     return float(total)
 

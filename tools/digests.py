@@ -253,14 +253,14 @@ def reference_scalars() -> dict:
     for label, c in curves.items():
         v, w = rng.standard_normal((c.n, 2)), rng.standard_normal((c.n, 2))
         ad = h.arc_data(c)
-        fd = h.frame_data(c)
+        (tx, ty), k = h.curves.frame_data(c)
         vel = h.flow_velocity(c)
         emb = h.embeddedness_condition(c)
         values = {
             "edge_lengths": h.edge_lengths(c), "total_length": h.total_length(c),
             "arc_data": (ad.s, ad.ds, ad.length, ad.edges, ad.edge_lengths),
             "signed_area": h.signed_area(c),
-            "frame_data": (fd.tangent, fd.normal, fd.curvature),
+            "frame_data": (np.stack([tx, ty], axis=1), np.stack([-ty, tx], axis=1), k),
             "sup_norm": h.sup_norm(c), "chord_arc_min": repr(h.chord_arc_min(c)),
             "flow_velocity": (vel.velocity, vel.grad_norm_sq_h1ds,
                               math.sqrt(h.l2ds_inner(c, vel.velocity, vel.velocity))),
