@@ -18,7 +18,9 @@ context, from _NO_OVERFLOW up; then a collapsed edge, and a length that
 overflows, are refused. An array the library forms itself, a state of the
 flow or a frame of a generated path, becomes a curve by _measure, which
 _owned makes with no copy and no second check, and arc_data measures; an
-explicit path checks its frames by _edges alone.
+explicit path checks its frames by _edges alone. total_length, which takes
+degenerate curves too, passes no gate: where the gate refuses a length past
+the double range, it returns inf, with no RuntimeWarning.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
@@ -172,8 +174,11 @@ def edge_lengths(curve: PolyCurve) -> np.ndarray:
     return _norm(_diff(curve.vertices))
 
 
+@np.errstate(over="ignore")
 def total_length(curve: PolyCurve) -> float:
-    """Perimeter of the polygon. Defined for degenerate curves too."""
+    """Perimeter of the polygon. Defined for degenerate curves too, and inf,
+    with no RuntimeWarning, for a length past the double range: one that
+    arc_data refuses, as it does once an edge's squared length overflows."""
     return float(edge_lengths(curve).sum())
 
 

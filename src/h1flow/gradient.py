@@ -8,7 +8,9 @@ products and the first variation of length weight products formed once with
 the curves module's _dot by its L2(ds) sum and edge term. The field norms in
 H1(ds) and L2(ds) are these inner products of a field with itself, the
 squared H1(ds) norm of the velocity and the record's L2(ds) norm of the
-curve among them.
+curve among them. The inner products and flow_velocity run with overflow
+ignored: on a curve the gate accepts, a product or sum past the double
+range gives inf or nan, with no RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ class VelocityField:
     grad_norm_sq_h1ds: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def h1ds_inner(curve: PolyCurve, v, w) -> float:
     """sum_i <v_i, w_i> ds_i + sum_edges <dv/de, dw/de> e, with e the edge length.
-    When w is v, the edge differences are formed once."""
+    When w is v, the edge differences are formed once. Past the double
+    range it is inf or nan, with no RuntimeWarning."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     ad = arc_data(curve)
@@ -37,8 +41,10 @@ def h1ds_inner(curve: PolyCurve, v, w) -> float:
     return _l2ds_term(ad, _dot(v, w)) + _edge_term(ad, _dot(dv, dv if w is v else _diff(w)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def l2ds_inner(curve: PolyCurve, v, w) -> float:
-    """sum_i <v_i, w_i> ds_i."""
+    """sum_i <v_i, w_i> ds_i; past the double range it is inf or nan, with no
+    RuntimeWarning."""
     v = _as_field(curve, v)
     w = _as_field(curve, w)
     return _l2ds_term(arc_data(curve), _dot(v, w))

@@ -4,9 +4,12 @@ A path is a finite frame sequence sampled at uniform times in [0, 1]. The
 length functional integrates the L2(ds) speed with a left-endpoint rule; in
 quotient mode the velocity is first projected onto the left frame's normals,
 which is what makes reparametrization-heavy paths cheap and underlies the
-vanishing-distance demonstrations (shrink, twist, zigzag). The speed is the
-L2(ds) sum of the curves module, the one that gradient's inner products use,
-of |v|^2 by _dot, or of <v, N>^2 from the tangent's columns in quotient mode.
+vanishing-distance demonstrations (shrink, twist, zigzag). With the
+difference quotient v = dX_k / dt of the frame difference dX_k = X_{k+1} -
+X_k, the rule's sum_k ||v||_{L2(ds)} dt is sum_k ||dX_k||_{L2(ds)}, and the
+walk sums that, with no division by dt. The norm is the L2(ds) sum of the
+curves module, the one that gradient's inner products use, of |dX|^2 by
+_dot, or of <dX, N>^2 from the tangent's columns in quotient mode.
 
 Every frame passes the gate of curves.arc_data, which refuses a non-finite
 coordinate, a collapsed edge or a length past the double range. A path built
@@ -20,17 +23,22 @@ when it is read and measures it by curves._measure, as the flow measures
 its states, so a path's memory does not grow with its frame count. A
 length is one pairwise walk over the frames: each frame is formed once and
 each left frame measured once (its ArcData, whose arclength s it never
-reads). A quotient walk also sums the full speed from the same v and ds, and
-takes the normal component from the columns of the unit tangent of
+reads). A quotient walk also sums the full norm from the same dX and ds,
+and takes the normal component from the columns of the unit tangent of
 _tangent, which records' curvature shares; a full walk never forms the
 tangent, so a cusp fails only the quotient length. The walk's products run
-with overflow ignored, and a sum that is not finite (inf, or NaN from
-inf - inf in <v, N>) is refused with FloatingPointError; the frames are
-formed and measured outside that context. The path keeps the lengths it
-has walked, shared with its as_mode copies, which relabel the same frames.
+with overflow ignored. A pair's sum that is not finite (inf, or NaN from
+inf - inf in <dX, N>) is formed again from dX scaled by a power of two, and
+its root scaled back, so every length inside the double range is returned;
+a length still not finite is refused with FloatingPointError. The frames
+are formed and measured outside that context. The path keeps the lengths
+it has walked, shared with its as_mode copies, which relabel the same frames.
 
-The families form each frame as a blend of vertices, in a fresh C-ordered
-(n, 2) array that _measure makes a curve in place, with no copy. No family
+The families form each frame as a blend of vertices, in a fresh float
+(n, 2) array that _measure makes a curve in place, with no copy: a
+C-ordered one for shrink and reparam, and for zigzag the transpose of a
+(2, n) array, an F-ordered view whose coordinate columns are contiguous for
+the gate's and the walk's per-coordinate passes. No family
 bounds its source coordinates in advance: the gate refuses a non-finite
 frame, or one whose length overflows, when the frame is formed. zigzag_path
 gathers both base frames of a blend from the table of an explicit base, so
@@ -42,6 +50,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -54,12 +63,13 @@ MODES = ("full", "quotient")
 
 class _Frames(Sequence):
     """The frames of a generated path, formed on demand: frame k is the
-    curve of form(k), a fresh C-ordered float (n, 2) array, measured by
-    _measure as it is formed. A frame with a non-finite coordinate, or a
-    length past the double range, raises FloatingPointError, and one with an
-    edge of zero length DegenerateCurve("degenerate frame in path"). An index
-    reads one frame, negative ones included, and a slice a tuple of them;
-    each read forms its frames afresh."""
+    curve of form(k), a fresh float (n, 2) array (C-ordered, or for a zigzag
+    an F-ordered view), measured by _measure as it is formed. A frame with a
+    non-finite coordinate, or a length past the double range, raises
+    FloatingPointError, and one with an edge of zero length
+    DegenerateCurve("degenerate frame in path"). An index reads one frame,
+    negative ones included, and a slice a tuple of them; each read forms its
+    frames afresh."""
 
     def __init__(self, count: int, form):
         self._count = count
@@ -142,38 +152,57 @@ and lengths."""
     return out
 
 
+def _root(left, d: np.ndarray, square) -> float:
+    """sqrt(sum_i q_i ds_i) for the squares q = square(d) of the frame
+    difference d on the left frame. A sum that is not finite is formed
+    again from d 2^-e, e the exponent of max |d|, so that no coordinate
+    exceeds 1, and its root is scaled back by 2^e; a root that is still not
+    finite is the caller's to refuse. Runs under the walk's overflow context."""
+    root = np.sqrt(_l2ds_term(left, square(d)))
+    if not math.isfinite(root):
+        e = math.frexp(np.abs(d).max())[1]
+        root = np.ldexp(np.sqrt(_l2ds_term(left, square(np.ldexp(d, -e)))), e)
+    return root
+
+
+def _normal_sq(d: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """<d, N>^2 = (d_y T_x - d_x T_y)^2, formed and squared in one array."""
+    dn = d[:, 1] * tx
+    dn -= d[:, 0] * ty
+    return np.multiply(dn, dn, out=dn)
+
+
 def _walk(frames, quotient: bool) -> dict:
     """The full length and, when quotient, the quotient length of the
     frames, by mode, from one pass: each frame is read once, and each left
-    frame measured once."""
-    dt = 1.0 / (len(frames) - 1)
+    frame measured once. Each pair adds _root of its frame difference
+    d = X_{k+1} - X_k, with no division by dt."""
     full = quot = 0.0
-    it = iter(frames)
-    right = next(it)
-    for frame in it:
-        left = arc_data(right)
-        right = frame
-        # an overflow here makes a sum inf, or NaN from inf - inf: refused below
+    for left, right in pairwise(frames):
+        left = arc_data(left)
+        # an overflow here makes a sum inf, or NaN from inf - inf: _root
+        # forms it again scaled, and a length still not finite is refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            v = right.vertices - left.vertices
-            v /= dt
-            full += np.sqrt(_l2ds_term(left, _dot(v, v))) * dt
+            d = right.vertices - left.vertices
+            full += _root(left, d, lambda d: _dot(d, d))
             if quotient:
-                # the normal component <v, N> = v_y T_x - v_x T_y
                 tx, ty = _tangent(*_unit_edges(left))
-                vn = v[:, 1] * tx - v[:, 0] * ty
-                quot += np.sqrt(_l2ds_term(left, vn * vn)) * dt
+                quot += _root(left, d, lambda d: _normal_sq(d, tx, ty))
     if not (math.isfinite(full) and math.isfinite(quot)):
         raise FloatingPointError("path length overflows the double range")
     return {"full": float(full), "quotient": float(quot)} if quotient else {"full": float(full)}
 
 
 def path_length_l2ds(path: CurvePath) -> float:
-    """sum_k sqrt(sum_i |v_i|^2 ds_i) dt with v the frame difference quotient;
-    ds and (in quotient mode) the normals come from the left frame. A
-    length the path, or an as_mode copy of it, has walked is not walked
-    again; a quotient walk gives the full length too. A length past the
-    double range raises FloatingPointError, and is not kept."""
+    """sum_k sqrt(sum_i |X_{k+1,i} - X_{k,i}|^2 ds_i), which is the
+    left-endpoint rule sum_k sqrt(sum_i |v_i|^2 ds_i) dt for the frame
+    difference quotient v, formed without dividing by dt; ds and (in
+    quotient mode) the normals come from the left frame. A length the path,
+    or an as_mode copy of it, has walked is not walked again; a quotient
+    walk gives the full length too. A sum whose squares overflow is formed
+    again from the difference scaled by a power of two, so a length inside
+    the double range is returned; one past it raises FloatingPointError,
+    and is not kept."""
     lengths = path._lengths
     if path.mode not in lengths:
         lengths.update(_walk(path.frames, path.mode == "quotient"))
@@ -275,7 +304,8 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     view of the table a frame later. The table is the explicit base's own,
     shared by all its zigzags; a generated base is made explicit, its
     frames stacked into one, for each zigzag. The blend is written into the
-    frame's own (n, 2) array, which becomes the curve with no copy. The path
+    two contiguous rows of the frame's own (2, n) array, and its transpose,
+    an F-ordered (n, 2) view, becomes the curve with no copy. The path
     keeps the table and the schedule and forms frame j when it is read (see
     _Frames); a frame is refused, a degenerate one with
     DegenerateCurve("degenerate frame in path"), when formed.
@@ -307,13 +337,14 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
         ow = 1.0 - w
         at *= 2 * n
         at += rows
-        verts = np.empty((n, 2))
+        verts = np.empty((2, n))  # one contiguous row per coordinate
+        # every index lies in range: "clip" only spares take's buffering
         for c in range(2):
-            a = flat[c:].take(at)
+            a = flat[c:].take(at, out=verts[c], mode="clip")
             a *= ow
-            b = flat[2 * n + c:].take(at)  # the frame a step later
+            b = flat[2 * n + c:].take(at, mode="clip")  # the frame a step later
             b *= w
-            np.add(a, b, out=verts[:, c])
-        return verts
+            a += b
+        return verts.T
 
     return CurvePath(frames=_Frames(out_frames, form))

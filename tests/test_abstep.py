@@ -1,7 +1,10 @@
 """tools/abstep.py: the interleaved A/B of two source trees, on this tree
-against itself and against copies whose velocity is off by one part in 1e15."""
+against itself and against copies whose velocity is off by one part in 1e15;
+its pairs mode, on one pair of this tree against itself."""
 import importlib.util
+import json
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -87,3 +90,57 @@ def test_different_ellipse_step_refused(tmp_path):
 def test_different_star_record_refused(tmp_path):
     # the copy differs only from n = 1024, above ellipse-step's n = 512
     _refused(tmp_path, 1024, ["ellipse-step", "star-record"])
+
+
+def test_pairs_mode_writes_a_bench_file_once(tmp_path):
+    # one pair of this tree against itself, each side run from its own copy
+    out = tmp_path / "BENCH_0.json"
+    argv = [str(ROOT), str(ROOT), "--pairs", "1", "--workload", "ellipse-step",
+            "--seconds", "0.2", "--out", str(out)]
+    abstep.main(argv)
+    bench = json.loads(out.read_text())
+    assert bench["command"] == " ".join(["python3 tools/abstep.py", *argv])
+    assert bench["child"] == ("python3 benchmarks/run.py --workload ellipse-step --seed K "
+                              "--seconds 0.2 --trace 0")
+    assert bench["parent"] == bench["change"] == (
+        f"the tree at {ROOT}, a copy of its src, benchmarks, BENCHMARK.json")
+    assert bench["workload"] == "ellipse-step" and bench["pairs"] == 1
+    assert bench["correct"] == {"parent": True, "change": True}
+    assert bench["failed"] == {"parent": 0, "change": 0}
+    assert bench["attempted"]["parent"] > 0 and bench["attempted"]["change"] > 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert list(bench["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+    for m in bench["metrics"].values():
+        for side in ("parent", "change"):
+            s = m[side]
+            assert len(s["values"]) == 1
+            assert s["min"] == s["q1"] == s["median"] == s["q3"] == s["values"][0]
+        assert m["pairs"] == 1 and m["change_better_pairs"] + m["ties"] <= 1
+        assert m["parent_iqr"] == 0.0
+        assert m["beyond_parent_iqr"] == (m["change_better_pairs"] == 1)
+    # the same tree on the same seed: the same oracle error
+    assert bench["metrics"]["oracle_rel_err"]["ties"] == 1
+    assert {"nproc", "numpy", "blas", "thread_env"} <= set(bench["env"])
+    written = out.read_bytes()
+    with pytest.raises(SystemExit):
+        abstep.main(argv)
+    assert out.read_bytes() == written
+
+
+def test_revision_exported_by_git_archive(tmp_path):
+    # a revision of a repository holding this tree's src, benchmarks and
+    # BENCHMARK.json, and a file that a benchmark run does not read
+    repo = tmp_path / "repo"
+    abstep.export(ROOT, repo)
+    (repo / "notes.txt").write_text("not exported\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + cmd, check=True, capture_output=True)
+    label = abstep.export("HEAD", tmp_path / "out", repo=repo)
+    rev = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                         text=True).stdout
+    assert label == f"{rev[:7]}, a git archive copy"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(abstep.TREE)
+    for name in ("src/h1flow/paths.py", "benchmarks/run.py", "BENCHMARK.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (ROOT / name).read_bytes()

@@ -239,6 +239,17 @@ class TestArcData:
             2 * n * math.sin(math.pi / n), rel=1e-13
         )
 
+    def test_total_length_past_the_double_range(self):
+        # inf, with no RuntimeWarning, where arc_data refuses the length;
+        # below that, arc_data's length
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert h.total_length(h.circle(1e155, 16)) == math.inf
+            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+                h.arc_data(h.circle(1e155, 16))
+            c = h.circle(1e154, 16)
+            assert h.total_length(c) == h.arc_data(c).length == 6.242890304516106e+154
+
 
 class TestArea:
     def test_square_ccw(self):

@@ -1,5 +1,6 @@
 """Flow velocity, inner products, and the first variation of length."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ class TestInnerProducts:
         assert h.h1ds_inner(c, v, v) == 0.0
         v[7] = [1e-8, 0.0]
         assert h.h1ds_inner(c, v, v) > 0.0
+
+    @pytest.mark.parametrize("radius", [1e154, 1.5e154])
+    @pytest.mark.parametrize("same", [True, False], ids=["v-v", "v-copy"])
+    @pytest.mark.parametrize("inner", [h.l2ds_inner, h.h1ds_inner], ids=["l2ds", "h1ds"])
+    def test_products_past_the_double_range(self, inner, same, radius):
+        # a curve the gate accepts, with fields whose products overflow:
+        # the inner product is the inf of the sum, as flow_velocity's norm
+        # is, with no RuntimeWarning
+        c = h.circle(radius, 16)
+        v = c.vertices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = inner(c, v, v if same else v.copy())
+        assert got == math.inf
+        with np.errstate(all="ignore"):
+            assert repr(got) == repr(inner(c, v, v.copy()))
 
 
 class TestFirstVariation:

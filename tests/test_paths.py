@@ -1,5 +1,6 @@
 """Paths in curve space: length functional, shrink/twist/zigzag families."""
 import copy
+import dataclasses
 import gc
 import json
 import math
@@ -13,9 +14,9 @@ import pytest
 import h1flow as h
 import h1flow.curves
 import h1flow.paths
-from h1flow.curves import _owned
+from h1flow.curves import _dot, _l2ds_term, _owned, _tangent, _unit_edges
 from h1flow.errors import DegenerateCurve, UsageError
-from h1flow.paths import _schedule_weights
+from h1flow.paths import MODES, _schedule_weights
 
 
 def translation_path(n=64, d=2.0, frames=9):
@@ -136,6 +137,69 @@ class TestCurvePath:
         assert (q.mode, p.mode) == ("quotient", "full")
         with pytest.raises(ValueError, match="^mode must be one of"):
             h.as_mode(p, "partial")
+
+
+def walk_by_difference_quotients(path):
+    """Both lengths by the walk's earlier formula: the difference quotient
+    v = (X_{k+1} - X_k) / dt, and each pair's root times dt, with the same
+    L2(ds) sum and tangent. The reference of path_length_l2ds, which sums
+    the roots over the frame differences themselves."""
+    frames = path.frames
+    dt = 1.0 / (len(frames) - 1)
+    full = quot = 0.0
+    for k in range(len(frames) - 1):
+        left = h.arc_data(frames[k])
+        v = frames[k + 1].vertices - left.vertices
+        v /= dt
+        full += np.sqrt(_l2ds_term(left, _dot(v, v))) * dt
+        tx, ty = _tangent(*_unit_edges(left))
+        vn = v[:, 1] * tx - v[:, 0] * ty
+        quot += np.sqrt(_l2ds_term(left, vn * vn)) * dt
+    return {"full": float(full), "quotient": float(quot)}
+
+
+def seeded_path(family, count, seed):
+    """A seeded path of `count` frames on a jittered polygon: explicit frames
+    that drift vertex by vertex, a shrink, a twist, or a zigzag of teeth 2
+    on explicit frames, whose `count` is then that of its base."""
+    rng = np.random.default_rng(seed)
+    c = jittered_polygon(n=4 * int(rng.integers(4, 17)), seed=seed)
+    if family in ("explicit", "zigzag"):
+        drift = np.cumsum(0.05 * rng.standard_normal((count, c.n, 2)), axis=0)
+        path = h.CurvePath(frames=tuple(h.PolyCurve(c.vertices + D) for D in drift))
+        return path if family == "explicit" else h.zigzag_path(path, 2)
+    if family == "shrink":
+        return h.shrink_path(c, rng.uniform(0.2, 0.9), count)
+    amp = rng.uniform(0.1, 0.9) * c.n / (2.0 * math.pi)
+    return h.reparam_path(c, amp * np.sin(2.0 * math.pi * np.arange(c.n) / c.n), count)
+
+
+class TestWalkByDifferences:
+    # dividing by dt = 2^-j and multiplying by it again is exact, so with
+    # 2^j + 1 frames the lengths keep the bits of the difference quotients;
+    # other counts move by round-off. A zigzag on m base frames has
+    # 4 (m - 1) + 1, which is 2^j + 1 when m - 1 is a power of two
+    FAMILIES = ["explicit", "shrink", "reparam", "zigzag"]
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 9, 17, 33])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bits_of_the_difference_quotients(self, family, count):
+        for seed in range(3):
+            path = seeded_path(family, count, seed)
+            assert (len(path.frames) - 1) & (len(path.frames) - 2) == 0
+            want = walk_by_difference_quotients(path)
+            got = {mode: h.path_length_l2ds(h.as_mode(path, mode)) for mode in MODES}
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("count", [4, 6, 7, 11, 12, 25])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_round_off_of_the_difference_quotients(self, family, count):
+        for seed in range(3):
+            path = seeded_path(family, count, seed)
+            want = walk_by_difference_quotients(path)
+            for mode in MODES:
+                got = h.path_length_l2ds(h.as_mode(path, mode))
+                assert got == pytest.approx(want[mode], rel=1e-15, abs=0.0)
 
 
 class TestPathLength:
@@ -530,19 +594,43 @@ class TestGeneratedFrames:
             assert getattr(frame, name).tobytes() == getattr(ref, name).tobytes()
 
     @pytest.mark.parametrize("mode", ["full", "quotient"])
-    @pytest.mark.parametrize("make", [lambda: h.shrink_path(h.circle(1e120, 16), 0.5, 3),
-                                      lambda: twist_path(radius=1e152)], ids=["shrink", "twist"])
-    def test_overflowing_walk_refused_by_name(self, make, mode):
+    @pytest.mark.parametrize("make, scale", [
+        (lambda r: h.shrink_path(h.circle(r, 16), 0.5, 3), 1e120),
+        (lambda r: twist_path(radius=r), 1e152),
+    ], ids=["shrink", "twist"])
+    def test_overflowing_walk_refused_by_name(self, make, scale, mode):
         # every frame is accepted, but |v|^2 ds overflows (and inf - inf in
-        # <v, N> gives NaN): the walk is refused, with no RuntimeWarning
-        # from its products, and no length is kept
-        p = h.as_mode(make(), mode)
+        # <v, N> gives NaN): the walk forms each such sum again from the
+        # difference scaled by a power of two, so the length is the unit
+        # path's times scale^(3/2), about 1.17e180, 8.8e227 and 2.8e226,
+        # with no RuntimeWarning. At radius 1e210 the length (about 1.2e315
+        # for the shrink) is past the double range: it is refused by name,
+        # by the frames' gate, and no length is kept
+        unit = h.path_length_l2ds(h.as_mode(make(1.0), mode))
+        p, past = (h.as_mode(make(r), mode) for r in (scale, 1e210))
+        left, right = p.frames[:2]
+        d = right.vertices - left.vertices
+        with np.errstate(over="ignore"):
+            assert _l2ds_term(left, _dot(d, d)) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert all(math.isfinite(f.length) for f in p.frames)
+            assert h.path_length_l2ds(p) == pytest.approx(unit * scale ** 1.5, rel=1e-12)
+            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+                h.path_length_l2ds(past)
+        assert past._lengths == {}
+
+    @pytest.mark.parametrize("mode", ["full", "quotient"])
+    def test_walk_refuses_a_length_past_the_double_range(self, mode):
+        # no frame the gate accepts gets near it (an edge below 2^512 keeps
+        # |X| below about 6e169), so the walk's own refusal is held on two
+        # measured frames made without the gate, whose difference overflows
+        ad = h.arc_data(h.circle(1.0, 16))
+        frames = [dataclasses.replace(ad, vertices=s * 1.5e308 * ad.vertices) for s in (-1, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(FloatingPointError, match="^path length overflows the double range$"):
-                h.path_length_l2ds(p)
-        assert p._lengths == {}
+                h1flow.paths._walk(frames, mode == "quotient")
 
     @pytest.mark.parametrize("first", ["full", "quotient"])
     @pytest.mark.parametrize("generated", [False, True], ids=["explicit", "generated"])

@@ -26,21 +26,47 @@ below 1 means B is faster. Step and monitor times are the medians over
 blocks. After its timing, each workload runs once more in each tree under
 tracemalloc, and the table gives that run's traced peak in MB, the most
 memory it held at once of what it allocated.
+
+    python3 tools/abstep.py PARENT CHANGE --pairs N --workload W [--seconds S] --out BENCH_k.json
+
+The pairs mode runs the benchmark itself instead, in separate processes.
+Each side is a directory holding a tree, or a git revision of this
+repository. A revision is exported with `git archive`; a directory's src,
+benchmarks and BENCHMARK.json are copied. Each side goes into its own
+temporary directory, so that each has its own .bench_out. For seed k =
+1..N the mode runs `benchmarks/run.py --workload W --seed k --seconds S
+--trace 0` in each side's copy, the parent first at odd seeds and the
+change first at even ones, with PYTHONDONTWRITEBYTECODE=1. It writes a
+JSON file: per end-to-end metric each side's median, q1, q3 and min over
+the pairs, the pairs in which the change was better, its median change and
+whether that exceeds the parent's q3 - q1; the runs attempted and failed
+per side; and the environment that run.py reports. It refuses to
+overwrite an existing file.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
+import json
+import os
+import shutil
 import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 SIZES, BLOCKS, STEPS, CHORD_BLOCKS = (64, 512, 2048), 300, 10, 60
 WORKLOAD_BLOCKS = {"ellipse-step": 40, "star-record": 40, "circle-small": 20, "zigzag-paths": 20}
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+REPO = Path(__file__).resolve().parents[1]
+WORKLOADS_PY = REPO / "benchmarks" / "workloads.py"
+# what a benchmark run reads of a tree
+TREE = ("src", "benchmarks", "BENCHMARK.json")
 
 
 def load(root, name):
@@ -200,12 +226,118 @@ def print_table(out, steps=STEPS) -> None:
               f"{s['ratio']:7.3f} {s['q1']:7.3f} {s['q3']:7.3f} {s['b_lower']:8.0%}{peaks}")
 
 
+def export(side, into: Path, repo: Path = REPO) -> str:
+    """The tree of side, a directory or a git revision of repo (this
+    repository by default), as a copy of TREE in the new directory into;
+    returns how it was made."""
+    into.mkdir()
+    if Path(side).is_dir():
+        skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+        for name in TREE:
+            src = Path(side) / name
+            if src.is_dir():
+                shutil.copytree(src, into / name, ignore=skip)
+            else:
+                shutil.copy2(src, into / name)
+        return f"the tree at {side}, a copy of its {', '.join(TREE)}"
+    git = ["git", "-C", str(repo)]
+    rev = subprocess.run(git + ["rev-parse", "--verify", f"{side}^{{commit}}"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    tar = subprocess.run(git + ["archive", "--format=tar", rev, *TREE],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return f"{rev[:7]}, a git archive copy"
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float):
+    """One `benchmarks/run.py --trace 0` child in tree: its result object
+    (the last line of its output) and the environment it reports."""
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    lines = proc.stdout.splitlines()
+    env = next(json.loads(line[5:]) for line in lines if line.startswith("env: "))
+    return json.loads(lines[-1]), env
+
+
+def _stats(values):
+    """Median, quartiles and minimum of one side's values, with the values."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "min": min(values),
+            "values": values}
+
+
+def pairs(parent, change, workload: str, n: int, seconds: float) -> dict:
+    """n alternating pairs of benchmark runs of workload, the parent tree
+    against the change's, summarised per end-to-end metric."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        labels = {side: export(src, trees[side]) for side, src in
+                  (("parent", parent), ("change", change))}
+        spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+        runs = {"parent": [], "change": []}
+        for seed in range(1, n + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench_run(trees[side], workload, seed, seconds))
+    metrics = {}
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
+        a, b = ([r["metrics"][name]["value"] for r, _ in runs[side]]
+                for side in ("parent", "change"))
+        pa, pb = _stats(a), _stats(b)
+        gain = sign * (pa["median"] - pb["median"])
+        metrics[name] = {
+            "unit": m["unit"], "better": m["better"], "parent": pa, "change": pb,
+            "pairs": n, "change_better_pairs": sum(sign * (x - y) > 0.0 for x, y in zip(a, b)),
+            "ties": sum(x == y for x, y in zip(a, b)),
+            "median_change": (pb["median"] - pa["median"]) / pa["median"] if pa["median"] else None,
+            "parent_iqr": pa["q3"] - pa["q1"],
+            "beyond_parent_iqr": gain > pa["q3"] - pa["q1"],
+        }
+    results = {side: [r for r, _ in runs[side]] for side in runs}
+    return {
+        "child": f"python3 benchmarks/run.py --workload {workload} --seed K "
+                 f"--seconds {seconds:g} --trace 0",
+        "parent": labels["parent"], "change": labels["change"], "workload": workload,
+        "pairs": n,
+        "order": "seed k = 1..pairs; the parent ran first at odd seeds and the change "
+                 "first at even ones, each side in its own copy",
+        "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in results.items()},
+        "failed": {side: sum(r["failed"] for r in rs) for side, rs in results.items()},
+        "correct": {side: all(r["correct"] for r in rs) for side, rs in results.items()},
+        "metrics": metrics,
+        "env": runs["parent"][0][1],
+    }
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("a_root")
-    p.add_argument("b_root")
+    p.add_argument("a_root", help="the parent: a tree, or in the pairs mode also a git revision")
+    p.add_argument("b_root", help="the change, as a_root")
+    p.add_argument("--pairs", type=int, help="run the pairs mode with this many pairs")
+    p.add_argument("--workload", help="the workload of the pairs mode")
+    p.add_argument("--seconds", type=float, default=5.0, help="run.py's --seconds (default 5)")
+    p.add_argument("--out", type=Path, help="the JSON file the pairs mode writes")
     args = p.parse_args(argv)
-    print_table(compare(args.a_root, args.b_root))
+    if args.pairs is None:
+        print_table(compare(args.a_root, args.b_root))
+        return
+    if args.pairs < 1 or not args.workload or args.out is None:
+        p.error("--pairs needs a count of at least 1, --workload and --out")
+    if args.out.exists():
+        p.error(f"{args.out} exists; it is not overwritten")
+    command = " ".join(["python3 tools/abstep.py", *(sys.argv[1:] if argv is None else argv)])
+    out = {"command": command,
+           **pairs(args.a_root, args.b_root, args.workload, args.pairs, args.seconds)}
+    with open(args.out, "x") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+    for name, m in out["metrics"].items():
+        print(f"{name:15} parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} "
+              f"better in {m['change_better_pairs']}/{m['pairs']}")
 
 
 if __name__ == "__main__":
