@@ -1,14 +1,14 @@
 """Closed polygonal curves and their purely geometric quantities.
 
 A curve is an ordered list of planar vertices with the closing edge implicit;
-PolyCurve keeps one read-only copy of its input.
+PolyCurve keeps one read-only copy of its input; as it holds an array, it
+compares and hashes by identity, and so does ArcData.
 Everything here is a pure function of the vertex array: arclength data, area,
 the sup norm, and the chord-arc embeddedness monitor, all public, and the
-vertex tangent and discrete curvature, which are internal: records and paths
-read them from _tangent_curvature, and frame_data, which the package does
-not export, returns them for the benchmark tracer's layer list. The ArcData
-of arc_data is itself a curve, accepted in the curve's place, so a state is
-measured once; its cumulative arclength s is computed on first use, since
+vertex tangent and discrete curvature of frame_data, which is internal:
+records read their curvature from it. The ArcData of arc_data is itself a
+curve, accepted in the curve's place, so a state is measured once; its
+cumulative arclength s is computed on first use, since
 only the kernel and the chord-arc monitor read it. arc_data measures a
 PolyCurve's vertices in place and checks and copies any other input
 through PolyCurve. It is the one place where a curve is
@@ -27,8 +27,8 @@ The cyclic differences and sums (_diff, ds, the tangent) are formed in place
 in the one shifted copy that _next or _prev makes, so each costs one new
 array. _unit_edges forms the outgoing unit edges u and, shifted once, the
 incoming ones p; _tangent sums them into the unit tangent in p's arrays.
-A quotient path length reads only the tangent, and _tangent_curvature
-reads p for the turning angle before the tangent is formed.
+A quotient path length reads only the tangent, and frame_data reads p
+for the turning angle before the tangent is formed.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
 by (value, i, j) the chunk minima of _row_blocks or _pruned_blocks, which
 share the ratio helper _chord_ratios; from L >= _NO_OVERFLOW it scans the
@@ -77,7 +77,7 @@ _NO_OVERFLOW = 2.0 ** 500
 _NO_CONTEXT = contextlib.nullcontext()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyCurve:
     """Closed polygon: vertices[i] connects to vertices[(i+1) % n]."""
 
@@ -104,7 +104,7 @@ class PolyCurve:
         self.vertices.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcData(PolyCurve):
     """A measured curve: the vertices of a validated PolyCurve with their ds
     vertex weights, total length, and the edges X_{i+1} - X_i with their
@@ -255,14 +255,6 @@ def signed_area(curve: PolyCurve) -> float:
     return float(0.5 * np.sum(x * nxt[:, 1] - nxt[:, 0] * y))
 
 
-def frame_data(curve: PolyCurve):
-    """((T_x, T_y), k): the columns of the unit vertex tangent and the signed
-    curvature of _tangent_curvature, for any curve arc_data accepts; the
-    normal is N = rot90(T) = (-T_y, T_x). Not exported: it stays defined as
-    a layer that the benchmark tracer lists."""
-    return _tangent_curvature(arc_data(curve))
-
-
 def _unit_edges(ad: ArcData):
     """The x and y columns of the outgoing unit edges u of a measured curve,
     and of the incoming ones p = _prev(u), in their own shifted arrays."""
@@ -285,11 +277,14 @@ def _tangent(ux, uy, px, py):
     return px / tn, py / tn
 
 
-def _tangent_curvature(ad: ArcData):
-    """The x and y columns of the unit vertex tangent T of a measured curve,
-    and its signed curvature k_i: the turning angle at vertex i, from the
+def frame_data(curve: PolyCurve):
+    """((T_x, T_y), k) for any curve arc_data accepts: the columns of the
+    unit vertex tangent T, whose normal is N = rot90(T) = (-T_y, T_x), and
+    the signed curvature k_i, the turning angle at vertex i from the
     incoming unit edge p to the outgoing one u, divided by ds_i. The angle
-    reads p before _tangent sums into it, so the edges are shifted once."""
+    reads p before _tangent sums into it, so the edges are shifted once.
+    Records take their curvature from it; not exported."""
+    ad = arc_data(curve)
     ux, uy, px, py = _unit_edges(ad)
     k = np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
     return _tangent(ux, uy, px, py), k

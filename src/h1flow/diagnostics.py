@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curves import PolyCurve, _tangent_curvature, arc_data, chord_arc_min, signed_area, sup_norm
+from .curves import PolyCurve, arc_data, chord_arc_min, frame_data, signed_area, sup_norm
 from .gradient import flow_velocity, l2ds_inner
 
 
@@ -96,7 +96,7 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
     enclosed = abs(area)
     L2 = ad.length * ad.length
     iso = L2 / (4.0 * math.pi * enclosed) if enclosed != 0.0 else math.inf
-    max_k = float(np.abs(_tangent_curvature(ad)[1]).max())
+    max_k = float(np.abs(frame_data(ad)[1]).max())
     try:
         rescaled_k = math.exp(-t) * max_k
     except OverflowError:  # e^-t past the double range: the product is inf

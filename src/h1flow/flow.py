@@ -15,13 +15,13 @@ refuses every curve the library measures, the frames of paths among them: a
 non-finite state, a collapsed edge or a length that overflows. Euler and
 RK4 are one stage loop, _advance, over the table _TABLEAUX, internal to
 run_flow.
-Every state a run keeps, and its record, come from _kept, which forms and
-measures the rescaled profile when asked and keeps the measured vertices
-without a copy. Profiles are public through FlowConfig(rescale_profile=True);
-asymptotic_profile, which applies the same _kept to a finished trajectory,
-is not exported and stays defined for the benchmark tracer's layer list and
-the tests. A step of run_flow is one try: the first refusal in it ends the
-run, at the length guard or as a numerical failure.
+Every state a run keeps, and its record, come from _kept, which keeps the
+measured vertices without a copy; when asked, it keeps the rescaled profile
+that asymptotic_profile forms and measures from the state. Profiles are
+public through FlowConfig(rescale_profile=True); asymptotic_profile, the
+profile of one state, is not exported. A step of run_flow is one try: the
+first refusal in it ends the run, at the length guard or as a numerical
+failure.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class FlowConfig:
         return math.copysign(self.dt, self.t1 - self.t0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     times: tuple
     states: tuple
@@ -115,23 +115,29 @@ def _advance(ad: ArcData, h: float, method: str) -> np.ndarray:
     return X + (h / d) * total
 
 
-def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, DiagnosticsRecord]:
-    """The state a run keeps at time t, with its record. With rescale it is
-    the profile Y(t) = e^t (X(t) - X(t, vertex 0)), whose vertex 0 is the
-    origin, measured by _measure; a refusal, or an e^t past the double
-    range, raises naming the profile and t. Y is already rescaled, so its
-    record's rescaled_max_k is its own max_abs_k. Otherwise the state is the
-    curve itself. Either way it is kept as a bare PolyCurve on the measured
-    vertices, made by _owned with no copy. A finite state can still overflow
-    the record's norms and area; the record keeps them as inf or nan."""
+def asymptotic_profile(curve: PolyCurve, t: float) -> ArcData:
+    """The profile Y(t) = e^t (X(t) - X(t, vertex 0)) of the state X(t) at
+    time t, whose vertex 0 is the origin, measured by _measure; a refusal,
+    or an e^t past the double range, raises naming the profile and t. Not
+    exported: FlowConfig(rescale_profile=True) is the public route."""
     X = curve.vertices
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _measure(math.exp(t) * (X - X[0]))
+    except (OverflowError, FloatingPointError, DegenerateCurve) as exc:
+        kind = DegenerateCurve if isinstance(exc, DegenerateCurve) else FloatingPointError
+        raise kind(f"rescaled profile at t={t!r}: {exc}") from None
+
+
+def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, DiagnosticsRecord]:
+    """The state a run keeps at time t, with its record: with rescale the
+    asymptotic_profile of the curve, whose record's rescaled_max_k is its
+    own max_abs_k, as Y is already rescaled; otherwise the curve itself.
+    Either way it is kept as a bare PolyCurve on the measured vertices, made
+    by _owned with no copy. A finite state can still overflow the record's
+    norms and area; the record keeps them as inf or nan."""
     if rescale:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                curve = _measure(math.exp(t) * (X - X[0]))
-        except (OverflowError, FloatingPointError, DegenerateCurve) as exc:
-            kind = DegenerateCurve if isinstance(exc, DegenerateCurve) else FloatingPointError
-            raise kind(f"rescaled profile at t={t!r}: {exc}") from None
+        curve = asymptotic_profile(curve, t)
     rec = record(curve, t)
     if rescale:
         rec = replace(rec, rescaled_max_k=rec.max_abs_k)
@@ -144,9 +150,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     kept state or record is refused: as LENGTH_GUARD when the stepped state
     is at or under the length guard (recorded if its record can be formed),
     as NUMERICAL_FAILURE otherwise. With rescale_profile, the recorded states
-    are the profiles Y(t) = e^t (X(t) - X(t, vertex 0)). An initial curve
-    that _measure or _kept refuses raises its error, and one at or below the
-    length guard raises DegenerateCurve.
+    are the profiles Y(t) = e^t (X(t) - X(t, vertex 0)) that
+    asymptotic_profile forms. An initial curve that _measure or _kept
+    refuses raises its error, and one at or below the length guard raises
+    DegenerateCurve.
     """
     h = cfg.signed_step
     nsteps = cfg.steps
@@ -183,14 +190,6 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
 
     times, states, records = zip(*kept)
     return Trajectory(times=times, states=states, records=records, termination=termination)
-
-
-def asymptotic_profile(traj: Trajectory) -> Trajectory:
-    """The trajectory with each state X(t) replaced by its profile Y(t) and
-    its record recomputed, as run_flow keeps them with rescale_profile. Not
-    exported: FlowConfig(rescale_profile=True) is the public route."""
-    kept = [_kept(state, t, True) for t, state in zip(traj.times, traj.states)]
-    return replace(traj, states=tuple(s for s, _ in kept), records=tuple(r for _, r in kept))
 
 
 def trajectory_h1ds_length(traj: Trajectory) -> float:

@@ -23,7 +23,7 @@ from .curves import PolyCurve, _as_field, _diff, _dot, _edge_term, _l2ds_term, a
 from .kernel import _convolve, convolve_kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityField:
     velocity: np.ndarray
     grad_norm_sq_h1ds: float

@@ -96,14 +96,14 @@ def _accept(gate, X: np.ndarray):
         raise DegenerateCurve("degenerate frame in path") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvePath:
     frames: Sequence
     mode: str = "full"
     # the walked lengths by mode, shared with the as_mode copies
-    _lengths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lengths: dict = field(default_factory=dict, init=False, repr=False)
     # an explicit path's frames, stacked: the (m, n, 2) table that they view
-    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         frames = self.frames

@@ -4,12 +4,20 @@ Everything here is deterministic, so one run per session is safe to share
 across test modules. The ellipse t=8 run dominates the suite's wall time.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import h1flow as h
 import h1flow.flow
+
+
+def profile_of(traj):
+    """The trajectory with each state X(t) replaced by its profile Y(t) and
+    its record recomputed, as run_flow keeps them with rescale_profile."""
+    kept = [h1flow.flow._kept(state, t, True) for t, state in zip(traj.times, traj.states)]
+    return replace(traj, states=tuple(s for s, _ in kept), records=tuple(r for _, r in kept))
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +78,7 @@ def circle_t4():
 
 @pytest.fixture(scope="session")
 def circle_t4_profile(circle_t4):
-    return h1flow.flow.asymptotic_profile(circle_t4)
+    return profile_of(circle_t4)
 
 
 @pytest.fixture(scope="session")
@@ -113,7 +121,7 @@ def ellipse_t8():
 
 @pytest.fixture(scope="session")
 def ellipse_t8_profile(ellipse_t8):
-    return h1flow.flow.asymptotic_profile(ellipse_t8)
+    return profile_of(ellipse_t8)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import h1flow
+import h1flow as h
 import h1flow.errors
 
 
@@ -31,6 +34,22 @@ def test_every_public_function_and_class_is_exported():
         and (inspect.isfunction(value) or inspect.isclass(value))
     }
     assert public - set(h1flow.__all__) == set()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: h.circle(1.0, 8),
+    lambda: h.arc_data(h.circle(1.0, 8)),
+    lambda: h.CurvePath(frames=(h.circle(1.0, 8), h.circle(2.0, 8))),
+    lambda: h.run_flow(h.circle(1.0, 8), h.FlowConfig(dt=0.1, t1=0.1)),
+    lambda: h.flow_velocity(h.circle(1.0, 8)),
+], ids=["PolyCurve", "ArcData", "CurvePath", "Trajectory", "VelocityField"])
+def test_array_holders_compare_by_identity(make):
+    # a comparison of their arrays would be ambiguous and raise, and would
+    # leave them unhashable
+    a, b = make(), make()
+    assert a == a and a in [a]
+    assert a != b and a not in [b]
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def test_every_error_is_a_usage_error_or_a_runtime_failure():

@@ -42,6 +42,21 @@ def test_install_traces_and_remove_restores():
     calls, _, _ = t.take()
     assert calls["diagnostics.record"] == 1
     # a layer that record calls is counted through the binding it calls;
-    # record takes its curvature without building frame_data's frames
+    # record takes its curvature from frame_data
     assert calls["curves.chord_arc_min"] == 1
-    assert calls["curves.frame_data"] == 0
+    assert calls["curves.frame_data"] == 1
+
+
+def test_profiled_run_traces_each_kept_profile():
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        traj = h.run_flow(h.circle(1.0, 16),
+                          h.FlowConfig(dt=0.1, t1=0.4, record_every=2, rescale_profile=True))
+    finally:
+        t.remove()
+    calls, _, _ = t.take()
+    # every kept state is the asymptotic_profile of the stepped one, and its
+    # record takes the profile's curvature from frame_data
+    assert len(traj.states) == 3
+    assert calls["flow.asymptotic_profile"] == calls["curves.frame_data"] == 3

@@ -10,6 +10,7 @@ import h1flow as h
 import h1flow.curves
 import h1flow.flow
 import h1flow.gradient
+from conftest import profile_of
 from h1flow.errors import DegenerateCurve
 
 
@@ -528,7 +529,7 @@ class TestAsymptoticProfile:
         raw = h.run_flow(h.circle(1.0, 64), h.FlowConfig(**cfg))
         flagged = h.run_flow(h.circle(1.0, 64),
                              h.FlowConfig(**cfg, rescale_profile=True))
-        manual = h1flow.flow.asymptotic_profile(raw)
+        manual = profile_of(raw)
         assert len(flagged.states) == len(manual.states) == 21
         for a, b in zip(flagged.states, manual.states):
             assert np.array_equal(a.vertices, b.vertices)
@@ -544,21 +545,17 @@ class TestAsymptoticProfile:
         cfg = h.FlowConfig(dt=0.01, t1=2.0, method="rk4", record_every=50)
         raw = h.run_flow(curve, cfg)
         for prof in (h.run_flow(curve, replace(cfg, rescale_profile=True)),
-                     h1flow.flow.asymptotic_profile(raw)):
+                     profile_of(raw)):
             assert prof.times == raw.times
             for a, b in zip(raw.records, prof.records):
                 assert b.rescaled_max_k == b.max_abs_k
                 assert b.rescaled_max_k == pytest.approx(a.rescaled_max_k, rel=1e-12)
 
-    def test_profile_of_empty_trajectory_is_empty(self):
-        empty = h.Trajectory(times=(), states=(), records=(), termination=h.Termination.COMPLETED)
-        assert h1flow.flow.asymptotic_profile(empty) == empty
-
     def test_overflowing_profile_named(self):
-        traj = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.1, t1=0.1))
+        state = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.1, t1=0.1)).states[0]
         with pytest.raises(FloatingPointError,
                            match=r"^rescaled profile at t=700\.0: curve length overflows"):
-            h1flow.flow.asymptotic_profile(replace(traj, times=(700.0, 700.1)))
+            h1flow.flow.asymptotic_profile(state, 700.0)
 
     def test_profile_length_bounded(self, circle_t4_profile):
         # e^t L(t) settles instead of shrinking to zero
@@ -605,13 +602,14 @@ class TestWorkCounts:
         # the flow measures through curves' arc_data binding, which the
         # benchmark tracer wraps: the initial state and its profile, three
         # stages and the stepped state per step, and the final profile; each
-        # of the two records' chord-arc monitors passes it the measured profile
+        # of the two records' chord-arc monitor and frame_data pass it the
+        # measured profile
         calls = _count_calls(monkeypatch, h1flow.curves, "arc_data")
         traj = h.run_flow(h.circle(1.0, 32),
                           h.FlowConfig(dt=0.05, t1=0.05 * k, method="rk4", record_every=k,
                                        rescale_profile=True))
         assert len(traj.records) == 2
-        assert len(calls) == 4 * k + 3 + len(traj.records)
+        assert len(calls) == 4 * k + 3 + 2 * len(traj.records)
 
     def test_geometry_measured_once_per_state(self, monkeypatch):
         # every function that takes a curve reuses the ArcData it is given

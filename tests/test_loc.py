@@ -1,5 +1,7 @@
 """The counts of tools/loc.py: what is a code line, and how many names
-h1flow exports."""
+h1flow exports; and that the package defines nothing it neither exports
+nor uses."""
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -55,3 +57,22 @@ def test_exports_count_public_names_of_from_imports():
             "def h():\n    from .i import j\n")
     # b, d and g: b once, not _e, and not j, bound inside a function
     assert loc.exports(text) == 3
+
+
+def test_every_unexported_definition_is_named_by_library_code():
+    # a top-level function or class that h1flow does not export must be
+    # used by code of the package; a docstring that mentions it is no use
+    named = set()
+    defined = []
+    for path in sorted(loc.SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{mod}.{name}" for mod, name in defined
+              if name not in h1flow.__all__ and name not in named]
+    assert unused == []
