@@ -11,16 +11,16 @@ curve, accepted in the curve's place, so a state is measured once; its
 cumulative arclength s is computed on first use, since
 only the kernel and the chord-arc monitor read it. arc_data measures a
 PolyCurve's vertices in place and checks and copies any other input
-through PolyCurve. It is the one place where a curve is
-accepted or refused, by its gate _edges: one maximum refuses a non-finite
-coordinate and decides whether the edges are formed under an overflow
-context, from _NO_OVERFLOW up; then a collapsed edge, and a length that
-overflows, are refused. An array the library forms itself, a state of the
-flow or a frame of a generated path, becomes a curve by _measure, which
-_owned makes with no copy and no second check, and arc_data measures; an
-explicit path checks its frames by _edges alone. total_length, which takes
-degenerate curves too, passes no gate: where the gate refuses a length past
-the double range, it returns inf, with no RuntimeWarning.
+through PolyCurve. It is the one gate where a curve is accepted or
+refused, the flow's states and every frame of a path alike: one maximum
+refuses a non-finite coordinate and decides whether the edges are formed
+under an overflow context, from _NO_OVERFLOW up; then a collapsed edge,
+and a length that overflows, are refused. An array the library forms
+itself becomes a curve by _owned, with no copy and no second check, which
+arc_data measures: a state of the flow by _measure, a frame of a generated
+path in the paths module. total_length, which takes degenerate curves
+too, passes no gate: where the gate refuses a length past the double
+range, it returns inf, with no RuntimeWarning.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
@@ -185,22 +185,30 @@ def total_length(curve: PolyCurve) -> float:
 def _owned(X: np.ndarray) -> PolyCurve:
     """The curve whose vertices are X itself, marked read-only in place and
     neither copied nor checked. Only for a float (n, 2) array with n >= 3
-    that its caller owns and has arc_data check, as _measure does, or for a
-    row of a read-only table of checked vertices that its caller owns, as an
-    explicit path's frames are."""
+    that its caller owns and has arc_data check, as _measure and a generated
+    path's frames do, or for a row of a read-only table of checked vertices
+    that its caller owns, as an explicit path's frames are."""
     X.flags.writeable = False
     curve = object.__new__(PolyCurve)
     object.__setattr__(curve, "vertices", X)
     return curve
 
 
-def _edges(X: np.ndarray):
-    """The edges X_{i+1} - X_i of the vertices X, their lengths and the
-    total length, or the refusal of X: the gate of arc_data, which builds no
-    ArcData. One maximum of |X| refuses a non-finite coordinate (it is NaN
+def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
+    """Edges, edge lengths and the vertex quadrature weight
+    ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
+    s_i follows on first use. The one gate where a curve is accepted or
+    refused. One maximum of |X| refuses a non-finite coordinate (it is NaN
     or inf if any coordinate is), and from _NO_OVERFLOW up the edges are
-    formed with overflow ignored; a collapsed edge raises DegenerateCurve,
-    and a length past the double range FloatingPointError, in that order."""
+    formed with overflow ignored; then a collapsed edge raises
+    DegenerateCurve, and a length past the double range FloatingPointError,
+    in that order. A curve that is already measured is returned as it is,
+    and a PolyCurve's vertices are measured in place. Any other input, an
+    array read-only or not, is checked and copied by PolyCurve first.
+    """
+    if isinstance(curve, ArcData):
+        return curve
+    X = (curve if isinstance(curve, PolyCurve) else PolyCurve(curve)).vertices
     m = float(np.abs(X).max())
     if not math.isfinite(m):
         raise FloatingPointError("curve coordinates are not finite")
@@ -212,23 +220,6 @@ def _edges(X: np.ndarray):
         raise DegenerateCurve("zero-length edge")
     if not math.isfinite(length):
         raise FloatingPointError("curve length overflows the double range")
-    return ev, el, length
-
-
-def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
-    """Edges, edge lengths and the vertex quadrature weight
-    ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
-    s_i follows on first use. The one place where a curve is accepted or
-    refused, by _edges: a non-finite coordinate, or a length that overflows,
-    raises FloatingPointError, and a collapsed edge DegenerateCurve. A curve
-    that is already measured is returned as it is, and a PolyCurve's
-    vertices are measured in place. Any other input, an array read-only or
-    not, is checked and copied by PolyCurve first.
-    """
-    if isinstance(curve, ArcData):
-        return curve
-    X = (curve if isinstance(curve, PolyCurve) else PolyCurve(curve)).vertices
-    ev, el, length = _edges(X)
     # outside the overflow context: a finite length bounds every sum of two
     # edge lengths
     ds = _prev(el)
@@ -238,10 +229,9 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
 
 
 def _measure(X: np.ndarray) -> ArcData:
-    """The measured curve with vertices X itself, not a copy, for an array
-    the library formed, a state of the flow or a frame of a generated path:
-    _owned marks X read-only and makes it a curve, which this module's
-    arc_data binding accepts or refuses."""
+    """The measured curve with vertices X itself, not a copy, for a state
+    of the flow or its profile: _owned marks X read-only and makes it a curve, which this
+    module's arc_data binding accepts or refuses."""
     return arc_data(_owned(X))
 
 

@@ -79,6 +79,10 @@ class FlowConfig:
             warnings.warn(f"dt = {self.dt} is large for forward Euler; expect drift", stacklevel=3)
         if abs(self.t1 - self.t0) / self.dt > 1e8:
             raise ValueError("horizon / dt exceeds the step-count sanity bound")
+        # a run ends at t1: the horizon is a whole number of steps, to within rounding
+        whole = self.steps * self.dt
+        if abs(whole - abs(self.t1 - self.t0)) > 1e-9 * whole + 8 * math.ulp(max(abs(self.t0), abs(self.t1))):
+            raise ValueError(f"t1 - t0 = {self.t1 - self.t0} is not a whole number of steps of dt = {self.dt}")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise ValueError("record_every must be a positive integer")
         if not self.min_length_guard >= 0.0:

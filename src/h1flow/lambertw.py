@@ -18,7 +18,27 @@ _INV_E = -math.exp(-1.0)
 
 
 def lambert_w0(x: float) -> float:
-    """W_0(x) for x >= -1/e, to relative residual ~1e-15."""
+    """W_0(x) for x >= -1/e, to relative residual ~1e-15.
+
+    Every Halley iterate stays above -1 with a positive denominator, so
+    neither division is by zero. With u = w + 1 > 0 and f = w e^w - x,
+    2u denom = e^w (u^2 + 1) + x (w + 2) and the next iterate has
+    u' = u (e^w (w^2 + 2) + x (w + 4)) / (2u denom). For x >= 0 every term
+    is positive. For x in (-1/e, 0) both brackets exceed their values at
+    x = -1/e, e^-1 (e^u (u^2 + 1) - 1 - u) >= u^2 / e and
+    e^-1 (e^u (u^2 - 2u + 3) - u - 3) >= u^2 / (2e): the second vanishes at
+    u = 0 and its derivative is e^u (u^2 + 1) - 1 >= u. The start is above
+    -1: log1p(x) >= 0 for x > 0, and below 0 the series -1 + p - p^2/3 +
+    11 p^3 / 72, as 1 - p/3 + 11 p^2 / 72 has no real root; arg > 0 there
+    only for x above the true -1/e, as math.e < e, so p >= 2^-26.
+    In floating point w + 1 is exact for w in [-2, -1/2], so it is zero
+    only at w = -1, and above 1/2 past that. Where the computed
+    f <= 0, the denominator is at least fl(e^w u) > 0 and the step does not
+    lower w. Where f > 0, its rounding error, below 1.3e-16 near the branch
+    point and relative elsewhere, is less than both margins unless
+    u < 5e-8, which an iterate with f > 0 reaches only for x within about
+    12 doubles of -1/e; test_halley_iterates_above_minus_one runs those.
+    """
     x = float(x)
     if x < _INV_E:
         if x > _INV_E * (1.0 + 1e-12):  # rounding slop at the branch point
@@ -44,11 +64,7 @@ def lambert_w0(x: float) -> float:
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
-        if wp1 == 0.0:
-            break
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0.0:
-            break
         step = f / denom
         w -= step
         if abs(step) <= 1e-16 * (1.0 + abs(w)):

@@ -11,16 +11,16 @@ walk sums that, with no division by dt. The norm is the L2(ds) sum of the
 curves module, the one that gradient's inner products use, of |dX|^2 by
 _dot, or of <dX, N>^2 from the tangent's columns in quotient mode.
 
-Every frame passes the gate of curves.arc_data, which refuses a non-finite
-coordinate, a collapsed edge or a length past the double range. A path built
-from explicit frames checks them once, when it is built, by the gate's edge
-measurement, curves._edges, and copies their vertices into one read-only
+Every frame, explicit or generated, passes the one gate, curves.arc_data,
+which refuses a non-finite coordinate, a collapsed edge or a length past
+the double range. A path built from explicit frames passes each of them
+once, when it is built, and copies their vertices into one read-only
 (m, n, 2) table; its frames are a tuple of curves on the table's rows, and a
 pickle or deep copy of it views its own table again. The three families
 keep their recipe instead (the base table with the schedule, the scale, or
 the twist), and their frames are a read-only sequence that forms frame k
-when it is read and measures it by curves._measure, as the flow measures
-its states, so a path's memory does not grow with its frame count. A
+when it is read and measures it in place, as the flow measures its
+states, so a path's memory does not grow with its frame count. A
 length is one pairwise walk over the frames: each frame is formed once and
 each left frame measured once (its ArcData, whose arclength s it never
 reads). A quotient walk also sums the full norm from the same dX and ds,
@@ -35,7 +35,7 @@ are formed and measured outside that context. The path keeps the lengths
 it has walked, shared with its as_mode copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh float
-(n, 2) array that _measure makes a curve in place, with no copy: a
+(n, 2) array that _owned makes a curve in place, with no copy: a
 C-ordered one for shrink and reparam, and for zigzag the transpose of a
 (2, n) array, an F-ordered view whose coordinate columns are contiguous for
 the gate's and the walk's per-coordinate passes. No family
@@ -54,7 +54,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .curves import PolyCurve, _dot, _edges, _l2ds_term, _measure, _owned, _tangent, _unit_edges, arc_data
+from .curves import PolyCurve, _dot, _l2ds_term, _owned, _tangent, _unit_edges, arc_data
 from .errors import DegenerateCurve, UsageError
 from .shapes import _count
 
@@ -64,7 +64,8 @@ MODES = ("full", "quotient")
 class _Frames(Sequence):
     """The frames of a generated path, formed on demand: frame k is the
     curve of form(k), a fresh float (n, 2) array (C-ordered, or for a zigzag
-    an F-ordered view), measured by _measure as it is formed. A frame with a
+    an F-ordered view), which _owned makes a curve with no copy and _accept
+    measures as it is formed. A frame with a
     non-finite coordinate, or a length past the double range, raises
     FloatingPointError, and one with an edge of zero length
     DegenerateCurve("degenerate frame in path"). An index reads one frame,
@@ -83,21 +84,28 @@ class _Frames(Sequence):
         return tuple(map(self._frame, at)) if isinstance(at, range) else self._frame(at)
 
     def _frame(self, k: int) -> PolyCurve:
-        return _accept(_measure, self._form(k))
+        return _accept(_owned(self._form(k)))
 
 
-def _accept(gate, X: np.ndarray):
-    """gate(X), with a collapsed edge refused as DegenerateCurve("degenerate
-    frame in path"): the gate is _measure for a formed frame, and the edge
-    measurement of arc_data, curves._edges, for an explicit one."""
+def _accept(curve: PolyCurve):
+    """arc_data(curve), the one gate, with a collapsed edge refused as
+    DegenerateCurve("degenerate frame in path"): for a formed frame, its
+    measurement, and for an explicit one, its check when the path is built."""
     try:
-        return gate(X)
+        return arc_data(curve)
     except DegenerateCurve:
         raise DegenerateCurve("degenerate frame in path") from None
 
 
 @dataclass(frozen=True, eq=False)
 class CurvePath:
+    """Frames sampled at uniform times in [0, 1], under a length mode. The
+    frames are those of a family (see _Frames), or explicit curves of one
+    vertex count, each passed through the one gate, arc_data, by _accept
+    when the path is built: a measured frame (ArcData) passes as it is. The
+    ArcData of that check is not kept; the path keeps the frames' vertices
+    in its read-only table, and the walk measures each left frame again."""
+
     frames: Sequence
     mode: str = "full"
     # the walked lengths by mode, shared with the as_mode copies
@@ -115,7 +123,7 @@ class CurvePath:
             for f in frames:
                 if f.n != n:
                     raise UsageError(f"frame with {f.n} vertices among n = {n}")
-                _accept(_edges, f.vertices)
+                _accept(f)
             table = np.stack([f.vertices for f in frames])
             table.flags.writeable = False
             object.__setattr__(self, "_table", table)

@@ -3,6 +3,8 @@
 Everything here is deterministic, so one run per session is safe to share
 across test modules. The ellipse t=8 run dominates the suite's wall time.
 """
+import itertools
+import math
 import time
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.curves
 import h1flow.flow
 
 
@@ -136,12 +139,28 @@ def zigzag_lengths():
     )
     base = h.CurvePath(frames=frames, mode="full")
     out = {"base_full": h.path_length_l2ds(base)}
-    quot, full = {}, {}
+    quot, full, sup = {}, {}, {}
     for teeth in (1, 2, 4, 8):
         z = h.zigzag_path(base, teeth)
         quot[teeth] = h.path_length_l2ds(h.as_mode(z, "quotient"))
         full[teeth] = h.path_length_l2ds(z)
+        sup[teeth] = normal_sup_bound(z.frames)
         del z
     out["quotient"] = quot
     out["full"] = full
+    out["normal_sup_bound"] = sup
     return out
+
+
+def normal_sup_bound(frames):
+    """B_q = sqrt(2 tanh(L_min / 2)) sum_k max_i |<X_{k+1,i} - X_{k,i}, N_i>|,
+    N the unit normal of the left frame and L_min the least frame length:
+    the H1(ds) lower bound of a normal motion, sup |h|^2 <= (coth(L/2) / 2)
+    |h|^2_H1, summed over the frame differences. Each frame is formed once."""
+    total, lmin = 0.0, math.inf
+    for left, right in itertools.pairwise(frames):
+        (tx, ty), _ = h1flow.curves.frame_data(left)
+        d = right.vertices - left.vertices
+        total += np.abs(d[:, 1] * tx - d[:, 0] * ty).max()
+        lmin = min(lmin, h.arc_data(left).length, h.arc_data(right).length)
+    return math.sqrt(2.0 * math.tanh(lmin / 2.0)) * total

@@ -4,6 +4,7 @@ Each test prints as one pass/fail line under `pytest -v`. The reference runs
 live in session fixtures (conftest.py) so the gate shares them with the unit
 modules instead of recomputing.
 """
+import itertools
 import math
 
 import numpy as np
@@ -276,6 +277,53 @@ def test_ac14_zigzag_decay(zigzag_lengths):
     q = zigzag_lengths["quotient"]
     assert q[8] < q[4] < q[2] < q[1]
     assert q[8] / q[1] <= 0.5
+
+
+def test_h1ds_sup_inequality():
+    # the other half of the paper's contrast: sup |h|^2 <= (coth(L/2) / 2)
+    # |h|^2_H1, whose constant is the diagonal of the positive kernel. A
+    # constant field is within 1e-12 of equality on a short curve, where
+    # (L/2) coth(L/2) -> 1; the largest ratio seen otherwise is 0.99989
+    rng = np.random.default_rng(19)
+    for k in range(120):
+        n = int(rng.integers(3, 200))
+        scale = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
+        if k % 2:
+            th = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+            r = 1.0 + 0.3 * rng.uniform(size=n)
+            curve = h.PolyCurve(scale * np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+        else:
+            curve = h.PolyCurve(scale * rng.standard_normal((n, 2)))
+        constant = 0.5 / math.tanh(h.total_length(curve) / 2.0)
+        spike = np.zeros((n, 2))
+        spike[int(rng.integers(n))] = rng.standard_normal(2)
+        for field in (rng.standard_normal((n, 2)), spike, np.ones((n, 2)) * rng.standard_normal(2)):
+            sup_sq = float((field * field).sum(axis=1).max())
+            assert sup_sq <= constant * h.h1ds_inner(curve, field, field) * (1 + 1e-12), (k, n)
+
+
+def test_ac14_normal_sup_bound(zigzag_lengths):
+    # every zigzag keeps its H1(ds) lower bound B_q at or above
+    # sqrt(2 tanh(L/2)) d_H = 16.94 for the unit circle moved by d_H = 12,
+    # while its L2(ds) quotient length falls with the teeth
+    q, bq = zigzag_lengths["quotient"], zigzag_lengths["normal_sup_bound"]
+    floor = math.sqrt(2.0 * math.tanh(h.total_length(h.circle(1.0, 8192)) / 2.0)) * 12.0
+    assert floor == pytest.approx(16.94, abs=5e-3)
+    assert q[8] < q[4] < q[2] < q[1]
+    assert min(bq.values()) >= floor * (1 - 1e-3)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.1])
+def test_shrink_path_h1ds_length_bound(lam):
+    # d sqrt(L) <= |dX|_H1 / 2 along any path, so its H1(ds) length, summed
+    # like the L2(ds) walk over frame differences, is at least
+    # 2 |sqrt(L1) - sqrt(L0)|
+    frames = h.shrink_path(h.circle(1.0, 256), lam, 33).frames
+    length = sum(math.sqrt(h.h1ds_inner(left, d, d))
+                 for left, right in itertools.pairwise(frames)
+                 for d in (right.vertices - left.vertices,))
+    L0, L1 = h.total_length(frames[0]), h.total_length(frames[-1])
+    assert length >= 2.0 * abs(math.sqrt(L1) - math.sqrt(L0))
 
 
 def test_ac15_symmetry_equivariance():

@@ -69,9 +69,12 @@ class TestFlowConfig:
         assert back.steps == 10
         assert back.signed_step == -0.1
 
-    def test_horizon_snaps_to_whole_steps(self):
-        cfg = h.FlowConfig(dt=0.3, t1=1.0)
-        assert cfg.steps == 3
+    def test_horizon_off_whole_steps_refused(self):
+        # a run would stop at 0.9, 0.8 or 0 in place of t1
+        for dt, t1 in ((0.3, 1.0), (0.4, 1.0), (0.1, 0.05)):
+            with pytest.raises(ValueError, match=f"^t1 - t0 = {t1} is not a whole number of "
+                                                 f"steps of dt = {dt}$"):
+                h.FlowConfig(dt=dt, t1=t1)
 
 
 def _one_step(curve, dt, method="euler"):
@@ -629,7 +632,11 @@ class TestWorkCounts:
         assert len(built) == 1
         frames = tuple(h.PolyCurve(s * c.vertices) for s in (1.0, 0.9, 0.8))
         built.clear()
-        h.path_length_l2ds(h.CurvePath(frames=frames, mode="quotient"))
+        # building the path passes each explicit frame through the gate once
+        path = h.CurvePath(frames=frames, mode="quotient")
+        assert len(built) == 3
+        built.clear()
+        h.path_length_l2ds(path)
         assert len(built) == 2
         built.clear()
         traj = h.run_flow(c, h.FlowConfig(dt=1e-3, t1=0.1, record_every=100))

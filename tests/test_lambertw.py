@@ -1,10 +1,12 @@
 """Principal-branch Lambert W evaluators and the exact circle radius."""
 import math
+import types
 
 import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.lambertw
 from h1flow.errors import UsageError
 
 # residual-verified reference values, frozen from a bisection solve of
@@ -60,6 +62,18 @@ class TestLambertW0:
         ulp = abs(np.spacing(start))
         ws = np.array([h.lambert_w0(start + k * ulp) for k in range(10_000)])
         assert np.isfinite(ws).all() and (ws >= -1.0).all()
+
+    def test_halley_iterates_above_minus_one(self, monkeypatch):
+        # the doubles nearest -1/e, where rounding could outweigh the margins
+        # of lambert_w0's proof: every iterate reaches math.exp above -1
+        iterates = []
+        logged = types.SimpleNamespace(**vars(math))
+        logged.exp = lambda w: iterates.append(w) or math.exp(w)
+        monkeypatch.setattr(h1flow.lambertw, "math", logged)
+        start = -math.exp(-1.0)
+        ulp = abs(np.spacing(start))
+        ws = [h.lambert_w0(start + k * ulp) for k in range(1000)]
+        assert min(iterates) > -1.0 and min(ws) >= -1.0 and len(iterates) > 1000
 
     def test_below_branch_rejected(self):
         with pytest.raises(UsageError, match="^lambert_w0 requires x >= -1/e, got -1.0$"):

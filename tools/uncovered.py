@@ -7,7 +7,8 @@ only frames whose code lies in src/h1flow, then prints `module:line: source`
 for each statement no traced frame reached, in file and line order. A
 statement is reached when a line event fires on its first line. Function and
 class definitions, imports and docstrings are not listed: they run at import
-or are no code. Uses the standard library only, so it runs where the
+or are no code; nor is the body of an `if __name__ == "__main__":`, which
+runs only in a script. Uses the standard library only, so it runs where the
 `coverage` package is not installed; tracing slows the run several-fold.
 Lines that the run executes in a subprocess are not seen. The exit code is
 pytest's.
@@ -35,14 +36,23 @@ _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import,
             ast.ImportFrom, ast.Global, ast.Nonlocal)
 
 
+def _script_only(node) -> bool:
+    """True for an `if __name__ == "__main__":` test, whose body runs only
+    when the module runs as a script."""
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+
+
 def statements(text: str) -> list:
     """The first lines of a module's statements that a run can miss, sorted:
-    every statement but a definition, an import or a docstring."""
+    every statement but a definition, an import, a docstring or one in the
+    body of a top-level `if __name__ == "__main__":`."""
     tree = ast.parse(text)
     docstrings = loc.docstring_lines(tree)
+    script = {id(inner) for node in tree.body if _script_only(node)
+              for stmt in node.body for inner in ast.walk(stmt)}
     return sorted({node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.stmt) and not isinstance(node, _SKIPPED)
-                   and node.lineno not in docstrings})
+                   and node.lineno not in docstrings and id(node) not in script})
 
 
 def traced(root: pathlib.Path, fn, *args):
