@@ -27,12 +27,16 @@ The cyclic differences and sums (_diff, ds, the tangent) are formed in place
 in the one shifted copy that _next or _prev makes, so each costs one new
 array. _unit_edges forms the outgoing unit edges u and, shifted once, the
 incoming ones p; _tangent sums them into the unit tangent in p's arrays.
-A quotient path length reads only the tangent, and frame_data reads p
-for the turning angle before the tangent is formed.
+A quotient path length reads only the tangent, and frame_data reads u and
+p for the turning angle of _turning before the tangent is formed.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
 by (value, i, j) the chunk minima of _row_blocks or _pruned_blocks, which
 share the ratio helper _chord_ratios; from L >= _NO_OVERFLOW it scans the
 curve scaled by a power of two, so that no chord's square overflows.
+_pruned_blocks skips the block pairs that a bounding-box bound or a
+straightness bound, from the running sum of the angles of _turning, puts
+above a seed ratio: the first skips pairs far apart, the second the short
+runs of polygon near the diagonal, whose chord / arc is near 1.
 Reading and writing curves is the business of the output module.
 """
 
@@ -253,30 +257,40 @@ def _unit_edges(ad: ArcData):
     return ux, uy, _prev(ux), _prev(uy)
 
 
+def _turning(ux, uy, px, py):
+    """The signed turning angle at each vertex, in [-pi, pi], from the
+    incoming unit edge p to the outgoing one u: arctan2(p x u, p . u), from
+    the columns of _unit_edges."""
+    return np.arctan2(px * uy - py * ux, px * ux + py * uy)
+
+
 def _tangent(ux, uy, px, py):
     """The x and y columns of the unit vertex tangent T, u + p normalized,
-    from the columns of _unit_edges. The sum is formed in place in p's
-    arrays, which it overwrites, so no further array is made; a caller that
-    reads p does so first. The normal is N = rot90(T) = (-T_y, T_x). A cusp,
-    where u + p vanishes, is refused."""
+    from the columns of _unit_edges. The sum and the quotient are formed in
+    place in p's arrays, and |u + p| in u's, all four overwritten, so no
+    further array is made; a caller that reads u or p does so first. The
+    normal is N = rot90(T) = (-T_y, T_x). A cusp, where u + p vanishes, is
+    refused."""
     px += ux
     py += uy
-    tn = np.sqrt(px * px + py * py)
+    tn = np.multiply(px, px, out=ux)
+    tn += np.multiply(py, py, out=uy)
+    np.sqrt(tn, out=tn)
     if tn.min() <= 0.0:
         raise DegenerateCurve("cusp vertex: adjacent edges anti-parallel")
-    return px / tn, py / tn
+    return np.divide(px, tn, out=px), np.divide(py, tn, out=py)
 
 
 def frame_data(curve: PolyCurve):
     """((T_x, T_y), k) for any curve arc_data accepts: the columns of the
     unit vertex tangent T, whose normal is N = rot90(T) = (-T_y, T_x), and
-    the signed curvature k_i, the turning angle at vertex i from the
-    incoming unit edge p to the outgoing one u, divided by ds_i. The angle
-    reads p before _tangent sums into it, so the edges are shifted once.
-    Records take their curvature from it; not exported."""
+    the signed curvature k_i, the _turning angle at vertex i divided by
+    ds_i, the angle the chord-arc monitor bounds its ratios by. The angle
+    reads u and p before _tangent overwrites them, so the edges are shifted
+    once. Records take their curvature from it; not exported."""
     ad = arc_data(curve)
     ux, uy, px, py = _unit_edges(ad)
-    k = np.arctan2(px * uy - py * ux, px * ux + py * uy) / ad.ds
+    k = _turning(ux, uy, px, py) / ad.ds
     return _tangent(ux, uy, px, py), k
 
 
@@ -289,8 +303,9 @@ def _as_field(curve: PolyCurve, field) -> np.ndarray:
 
 def _l2ds_term(ad: ArcData, q: np.ndarray) -> float:
     """sum_i q_i ds_i for per-vertex products q = _dot(v, w) on a measured curve:
-    the L2(ds) inner product and the zeroth-order term of the H1(ds) one."""
-    return float((q * ad.ds).sum())
+    the L2(ds) inner product and the zeroth-order term of the H1(ds) one.
+    q, a fresh array of its caller's, is scaled by ds in place."""
+    return float(np.multiply(q, ad.ds, out=q).sum())
 
 
 def _edge_term(ad: ArcData, q: np.ndarray) -> float:
@@ -357,35 +372,42 @@ def _row_blocks(x, y, s, length):
                         work, positive)
 
 
-def _boxes(x, y, s, size):
+def _boxes(x, y, s, turn, size):
     """Per block of `size` consecutive vertices, the last one shorter if n
-    is not a multiple: the x and y bounds of its bounding box, and its first
-    and last arclength."""
+    is not a multiple: the x and y bounds of its bounding box, its first
+    and last arclength, and the running absolute turning turn at its first
+    vertex and at the one before its last."""
     starts = np.arange(0, x.shape[0], size)
     ends = np.minimum(starts + size, x.shape[0]) - 1
     lo, hi = np.minimum.reduceat, np.maximum.reduceat
-    return lo(x, starts), hi(x, starts), lo(y, starts), hi(y, starts), s[starts], s[ends]
+    return (lo(x, starts), hi(x, starts), lo(y, starts), hi(y, starts), s[starts], s[ends],
+            turn[starts], turn[ends - 1])
 
 
-def _reaches(box, p, q, length, limit):
+def _reaches(box, p, q, length, limit, reach):
     """True for the block pairs (p, q), p <= q, of _boxes that may hold a
     ratio at or below limit: those whose bound, the bounding-box distance
     over the largest arc the pair can hold, min(s_hi,q - s_lo,p,
-    L - (s_lo,q - s_hi,p), L/2), does not exceed it, NaN included."""
-    x_lo, x_hi, y_lo, y_hi, s_lo, s_hi = box
+    L - (s_lo,q - s_hi,p), L/2), does not exceed it, NaN included, and
+    whose turning at the vertices strictly inside their forward span is not
+    below reach."""
+    x_lo, x_hi, y_lo, y_hi, s_lo, s_hi, t_lo, t_hi = box
     with np.errstate(all="ignore"):
         dist2 = 0.0  # the squared bounding-box distance, as chord^2 is summed
         for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
             gap = np.maximum(np.maximum(lo[q] - hi[p], lo[p] - hi[q]), 0.0)
             dist2 = dist2 + gap * gap
         arc = np.minimum(s_hi[q] - s_lo[p], length - (s_lo[q] - s_hi[p]))
-        return ~(np.sqrt(dist2) / np.minimum(arc, 0.5 * length) > limit)
+        straight = t_hi[q] - t_lo[p] < reach
+        return ~(np.sqrt(dist2) / np.minimum(arc, 0.5 * length) > limit) & ~straight
 
 
-def _pruned_blocks(x, y, s, length):
+def _pruned_blocks(x, y, s, length, turn, mu):
     """(value, i, j) of the minimum of each chunk of the pairs that survive
     the two-level block bounds, at the chunk's lowest (i, j); the chunks
-    come in no (i, j) order."""
+    come in no (i, j) order. turn is the running sum of the vertices'
+    absolute turning angles and mu the relative rounding of a ratio
+    against chord / forward arc, inf where the straightness bound is off."""
     n = x.shape[0]
     # fine blocks of _CHORD_FINE vertices, or more from n = 16384 on, so
     # that there are at most about 2048, and coarse ones of `ratio` of them
@@ -405,12 +427,17 @@ def _pruned_blocks(x, y, s, length):
     near = _chord_ratios(x[None, :-2], y[None, :-2], s[None, :-2], x[None, 2:], y[None, 2:],
                          s[None, 2:], length, (1, n - 2), work, positive).min()
     limit = min(seed, near) * (1.0 + 1e-9)
+    # the turning below which a forward span holds no ratio at or below
+    # limit: 2 acos(limit (1 + 4 mu)), less its rounding margins
+    cos = limit * (1.0 + 4.0 * mu) if mu < 0.5 else 1.0
+    reach = (2.0 * math.acos(min(cos, 1.0)) * (1.0 - 2.0 ** -48)
+             - 2.0 ** -48 * n * (1.0 + float(turn[-1])))
     # the coarse block pairs that survive, then, a chunk of them at a time,
     # their fine block pairs that survive
     P, Q = np.triu_indices(-(-n // (fine * ratio)))
-    keep = _reaches(_boxes(x, y, s, fine * ratio), P, Q, length, limit)
+    keep = _reaches(_boxes(x, y, s, turn, fine * ratio), P, Q, length, limit, reach)
     P, Q = P[keep], Q[keep]
-    boxes = _boxes(x, y, s, fine)
+    boxes = _boxes(x, y, s, turn, fine)
     nf = boxes[0].size
     da, db = np.divmod(np.arange(ratio * ratio), ratio)
     # the blocks padded to nf * fine vertices; an s of -inf in the rows and
@@ -423,7 +450,7 @@ def _pruned_blocks(x, y, s, length):
         q = (ratio * Q[c0:c0 + step, None] + db).ravel()
         ok = (p <= q) & (q < nf)
         p, q = p[ok], q[ok]
-        keep = _reaches(boxes, p, q, length, limit)
+        keep = _reaches(boxes, p, q, length, limit, reach)
         p, q = p[keep], q[keep]
         # the surviving fine block pairs, about _CHORD_BLOCK vertex pairs at
         # a time, each chunk's minimum at its lowest (i, j)
@@ -477,11 +504,40 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     (i, j) order. arc_data refuses a curve whose length overflows, so every
     arc is finite and no ratio is NaN.
 
+    Block pairs on or next to the diagonal touch, so their box bound is 0;
+    a straightness bound skips them. Let Theta be the absolute turning
+    sum |phi_k| at the vertices strictly inside the forward span from the
+    first vertex of I to the last of J. If Theta < pi, every edge of the
+    span points within Theta/2 of one direction, so each pair (i, j) of the
+    block pair has chord >= A cos(Theta/2), A = sum |e_k| the arc from i to
+    j, while min(gap, L - gap) <= gap. In rounding, with u = 2^-53 and e_min
+    the shortest edge: the computed chord is at least chord (1 - u)^3; an
+    edge length at most |e_k| (1 + u)^3; each step of the cumsum s errs by
+    at most u s[-1] <= 2 u L, so the computed gap is at most
+    A (1 + u)^4 (1 + 2 u L / e_min); the quotient rounds by (1 - u). So
+    every computed ratio is at least cos(Theta/2) (1 - mu), with
+    mu = 2^-50 (1 + 2 L / e_min). The computed Theta, a difference of the
+    running sum T of |_turning|, errs by at most
+    eps = 2^-48 n (1 + T[-1]): an angle by at most 16 u (2 u from each unit
+    edge's direction, 3 u from their cross and dot products, 8 u from
+    arctan2), each step of the sum by u T[-1], the difference by u pi. A
+    block pair is skipped when its computed Theta is below
+    2 acos(U' (1 + 4 mu)) (1 - 2^-48) - eps, U' = U (1 + 1e-9): the factor
+    1 - 2^-48 covers the rounding of acos, which is within a few ulp, and of
+    U' (1 + 4 mu), also where that is subnormal. Then Theta / 2 <
+    acos(U' (1 + 4 mu)) <= pi/2, and for mu < 1/2 every ratio in the pair is at least
+    cos(Theta/2) (1 - mu) > U' (1 + 4 mu) (1 - mu) (1 - u)^2 >= U'.
+    Where mu >= 1/2, for a shortest edge below about 2^-48 L, the reach is
+    negative, and the bound skips only a last block of one vertex against
+    itself, which holds no pair; so it does on a scaled curve, below. Both
+    bounds are applied to the coarse block pairs and to the fine ones.
+
     From L >= _NO_OVERFLOW on, a chord's square could overflow: the scan
     then runs on x, y, s and L scaled by 2^-e, with 2^e the power of two
     just above L. Every chord is at most L/2 < 1 there, and a power of two
-    scales each ratio exactly, so the result is that of the exactly scaled
-    curve.
+    scales each ratio exactly, so the result is that of the scaled curve;
+    a scaled coordinate below 2^-1022 may lose bits, so that the turning of
+    the curve itself no longer bounds it, and the straightness bound is off.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -492,6 +548,13 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     if L >= _NO_OVERFLOW:
         e = -math.frexp(L)[1]
         x, y, s, L = np.ldexp(x, e), np.ldexp(y, e), np.ldexp(s, e), math.ldexp(L, e)
-    blocks = _pruned_blocks if n >= _CHORD_PRUNE else _row_blocks
-    value, i, j = min(blocks(x, y, s, L))
+    if n < _CHORD_PRUNE:
+        blocks = _row_blocks(x, y, s, L)
+    else:
+        # mu, and inf on a scaled curve, where the straightness bound is off
+        mu = (math.inf if ad.length >= _NO_OVERFLOW
+              else 2.0 ** -50 * (1.0 + 2.0 * ad.length / float(ad.edge_lengths.min())))
+        turn = np.abs(_turning(*_unit_edges(ad))).cumsum()
+        blocks = _pruned_blocks(x, y, s, L, turn, mu)
+    value, i, j = min(blocks)
     return ChordArcResult(value=float(value), i=i, j=j)

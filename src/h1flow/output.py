@@ -5,8 +5,9 @@ a path goes out as JSON, its frames in the curve's form plus its mode, and
 is not read back; a run goes out as diagnostics CSV, SVG and trajectory
 JSON, its states in the curve's form.
 All floats go out with 17 significant digits so that a read-back is
-bit-exact; newlines are LF regardless of platform. Points are formatted from
-the Python floats of one tolist() per curve. JSON goes out from a dict, as
+bit-exact; newlines are LF regardless of platform. A curve's points, in a
+curve CSV or an SVG polygon, are formatted in one operation, on the Python
+floats of one tolist() per curve. JSON goes out from a dict, as
 the text of json.dumps, written one top-level value, or one item of a list
 value, at a time: each piece goes through the C encoder, which json.dump
 never uses, and the whole text is never held in memory.
@@ -30,11 +31,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _points(vertices: np.ndarray) -> list[str]:
-    """'x,y' per vertex as _fmt writes each coordinate, formatted from the
-    Python floats of one tolist(): NumPy's float64 is a float subclass, so
-    the text is that of its scalars, at less than half the cost."""
-    return ["%.17g,%.17g" % (x, y) for x, y in vertices.tolist()]
+def _points(vertices: np.ndarray, sep: str) -> str:
+    """'x,y' per vertex as _fmt writes each coordinate, joined by sep, in one
+    format operation on the Python floats of one tolist(): NumPy's float64
+    is a float subclass, so the text is that of its scalars."""
+    return sep.join(["%.17g,%.17g"] * len(vertices)) % tuple(vertices.ravel().tolist())
 
 
 def _json_pieces(data):
@@ -78,7 +79,7 @@ def _curve(vertices, source) -> PolyCurve:
 def write_curve(curve: PolyCurve, path) -> None:
     """x,y pairs, one per line, 17 significant digits, LF line ends."""
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(p + "\n" for p in _points(curve.vertices))
+        fh.write(_points(curve.vertices, "\n") + "\n")
 
 
 def read_curve(path) -> PolyCurve:
@@ -181,7 +182,7 @@ def write_svg(states, path) -> None:
     ]
     denom = max(len(states) - 1, 1)
     for k, s in enumerate(states):
-        pts = " ".join(_points(s.vertices))
+        pts = _points(s.vertices, " ")
         color = _lerp_color(k / denom)
         lines.append(
             f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(stroke_width)}"/>'

@@ -370,6 +370,22 @@ def random_polygon(n, seed):
     return h.PolyCurve(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))
 
 
+def radial_polygon(kind, n, seed):
+    """A seeded polygon r(t) (cos t, sin t) at n equally spaced angles:
+    smooth, five low modes; jagged, radial noise at every vertex; lobed, a
+    deep cosine of 3 to 11 lobes."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    if kind == "smooth":
+        r = 1.0 + sum(rng.normal(0.0, 0.1 / k) * np.cos(k * t + rng.uniform(0.0, 6.0))
+                      for k in range(1, 6))
+    elif kind == "jagged":
+        r = 1.0 + 0.05 * rng.standard_normal(n)
+    else:
+        r = 1.0 + rng.uniform(0.5, 0.9) * np.cos(int(rng.integers(3, 12)) * t)
+    return h.PolyCurve(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))
+
+
 def as_tuple(res):
     return res.value, res.i, res.j
 
@@ -596,7 +612,7 @@ class TestChordArcBlocks:
     def test_tied_minima_resolve_by_key(self, monkeypatch):
         # the pruned path's chunks come in no (i, j) order: an exact tie
         # goes to the lowest (i, j) whichever chunk gives it first
-        def chunks(x, y, s, length):
+        def chunks(*args):
             yield from ((0.75, 5, 9), (0.5, 3, 9), (0.5, 2, 11), (0.5, 2, 12), (0.5, 3, 4))
 
         monkeypatch.setattr(h.curves, "_pruned_blocks", chunks)
@@ -631,9 +647,9 @@ class TestChordArcBlocks:
         monkeypatch.undo()
         assert as_tuple(res) == as_tuple(h.chord_arc_min(c)) == dense_chord_arc(c)
 
-    def test_pruning_skips_most_pairs(self, monkeypatch):
-        # pairs handed to the ratio helper: at most 5 % of them on a star
-        # above the threshold (about 2.5 %), every one below it
+    @staticmethod
+    def evaluated(monkeypatch, curve):
+        """The pairs that chord_arc_min hands to the ratio helper."""
         exact = h.curves._chord_ratios
         counted = []
 
@@ -642,16 +658,70 @@ class TestChordArcBlocks:
             counted.append(ratios.size)
             return ratios
 
-        def evaluated(c):
-            counted.clear()
-            h.chord_arc_min(c)
-            return sum(counted)
-
         monkeypatch.setattr(h.curves, "_chord_ratios", counting)
+        h.chord_arc_min(curve)
+        monkeypatch.undo()
+        return sum(counted)
+
+    def test_pruning_skips_most_pairs(self, monkeypatch):
+        # pairs handed to the ratio helper: at most 5 % of them on a star
+        # above the threshold (about 1 %), every one below it
         above = h.star(1.0, 0.3, 5, 2048)
         below = h.star(1.0, 0.3, 5, h.curves._CHORD_PRUNE - 1)
-        assert evaluated(above) <= 0.05 * above.n * (above.n - 1) / 2
-        assert evaluated(below) >= below.n * (below.n - 1) / 2
+        assert self.evaluated(monkeypatch, above) <= 0.05 * above.n * (above.n - 1) / 2
+        assert self.evaluated(monkeypatch, below) >= below.n * (below.n - 1) / 2
+
+    @pytest.mark.parametrize("curve, per_vertex", [
+        (h.star(1.0, 0.3, 5, 2048), 12), (h.circle(1.0, 2048), 25), (h.ellipse(1.0, 0.5, 2048), 8),
+    ], ids=["star", "circle", "ellipse"])
+    def test_straight_band_pruned(self, monkeypatch, curve, per_vertex):
+        # block pairs on and next to the diagonal touch, so only the
+        # straightness bound skips them: without it 25.8n, 52.1n and 29.1n
+        # pairs are evaluated, with it 9.8n, 20.2n and 5.2n, about 5n of
+        # them the seed's
+        assert self.evaluated(monkeypatch, curve) <= per_vertex * curve.n
+
+    @pytest.mark.parametrize("kind, n, seed", [
+        ("smooth", 288, 1), ("smooth", 2048, 2), ("jagged", 640, 3), ("jagged", 3001, 4),
+        ("lobed", 1000, 5), ("lobed", 4096, 6), ("angles", 1500, 7), ("angles", 4000, 8),
+    ])
+    def test_straightness_bound_keeps_the_row_scan_answer(self, monkeypatch, kind, n, seed):
+        c = random_polygon(n, seed) if kind == "angles" else radial_polygon(kind, n, seed)
+        row, pruned = both_paths(monkeypatch, c)
+        assert pruned == row
+
+    @pytest.mark.parametrize("alpha, shift", [(1.0, 333), (0.5, 517)])
+    def test_straightness_bound_attained_at_a_corner(self, monkeypatch, alpha, shift):
+        # a circular sector of angle alpha with its apex inside the index
+        # range: the pairs straddling the apex on its straight sides reach
+        # chord / arc = sin(alpha / 2) = cos(theta / 2), theta = pi - alpha
+        # the turning there, so the bound is sharp on their block pairs
+        d = np.linspace(0.0, 1.0, 400, endpoint=False)[:, None]
+        t = np.linspace(-alpha / 2, alpha / 2, 300, endpoint=False)
+        c = h.PolyCurve(np.roll(np.concatenate([
+            d * [math.cos(alpha / 2), -math.sin(alpha / 2)],
+            np.stack([np.cos(t), np.sin(t)], axis=1),
+            (1.0 - d) * [math.cos(alpha / 2), math.sin(alpha / 2)]]), shift, axis=0))
+        row, pruned = both_paths(monkeypatch, c)
+        assert pruned == row
+        assert row[0] == pytest.approx(math.sin(alpha / 2), rel=1e-12)
+
+    def test_uneven_edges_turn_the_straightness_bound_off(self, monkeypatch):
+        # an edge of 1e-15 on a circle of length 2 pi: L / e_min > 2^48, so
+        # the rounding of a gap may exceed mu >= 1/2 of it, and the bound
+        # prunes nothing. A turning of zero at every vertex, which would
+        # otherwise skip every block pair, changes no pair evaluated
+        v = h.circle(1.0, 1023).vertices
+        u = (v[101] - v[100]) / np.linalg.norm(v[101] - v[100])
+        c = h.PolyCurve(np.insert(v, 101, v[100] + 1e-15 * u, axis=0))
+        ad = h.arc_data(c)
+        assert ad.length / ad.edge_lengths.min() > 2.0 ** 48
+        count = self.evaluated(monkeypatch, c)
+        monkeypatch.setattr(h.curves, "_turning", lambda ux, uy, px, py: np.zeros_like(ux))
+        assert self.evaluated(monkeypatch, c) == count
+        monkeypatch.setattr(h.curves, "_turning", lambda ux, uy, px, py: np.zeros_like(ux))
+        row, pruned = both_paths(monkeypatch, c)
+        assert pruned == row
 
 
 class TestChordArcInvariance:

@@ -56,8 +56,7 @@ class TestLambertW0:
 
     def test_sweep_above_the_branch_point(self):
         # the 10 000 doubles from -1/e up: every Halley run ends on a finite
-        # w >= -1, whether or not an exit on w + 1 == 0 or a zero
-        # denominator is reachable there
+        # w >= -1
         start = -math.exp(-1.0)
         ulp = abs(np.spacing(start))
         ws = np.array([h.lambert_w0(start + k * ulp) for k in range(10_000)])

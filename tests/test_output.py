@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
-from h1flow.output import write_json
+from h1flow.output import _points, write_json
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,17 @@ def test_points_format_numpy_coordinates_to_17_digits(tmp_path):
     assert (tmp_path / "c.csv").read_text().splitlines() == want
     h.write_svg([c], str(tmp_path / "c.svg"))
     assert f'points="{" ".join(want)}"' in (tmp_path / "c.svg").read_text()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_points_in_one_format_are_the_per_vertex_text(order):
+    # one format operation per curve gives the bytes of formatting each
+    # vertex alone: signed zero, subnormals and +-1e300 included, and an
+    # F-ordered array's vertices in order
+    v = np.array([[0.1, -0.0], [5e-324, -2.2250738585072014e-308], [1e300, -1e300],
+                  [1.0 / 3.0, 0.0]], order=order)
+    for sep in (" ", "\n"):
+        assert _points(v, sep) == sep.join("%.17g,%.17g" % (x, y) for x, y in v)
 
 
 def _imported_modules(path):
