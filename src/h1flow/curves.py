@@ -13,14 +13,15 @@ only the kernel and the chord-arc monitor read it. arc_data measures a
 PolyCurve's vertices in place and checks and copies any other input
 through PolyCurve. It is the one gate where a curve is accepted or
 refused, the flow's states and every frame of a path alike: one maximum
-refuses a non-finite coordinate and decides whether the edges are formed
-under an overflow context, from _NO_OVERFLOW up; then a collapsed edge,
-and a length that overflows, are refused. An array the library forms
+refuses a non-finite coordinate or one outside the stated range
+|X| < 2^300, inside which nothing the library forms from a curve
+overflows but an inner product (see arc_data); then a collapsed edge is
+refused. An array the library forms
 itself becomes a curve by _owned, with no copy and no second check, which
 arc_data measures: a state of the flow by _measure, a frame of a generated
 path in the paths module. total_length, which takes degenerate curves
-too, passes no gate: where the gate refuses a length past the double
-range, it returns inf, with no RuntimeWarning.
+too, passes no gate: past the double range it returns inf, with no
+RuntimeWarning.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
 that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
@@ -31,8 +32,7 @@ A quotient path length reads only the tangent, and frame_data reads u and
 p for the turning angle of _turning before the tangent is formed.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
 by (value, i, j) the chunk minima of _row_blocks or _pruned_blocks, which
-share the ratio helper _chord_ratios; from L >= _NO_OVERFLOW it scans the
-curve scaled by a power of two, so that no chord's square overflows.
+share the ratio helper _chord_ratios.
 _pruned_blocks skips the block pairs that a bounding-box bound or a
 straightness bound, from the running sum of the angles of _turning, puts
 above a seed ratio: the first skips pairs far apart, the second the short
@@ -42,7 +42,6 @@ Reading and writing curves is the business of the output module.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,12 +72,9 @@ _CHORD_PRUNE = 288
 # grow past n = 16384, so that there are at most about 2048), and the size
 # of its strided seed sample
 _CHORD_FINE, _CHORD_COARSE, _CHORD_SEED = 8, 64, 64
-# Coordinates below this bound have edges below 2^501, whose squared norms
-# stay under 2^1003: measuring them cannot overflow.
-_NO_OVERFLOW = 2.0 ** 500
-# the context of a measurement below _NO_OVERFLOW: the caller's, unchanged.
-# One stateless instance serves every call, as creating one costs more
-_NO_CONTEXT = contextlib.nullcontext()
+# the coordinate range of every curve the library measures, |X| < 2^300:
+# see arc_data for what it rules out
+_RANGE = 2.0 ** 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +108,10 @@ class PolyCurve:
 class ArcData(PolyCurve):
     """A measured curve: the vertices of a validated PolyCurve with their ds
     vertex weights, total length, and the edges X_{i+1} - X_i with their
-    (positive) lengths. The cumulative arclength s (s[0] = 0) is computed on
-    first use and kept: the kernel and the chord-arc monitor need it, the
-    frames of a path do not."""
+    (positive) lengths. The cumulative arclength s (s[0] = 0) and the
+    turning angles are computed on first use and kept: the kernel and the
+    chord-arc monitor need s, a record's curvature and the monitor the
+    angles, and the frames of a path neither."""
 
     ds: np.ndarray
     length: float
@@ -132,6 +129,13 @@ class ArcData(PolyCurve):
         s[1:] = s[:-1]
         s[0] = 0.0
         return s
+
+    @cached_property
+    def turning(self) -> np.ndarray:
+        """The signed turning angle at each vertex, _turning of the unit
+        edges; frame_data forms it from the unit edges it reads anyway and
+        keeps it here."""
+        return _turning(*_unit_edges(self))
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,9 @@ def edge_lengths(curve: PolyCurve) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def total_length(curve: PolyCurve) -> float:
-    """Perimeter of the polygon. Defined for degenerate curves too, and inf,
-    with no RuntimeWarning, for a length past the double range: one that
-    arc_data refuses, as it does once an edge's squared length overflows."""
+    """Perimeter of the polygon. Defined for degenerate curves too, and
+    inf, with no RuntimeWarning, once an edge's squared length overflows,
+    which only a curve outside arc_data's range can do."""
     return float(edge_lengths(curve).sum())
 
 
@@ -202,13 +206,29 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     """Edges, edge lengths and the vertex quadrature weight
     ds_i = (|X_i - X_{i-1}| + |X_{i+1} - X_i|) / 2; the cumulative arclength
     s_i follows on first use. The one gate where a curve is accepted or
-    refused. One maximum of |X| refuses a non-finite coordinate (it is NaN
-    or inf if any coordinate is), and from _NO_OVERFLOW up the edges are
-    formed with overflow ignored; then a collapsed edge raises
-    DegenerateCurve, and a length past the double range FloatingPointError,
-    in that order. A curve that is already measured is returned as it is,
-    and a PolyCurve's vertices are measured in place. Any other input, an
-    array read-only or not, is checked and copied by PolyCurve first.
+    refused. One maximum m of |X| refuses a non-finite coordinate (it is
+    NaN or inf if any coordinate is), then a coordinate outside the range
+    m < _RANGE = 2^300, with FloatingPointError naming the range, before
+    any edge is formed; then a collapsed edge raises DegenerateCurve. A
+    curve that is already measured is returned as it is, and a PolyCurve's
+    vertices are measured in place. Any other input, an array read-only or
+    not, is checked and copied by PolyCurve first.
+
+    Inside the range no measurement, kernel sweep, step, record sum or
+    path walk of an accepted curve overflows. With m < 2^300: an edge and
+    every coordinate difference are below 2^301, their squares and sums of
+    squares below 2^603 n, and L, ds and s below 2^302 n; the kernel
+    sweep's terms e^(+-256) ds X, and its sums and closing products, stay
+    below 2^971 n, so the velocity and an RK4 step (|h| <= 2) below
+    2^976 n; a record's L^2, area, |X|^2 ds and n sum |e|^2 below
+    2^905 n^2; and a walk's |dX|^2 ds < 2^905 n per frame pair. Each is
+    below 2^1024 for any n < 2^48. Of the array operations on an accepted
+    curve only the inner products' can pass the double range: their
+    fields, the velocity among them, are not bounded by the range, and
+    their edge term divides by the edge lengths; they give inf or nan,
+    with overflow ignored. The scheme resolves a curve
+    only while e L stays below about 21.7, so the range refuses no curve
+    it can follow.
     """
     if isinstance(curve, ArcData):
         return curve
@@ -216,20 +236,16 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     m = float(np.abs(X).max())
     if not math.isfinite(m):
         raise FloatingPointError("curve coordinates are not finite")
-    with np.errstate(over="ignore") if m >= _NO_OVERFLOW else _NO_CONTEXT:
-        ev = _diff(X)
-        el = _norm(ev)
-        length = float(el.sum())
+    if m >= _RANGE:
+        raise FloatingPointError("curve coordinates outside the range |X| < 2^300")
+    ev = _diff(X)
+    el = _norm(ev)
     if el.min() <= 0.0:
         raise DegenerateCurve("zero-length edge")
-    if not math.isfinite(length):
-        raise FloatingPointError("curve length overflows the double range")
-    # outside the overflow context: a finite length bounds every sum of two
-    # edge lengths
     ds = _prev(el)
     ds += el
     ds *= 0.5
-    return ArcData(vertices=X, ds=ds, length=length, edges=ev, edge_lengths=el)
+    return ArcData(vertices=X, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
 
 
 def _measure(X: np.ndarray) -> ArcData:
@@ -287,11 +303,13 @@ def frame_data(curve: PolyCurve):
     the signed curvature k_i, the _turning angle at vertex i divided by
     ds_i, the angle the chord-arc monitor bounds its ratios by. The angle
     reads u and p before _tangent overwrites them, so the edges are shifted
-    once. Records take their curvature from it; not exported."""
+    once, and is kept as the measured curve's turning, where the monitor
+    reads it. Records take their curvature from it; not exported."""
     ad = arc_data(curve)
     ux, uy, px, py = _unit_edges(ad)
-    k = _turning(ux, uy, px, py) / ad.ds
-    return _tangent(ux, uy, px, py), k
+    # the cached_property's slot, filled from the unit edges at hand
+    turning = ad.__dict__["turning"] = _turning(ux, uy, px, py)
+    return _tangent(ux, uy, px, py), turning / ad.ds
 
 
 def _as_field(curve: PolyCurve, field) -> np.ndarray:
@@ -501,8 +519,8 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     of each; a pruned chunk gives its minimum at its lowest (i, j). The
     chunk minima reduce by one min over (value, i, j), so an exact tie
     resolves to the lower (i, j), as the pruned path's chunks come in no
-    (i, j) order. arc_data refuses a curve whose length overflows, so every
-    arc is finite and no ratio is NaN.
+    (i, j) order. Inside arc_data's range every arc is finite and no ratio
+    is NaN.
 
     Block pairs on or next to the diagonal touch, so their box bound is 0;
     a straightness bound skips them. Let Theta be the absolute turning
@@ -529,15 +547,9 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     cos(Theta/2) (1 - mu) > U' (1 + 4 mu) (1 - mu) (1 - u)^2 >= U'.
     Where mu >= 1/2, for a shortest edge below about 2^-48 L, the reach is
     negative, and the bound skips only a last block of one vertex against
-    itself, which holds no pair; so it does on a scaled curve, below. Both
-    bounds are applied to the coarse block pairs and to the fine ones.
-
-    From L >= _NO_OVERFLOW on, a chord's square could overflow: the scan
-    then runs on x, y, s and L scaled by 2^-e, with 2^e the power of two
-    just above L. Every chord is at most L/2 < 1 there, and a power of two
-    scales each ratio exactly, so the result is that of the scaled curve;
-    a scaled coordinate below 2^-1022 may lose bits, so that the turning of
-    the curve itself no longer bounds it, and the straightness bound is off.
+    itself, which holds no pair. Both bounds are applied to the coarse
+    block pairs and to the fine ones. Inside arc_data's range no chord's
+    square overflows.
     """
     ad = arc_data(curve)
     n = curve.n
@@ -545,16 +557,11 @@ def chord_arc_min(curve: PolyCurve) -> ChordArcResult:
     y = curve.vertices[:, 1]
     s = ad.s
     L = ad.length
-    if L >= _NO_OVERFLOW:
-        e = -math.frexp(L)[1]
-        x, y, s, L = np.ldexp(x, e), np.ldexp(y, e), np.ldexp(s, e), math.ldexp(L, e)
     if n < _CHORD_PRUNE:
         blocks = _row_blocks(x, y, s, L)
     else:
-        # mu, and inf on a scaled curve, where the straightness bound is off
-        mu = (math.inf if ad.length >= _NO_OVERFLOW
-              else 2.0 ** -50 * (1.0 + 2.0 * ad.length / float(ad.edge_lengths.min())))
-        turn = np.abs(_turning(*_unit_edges(ad))).cumsum()
+        mu = 2.0 ** -50 * (1.0 + 2.0 * L / float(ad.edge_lengths.min()))
+        turn = np.abs(ad.turning).cumsum()
         blocks = _pruned_blocks(x, y, s, L, turn, mu)
     value, i, j = min(blocks)
     return ChordArcResult(value=float(value), i=i, j=j)

@@ -3,9 +3,11 @@
 The record bundles every monitored quantity for one curve at one time; its
 fields, in order, are the CSV columns. Its L2(ds) norm of the curve and its
 squared H1(ds) norm of the velocity come from the gradient module's inner
-products. The monotonicity report turns the a-priori decay statements into
-pass/fail verdicts: a monitor passes when no step raises it by more than
-_SLACK.
+products. A record's curve lies inside the gate's coordinate range, where
+only the gradient norm and the isoperimetric ratio can pass the double
+range, as inf. The monotonicity report turns the a-priori decay statements
+into pass/fail verdicts: a monitor passes when no step raises it by more
+than _SLACK.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ def embeddedness_condition(curve: PolyCurve) -> EmbeddednessCheck:
     return EmbeddednessCheck(ok=lhs > rhs, lhs=lhs, rhs=rhs)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
-    """All monitors for one state, from one measurement of its geometry. A
-    curve that arc_data accepts can still overflow the squares behind the
-    norms, the area and the gradient norm; they are kept as inf or nan, and
-    no RuntimeWarning is raised."""
+    """All monitors for one state, from one measurement of its geometry.
+    Inside arc_data's range only two fields can pass the double range: the
+    gradient norm, the H1(ds) inner product of the velocity, whose squares
+    the range does not bound and whose edge term divides by the edge
+    lengths, and the isoperimetric ratio, a quotient by the area. Either
+    is then inf, with no RuntimeWarning."""
     ad = arc_data(curve)
     area = signed_area(ad)
     # the enclosed area |A|: the ratio and the deficit are orientation-blind

@@ -12,9 +12,10 @@ profile, passes once through curves._measure. That makes the array it is
 given a curve through curves._owned, marked read-only in place with no copy,
 and returns its arclength data from arc_data, the one gate that accepts or
 refuses every curve the library measures, the frames of paths among them: a
-non-finite state, a collapsed edge or a length that overflows. Euler and
-RK4 are one stage loop, _advance, over the table _TABLEAUX, internal to
-run_flow.
+non-finite state, one outside the stated range |X| < 2^300, or a collapsed
+edge. Inside that range a step does not overflow, so a stage or stepped
+state that leaves it ends the run at the gate. Euler and RK4 are one
+stage loop, _advance, over the table _TABLEAUX, internal to run_flow.
 Every state a run keeps, and its record, come from _kept, which keeps the
 measured vertices without a copy; when asked, it keeps the rescaled profile
 that asymptotic_profile forms and measures from the state. Profiles are
@@ -138,8 +139,7 @@ def _kept(curve: PolyCurve, t: float, rescale: bool) -> tuple[PolyCurve, Diagnos
     asymptotic_profile of the curve, whose record's rescaled_max_k is its
     own max_abs_k, as Y is already rescaled; otherwise the curve itself.
     Either way it is kept as a bare PolyCurve on the measured vertices, made
-    by _owned with no copy. A finite state can still overflow the record's
-    norms and area; the record keeps them as inf or nan."""
+    by _owned with no copy."""
     if rescale:
         curve = asymptotic_profile(curve, t)
     rec = record(curve, t)
@@ -155,9 +155,10 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
     is at or under the length guard (recorded if its record can be formed),
     as NUMERICAL_FAILURE otherwise. With rescale_profile, the recorded states
     are the profiles Y(t) = e^t (X(t) - X(t, vertex 0)) that
-    asymptotic_profile forms. An initial curve that _measure or _kept
-    refuses raises its error, and one at or below the length guard raises
-    DegenerateCurve.
+    asymptotic_profile forms; a profile outside the gate's range is refused
+    like any state, as a numerical failure. An initial curve that _measure
+    or _kept refuses raises its error, the range's refusal among them, and
+    one at or below the length guard raises DegenerateCurve.
     """
     h = cfg.signed_step
     nsteps = cfg.steps
@@ -174,8 +175,7 @@ def run_flow(initial: PolyCurve, cfg: FlowConfig) -> Trajectory:
         t = cfg.t0 + k * h
         X = None  # the stepped vertices, until _measure accepts them
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                X = _advance(ad, h, cfg.method)
+            X = _advance(ad, h, cfg.method)
             ad, X = _measure(X), None
             short = ad.length <= cfg.min_length_guard
             if short or k % cfg.record_every == 0 or k == nsteps:

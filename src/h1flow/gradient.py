@@ -8,9 +8,11 @@ products and the first variation of length weight products formed once with
 the curves module's _dot by its L2(ds) sum and edge term. The field norms in
 H1(ds) and L2(ds) are these inner products of a field with itself, the
 squared H1(ds) norm of the velocity and the record's L2(ds) norm of the
-curve among them. The inner products and flow_velocity run with overflow
-ignored: on a curve the gate accepts, a product or sum past the double
-range gives inf or nan, with no RuntimeWarning.
+curve among them. Inside the gate's range the velocity does not overflow,
+but its square may: the inner products, whose fields the range does not
+bound and whose edge term divides by the edge lengths, run with overflow
+ignored, and a product or sum past the double range gives inf or nan,
+with no RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -67,11 +69,10 @@ def velocity(curve: PolyCurve) -> np.ndarray:
     return np.subtract(_convolve(ad, ad.vertices).T, ad.vertices, order="C")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def flow_velocity(curve: PolyCurve) -> VelocityField:
     """Velocity of the flow at every vertex and its squared H1(ds) norm, the
     squared norm of the gradient of length; a norm past the double range
-    is inf, with no RuntimeWarning."""
+    is inf, with no RuntimeWarning, as h1ds_inner gives it."""
     ad = arc_data(curve)
     V = velocity(ad)
     return VelocityField(velocity=V, grad_norm_sq_h1ds=h1ds_inner(ad, V, V))

@@ -12,10 +12,10 @@ curves module, the one that gradient's inner products use, of |dX|^2 by
 _dot, or of <dX, N>^2 from the tangent's columns in quotient mode.
 
 Every frame, explicit or generated, passes the one gate, curves.arc_data,
-which refuses a non-finite coordinate, a collapsed edge or a length past
-the double range. A path built from explicit frames passes each of them
-once, when it is built, and copies their vertices into one read-only
-(m, n, 2) table; its frames are a tuple of curves on the table's rows, and a
+which refuses a non-finite coordinate, one outside the stated range
+|X| < 2^300, or a collapsed edge. A path built from explicit frames passes
+each of them once, when it is built, and copies their vertices into one
+read-only (m, n, 2) table; its frames are a tuple of curves on the table's rows, and a
 pickle or deep copy of it views its own table again. The three families
 keep their recipe instead (the base table with the schedule, the scale, or
 the twist), and their frames are a read-only sequence that forms frame k
@@ -26,12 +26,8 @@ each left frame measured once (its ArcData, whose arclength s it never
 reads). A quotient walk also sums the full norm from the same dX and ds,
 and takes the normal component from the columns of the unit tangent of
 _tangent, which records' curvature shares; a full walk never forms the
-tangent, so a cusp fails only the quotient length. The walk's products run
-with overflow ignored. A pair's sum that is not finite (inf, or NaN from
-inf - inf in <dX, N>) is formed again from dX scaled by a power of two, and
-its root scaled back, so every length inside the double range is returned;
-a length still not finite is refused with FloatingPointError. The frames
-are formed and measured outside that context. The path keeps the lengths
+tangent, so a cusp fails only the quotient length. Inside the gate's
+range no product or sum of the walk overflows. The path keeps the lengths
 it has walked, shared with its as_mode copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh float
@@ -40,14 +36,13 @@ C-ordered one for shrink and reparam, and for zigzag the transpose of a
 (2, n) array, an F-ordered view whose coordinate columns are contiguous for
 the gate's and the walk's per-coordinate passes. No family
 bounds its source coordinates in advance: the gate refuses a non-finite
-frame, or one whose length overflows, when the frame is formed. zigzag_path
+frame, or one outside its range, when the frame is formed. zigzag_path
 gathers both base frames of a blend from the table of an explicit base, so
 all the zigzags of one base share it.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
@@ -65,10 +60,10 @@ class _Frames(Sequence):
     """The frames of a generated path, formed on demand: frame k is the
     curve of form(k), a fresh float (n, 2) array (C-ordered, or for a zigzag
     an F-ordered view), which _owned makes a curve with no copy and _accept
-    measures as it is formed. A frame with a
-    non-finite coordinate, or a length past the double range, raises
-    FloatingPointError, and one with an edge of zero length
-    DegenerateCurve("degenerate frame in path"). An index reads one frame,
+    measures as it is formed. A frame with a non-finite coordinate, or one
+    outside the gate's range |X| < 2^300, raises FloatingPointError, and
+    one with an edge of zero length DegenerateCurve("degenerate frame in
+    path"). An index reads one frame,
     negative ones included, and a slice a tuple of them; each read forms its
     frames afresh."""
 
@@ -160,19 +155,6 @@ and lengths."""
     return out
 
 
-def _root(left, d: np.ndarray, square) -> float:
-    """sqrt(sum_i q_i ds_i) for the squares q = square(d) of the frame
-    difference d on the left frame. A sum that is not finite is formed
-    again from d 2^-e, e the exponent of max |d|, so that no coordinate
-    exceeds 1, and its root is scaled back by 2^e; a root that is still not
-    finite is the caller's to refuse. Runs under the walk's overflow context."""
-    root = np.sqrt(_l2ds_term(left, square(d)))
-    if not math.isfinite(root):
-        e = math.frexp(np.abs(d).max())[1]
-        root = np.ldexp(np.sqrt(_l2ds_term(left, square(np.ldexp(d, -e)))), e)
-    return root
-
-
 def _normal_sq(d: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """<d, N>^2 = (d_y T_x - d_x T_y)^2, formed and squared in one array."""
     dn = d[:, 1] * tx
@@ -183,21 +165,18 @@ def _normal_sq(d: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
 def _walk(frames, quotient: bool) -> dict:
     """The full length and, when quotient, the quotient length of the
     frames, by mode, from one pass: each frame is read once, and each left
-    frame measured once. Each pair adds _root of its frame difference
-    d = X_{k+1} - X_k, with no division by dt."""
+    frame measured once. Each pair adds sqrt(sum_i q_i ds_i) of the squares
+    q of its frame difference d = X_{k+1} - X_k, |d|^2 and, when quotient,
+    <d, N>^2, with no division by dt. Both frames lie inside the gate's
+    range, so |d| < 2^301 and no square or sum overflows."""
     full = quot = 0.0
     for left, right in pairwise(frames):
         left = arc_data(left)
-        # an overflow here makes a sum inf, or NaN from inf - inf: _root
-        # forms it again scaled, and a length still not finite is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = right.vertices - left.vertices
-            full += _root(left, d, lambda d: _dot(d, d))
-            if quotient:
-                tx, ty = _tangent(*_unit_edges(left))
-                quot += _root(left, d, lambda d: _normal_sq(d, tx, ty))
-    if not (math.isfinite(full) and math.isfinite(quot)):
-        raise FloatingPointError("path length overflows the double range")
+        d = right.vertices - left.vertices
+        full += np.sqrt(_l2ds_term(left, _dot(d, d)))
+        if quotient:
+            tx, ty = _tangent(*_unit_edges(left))
+            quot += np.sqrt(_l2ds_term(left, _normal_sq(d, tx, ty)))
     return {"full": float(full), "quotient": float(quot)} if quotient else {"full": float(full)}
 
 
@@ -207,10 +186,9 @@ def path_length_l2ds(path: CurvePath) -> float:
     difference quotient v, formed without dividing by dt; ds and (in
     quotient mode) the normals come from the left frame. A length the path,
     or an as_mode copy of it, has walked is not walked again; a quotient
-    walk gives the full length too. A sum whose squares overflow is formed
-    again from the difference scaled by a power of two, so a length inside
-    the double range is returned; one past it raises FloatingPointError,
-    and is not kept."""
+    walk gives the full length too. Every frame lies inside the gate's
+    range, so the length is finite; a frame outside it raises
+    FloatingPointError when read, and no length is kept."""
     lengths = path._lengths
     if path.mode not in lengths:
         lengths.update(_walk(path.frames, path.mode == "quotient"))

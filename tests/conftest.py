@@ -15,6 +15,11 @@ import h1flow as h
 import h1flow.curves
 import h1flow.flow
 
+# the gate's refusal of a curve outside its coordinate range, as a pattern
+RANGE_REFUSAL = r"curve coordinates outside the range \|X\| < 2\^300$"
+# the largest radius of a circle inside that range, and the smallest outside
+BELOW_RANGE, AT_RANGE = float(np.nextafter(2.0 ** 300, 0.0)), 2.0 ** 300
+
 
 def profile_of(traj):
     """The trajectory with each state X(t) replaced by its profile Y(t) and

@@ -12,7 +12,11 @@ import pytest
 
 import h1flow as h
 from h1flow import cli
+from conftest import AT_RANGE, BELOW_RANGE
 from h1flow.cli import main
+
+# the one line the CLI prints for a curve outside the coordinate range
+RANGE_ERROR = "error: curve coordinates outside the range |X| < 2^300\n"
 
 
 def run_cli(argv, capsys):
@@ -227,27 +231,41 @@ class TestRuntimeErrors:
         assert "error:" in err and "length_guard" in err
 
     def test_overflow_stop(self, capsys):
+        # at 1e150 the initial curve lies outside the coordinate range and
+        # is refused by its name; at 1e80 the first step leaves the range
         rc, out, err = run_cli(
             ["flow", "--size", "1e150", "--n", "64", "--dt", "0.1",
+             "--t1", "1.0"], capsys)
+        assert (rc, out, err) == (2, "", RANGE_ERROR)
+        rc, out, err = run_cli(
+            ["flow", "--size", "1e80", "--n", "64", "--dt", "0.1",
              "--t1", "1.0"], capsys)
         assert rc == 2
         assert "termination=numerical_failure" in out
         assert "numerical_failure" in err
 
     def test_overflow_stop_prints_only_the_error(self, capsys):
-        # the overflowing norms of the recorded states stay inf in the output
-        # and print no NumPy warnings
-        rc, _, err = run_cli(
-            ["flow", "--shape", "circle", "--size", "1e150", "--n", "64",
-             "--dt", "0.1", "--t1", "1"], capsys)
-        assert rc == 2
-        assert err == "error: flow stopped early: numerical_failure\n"
+        # the refusal of the initial curve at 1e150, and the stop of a run
+        # whose first step leaves the range at 1e80, print one error line
+        # and no NumPy warnings
+        for size, line in (("1e150", RANGE_ERROR),
+                           ("1e80", "error: flow stopped early: numerical_failure\n")):
+            rc, _, err = run_cli(
+                ["flow", "--shape", "circle", "--size", size, "--n", "64",
+                 "--dt", "0.1", "--t1", "1"], capsys)
+            assert (rc, err) == (2, line)
 
     def test_length_square_overflow_prints_only_the_error(self, capsys):
-        # L ~ 6.3e154: L^2 overflows the double range in the first record,
-        # which must end the run like any other overflow
+        # L ~ 6.3e154, whose square would overflow the double range in the
+        # first record: outside the coordinate range, refused by its name
+        # before any record; just inside it the first record forms, and the
+        # first step leaves the range
         rc, out, err = run_cli(
             ["flow", "--shape", "circle", "--size", "1e154", "--n", "64",
+             "--dt", "0.1", "--t1", "1"], capsys)
+        assert (rc, out, err) == (2, "", RANGE_ERROR)
+        rc, out, err = run_cli(
+            ["flow", "--shape", "circle", "--size", repr(BELOW_RANGE), "--n", "64",
              "--dt", "0.1", "--t1", "1"], capsys)
         assert rc == 2
         assert out.startswith("termination=numerical_failure t=0 ")
@@ -255,36 +273,52 @@ class TestRuntimeErrors:
 
     @pytest.mark.parametrize("extra", [[], ["--rescale"]], ids=["raw", "rescale"])
     def test_rk4_overflow_stop_prints_only_the_error(self, capsys, extra):
-        # the first RK4 stage state overflows its edge norms; the step ends
+        # at 1e150 the initial curve is refused by the range's name; at
+        # 1e80 the first RK4 stage state leaves the range, and the step ends
         # there, before a velocity is evaluated on it
-        rc, _, err = run_cli(
-            ["flow", "--shape", "circle", "--size", "1e150", "--n", "64",
-             "--dt", "0.1", "--t1", "1", "--method", "rk4"] + extra, capsys)
-        assert rc == 2
-        assert err == "error: flow stopped early: numerical_failure\n"
+        for size, line in (("1e150", RANGE_ERROR),
+                           ("1e80", "error: flow stopped early: numerical_failure\n")):
+            rc, _, err = run_cli(
+                ["flow", "--shape", "circle", "--size", size, "--n", "64",
+                 "--dt", "0.1", "--t1", "1", "--method", "rk4"] + extra, capsys)
+            assert (rc, err) == (2, line)
 
     @pytest.mark.parametrize("size", ["3e154", "1e155", "1.3e155"])
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_area_overflow_prints_only_the_error(self, capsys, size, method):
-        # the length is finite, but x * y overflows: the first record keeps
-        # its area as nan, and the first step ends the run
+        # x * y would overflow in the first record's area: the curve lies
+        # outside the coordinate range, and the run is refused by its name
+        # before any record, with no NumPy warning
         rc, out, err = run_cli(
             ["flow", "--shape", "circle", "--size", size, "--n", "64",
              "--dt", "0.1", "--t1", "1", "--method", method], capsys)
-        assert rc == 2
-        assert out.startswith("termination=numerical_failure t=0 ")
-        assert err == "error: flow stopped early: numerical_failure\n"
+        assert (rc, out, err) == (2, "", RANGE_ERROR)
 
     @pytest.mark.parametrize("size", ["1e158", "1e160", "1e300"])
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_initial_length_overflow_prints_only_the_error(self, capsys, size, method):
-        # the initial edge norms overflow; the run is refused before any
+        # the initial edge norms would overflow: the curve lies outside the
+        # coordinate range, and the run is refused by its name before any
         # record, with no NumPy warning
         rc, out, err = run_cli(
             ["flow", "--shape", "circle", "--size", size, "--n", "64",
              "--dt", "0.1", "--t1", "1", "--method", method], capsys)
-        assert rc == 2 and out == ""
-        assert err == "error: curve length overflows the double range\n"
+        assert (rc, out, err) == (2, "", RANGE_ERROR)
+
+    @pytest.mark.parametrize("size", [BELOW_RANGE, AT_RANGE], ids=["below", "at"])
+    def test_coordinate_range_at_the_bound(self, capsys, size):
+        # exit 2 and one error line either way: at the bound the initial
+        # circle is refused by the range's name, below it the first step
+        # leaves the range
+        rc, out, err = run_cli(
+            ["flow", "--shape", "circle", "--size", repr(size), "--n", "64",
+             "--dt", "0.1", "--t1", "1"], capsys)
+        assert rc == 2 and err.count("\n") == 1
+        if size == AT_RANGE:
+            assert (out, err) == ("", RANGE_ERROR)
+        else:
+            assert out.startswith("termination=numerical_failure t=0 ")
+            assert err == "error: flow stopped early: numerical_failure\n"
 
     def test_coincident_initial_vertices(self, tmp_path, capsys):
         src = tmp_path / "dup.csv"
@@ -296,8 +330,10 @@ class TestRuntimeErrors:
         assert err == "error: zero-length edge\n"
 
     @pytest.mark.parametrize("args, cause", [
+        # e^700 (X - X0) would overflow the profile's length: it lies
+        # outside the coordinate range
         ("--shape circle --size 1 --n 16 --t0 700 --t1 712",
-         "700.0: curve length overflows the double range"),
+         "700.0: curve coordinates outside the range |X| < 2^300"),
         ("--shape star --n 64 --t0 -800 --t1 -790", "-800.0: zero-length edge"),
         ("--shape circle --size 1e10 --n 16 --t0 700 --t1 712",
          "700.0: curve coordinates are not finite"),

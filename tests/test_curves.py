@@ -10,6 +10,7 @@ import pytest
 
 import h1flow as h
 import h1flow.curves
+from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL
 from h1flow.curves import _diff, _dot, _next, _norm, _prev
 from h1flow.errors import DegenerateCurve
 
@@ -204,13 +205,14 @@ class TestArcData:
                                       lambda: h.PolyCurve(1e300 * h.star(1.0, 0.3, 5, 64).vertices)],
                              ids=["circle-1e155", "star-1e300"])
     def test_overflowing_length_refused_by_name(self, make, measure):
-        # finite vertices whose squared edges overflow: every function that
-        # measures the curve refuses it at arc_data's gate, with no
-        # RuntimeWarning from the squares and no inf length
+        # finite vertices whose squared edges overflow lie outside the
+        # coordinate range: every function that measures the curve refuses
+        # it at arc_data's gate, by the range's name, before any edge is
+        # formed, so with no RuntimeWarning from the squares
         c = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
                 measure(c)
 
     @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
@@ -240,15 +242,83 @@ class TestArcData:
         )
 
     def test_total_length_past_the_double_range(self):
-        # inf, with no RuntimeWarning, where arc_data refuses the length;
-        # below that, arc_data's length
+        # total_length passes no gate: inf, with no RuntimeWarning, where
+        # the squared edges overflow, and finite on a curve that arc_data
+        # refuses for its range; inside the range, arc_data's length
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert h.total_length(h.circle(1e155, 16)) == math.inf
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
-                h.arc_data(h.circle(1e155, 16))
             c = h.circle(1e154, 16)
-            assert h.total_length(c) == h.arc_data(c).length == 6.242890304516106e+154
+            assert h.total_length(c) == 6.242890304516106e+154
+            for past in (h.circle(1e155, 16), c):
+                with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                    h.arc_data(past)
+            c = h.circle(2.0 ** 299, 16)
+            unit = h.total_length(h.circle(1.0, 16))
+            assert h.total_length(c) == h.arc_data(c).length == 2.0 ** 299 * unit
+
+
+class TestCoordinateRange:
+    # arc_data accepts a curve with max |X| below 2^300 and refuses one from
+    # there on, by the range's name, before any edge is formed; no
+    # RuntimeWarning escapes on either side of the bound
+    @pytest.mark.parametrize("n", [16, 512], ids=["row-scan", "pruned"])
+    @pytest.mark.parametrize("measure", [
+        h.arc_data, lambda c: h.record(c, 0.0), h.chord_arc_min, h.flow_velocity,
+    ], ids=["arc_data", "record", "chord_arc_min", "flow_velocity"])
+    def test_accepted_below_refused_at_the_bound(self, measure, n):
+        below, at = h.circle(BELOW_RANGE, n), h.circle(AT_RANGE, n)
+        assert np.abs(below.vertices).max() < AT_RANGE == np.abs(at.vertices).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            measure(below)
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                measure(at)
+
+    def test_refused_before_any_edge(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(h1flow.curves, "_diff", lambda a: calls.append(a) or _diff(a))
+        h.arc_data(h.circle(BELOW_RANGE, 16))
+        assert len(calls) == 1
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            h.arc_data(h.circle(-AT_RANGE, 16))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("rescale", [False, True], ids=["raw", "profile"])
+    def test_run_flow_at_the_bound(self, method, rescale):
+        # the initial curve, or its profile at t0, X - X_0, whose largest
+        # coordinate is the diameter 2 r: refused at the bound by the range's
+        # name, the profile's refusal naming it and t0; accepted below it,
+        # where the first step leaves the range and ends the run
+        cfg = h.FlowConfig(dt=0.1, t1=1.0, method=method, rescale_profile=rescale)
+        r = 0.5 if rescale else 1.0
+        cause = f"^rescaled profile at t=0.0: {RANGE_REFUSAL}" if rescale else f"^{RANGE_REFUSAL}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=cause):
+                h.run_flow(h.circle(r * AT_RANGE, 64), cfg)
+            traj = h.run_flow(h.circle(r * BELOW_RANGE, 64), cfg)
+        assert traj.termination is h.Termination.NUMERICAL_FAILURE
+        assert traj.times == (0.0,)
+        assert np.abs(traj.states[0].vertices).max() == BELOW_RANGE
+
+    @pytest.mark.parametrize("mode", ["full", "quotient"])
+    @pytest.mark.parametrize("generated", [False, True], ids=["explicit", "generated"])
+    def test_path_frames_at_the_bound(self, generated, mode):
+        # an explicit frame is refused when the path is built, a generated
+        # one when it is formed; below the bound the walk's sums stay finite
+        def length(r):
+            c = h.circle(r, 16)
+            p = (h.shrink_path(c, 0.5, 3) if generated
+                 else h.CurvePath(frames=(c, h.circle(0.5 * r, 16))))
+            return h.path_length_l2ds(h.as_mode(p, mode))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert 0.0 < length(BELOW_RANGE) < math.inf
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                length(AT_RANGE)
 
 
 class TestArea:
@@ -506,17 +576,19 @@ class TestChordArcBlocks:
 
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_overflowing_coordinates(self, scale):
-        # chords whose squares overflow at 1e155: the minimum is that of the
-        # copy scaled by 2^-600, whose squares do not, and no warning
-        # escapes; at 1e300 the length overflows, and arc_data refuses the
-        # curve by name
+        # chords whose squares overflow, at 1e155, and a length that
+        # overflows, at 1e300: both lie outside the coordinate range, and
+        # arc_data refuses the curve by the range's name, with no warning;
+        # the copy scaled by a power of two into the range keeps the
+        # minimum of the copy scaled down to unit size
         c = h.PolyCurve(scale * h.star(1.0, 0.3, 5, 300).vertices)
-        if scale == 1e300:
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
-                h.chord_arc_min(c)
-            return
-        got = as_tuple(h.chord_arc_min(c))
-        assert repr(got) == repr(dense_chord_arc(h.PolyCurve(np.ldexp(c.vertices, -600))))
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            h.chord_arc_min(c)
+        e = math.frexp(scale)[1]
+        inside = h.PolyCurve(np.ldexp(c.vertices, 299 - e))
+        assert np.abs(inside.vertices).max() < AT_RANGE
+        assert repr(as_tuple(h.chord_arc_min(inside))) == repr(
+            dense_chord_arc(h.PolyCurve(np.ldexp(c.vertices, -e))))
 
     def test_memory_stays_o_n(self):
         # the dense form allocates ~800 MB at n = 4096 and ~3 GB at n = 8192
@@ -622,12 +694,13 @@ class TestChordArcBlocks:
     def test_pruned_overflowing_coordinates(self, scale):
         # the cases of test_overflowing_coordinates at n = 2048
         c = h.PolyCurve(scale * h.star(1.0, 0.3, 5, 2048).vertices)
-        if scale == 1e300:
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
-                h.chord_arc_min(c)
-            return
-        got = as_tuple(h.chord_arc_min(c))
-        assert repr(got) == repr(dense_chord_arc(h.PolyCurve(np.ldexp(c.vertices, -600))))
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            h.chord_arc_min(c)
+        e = math.frexp(scale)[1]
+        inside = h.PolyCurve(np.ldexp(c.vertices, 299 - e))
+        assert np.abs(inside.vertices).max() < AT_RANGE
+        assert repr(as_tuple(h.chord_arc_min(inside))) == repr(
+            dense_chord_arc(h.PolyCurve(np.ldexp(c.vertices, -e))))
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_arc_beyond_the_length_skipped(self, monkeypatch, prune):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import h1flow as h
+import h1flow.curves
+from conftest import AT_RANGE, RANGE_REFUSAL
 
 
 class TestRecord:
@@ -88,10 +90,37 @@ class TestEmbeddedness:
         )
 
 
+class TestTurningOnce:
+    @pytest.mark.parametrize("n", [h1flow.curves._CHORD_PRUNE, 2048])
+    def test_turning_angles_formed_once_per_record(self, monkeypatch, n):
+        # frame_data forms the angles with the curvature and keeps them on
+        # the measured curve, where the pruned chord-arc monitor reads them;
+        # the monitor on a curve of its own forms them, to the same minimum
+        calls = []
+        original = h1flow.curves._turning
+        monkeypatch.setattr(h1flow.curves, "_turning",
+                            lambda *columns: calls.append(1) or original(*columns))
+        c = h.star(1.0, 0.3, 5, n)
+        rec = h.record(c, 0.0)
+        assert len(calls) == 1
+        assert repr(rec.chord_arc_min) == repr(h.chord_arc_min(c).value)
+        assert len(calls) == 2
+
+    def test_kept_angles_are_those_of_the_unit_edges(self):
+        ad = h.arc_data(h.star(1.0, 0.3, 5, 512))
+        k = h1flow.curves.frame_data(ad)[1]
+        want = h1flow.curves._turning(*h1flow.curves._unit_edges(ad))
+        assert ad.turning.tobytes() == want.tobytes()
+        assert k.tobytes() == (want / ad.ds).tobytes()
+        assert h.arc_data(h.star(1.0, 0.3, 5, 512)).turning.tobytes() == want.tobytes()
+
+
 class TestOverflowingSquares:
-    # circles that arc_data accepts, whose squared norms, area sums and
-    # gradient norm pass the double range: each value is the inf or nan
-    # that the flow's records hold, and no RuntimeWarning escapes
+    # circles whose squared norms, area sums and gradient norm pass the
+    # double range lie outside the coordinate range: the functions that
+    # measure them refuse them by the range's name, and signed_area and
+    # sup_norm, which pass no gate, return inf or nan; no RuntimeWarning
+    # escapes either way
     @pytest.mark.parametrize("radius", [1e154, 1.5e154])
     @pytest.mark.parametrize("fn", [
         lambda c: h.record(c, 0.0), h.flow_velocity, h.signed_area, h.sup_norm,
@@ -101,21 +130,48 @@ class TestOverflowingSquares:
         c = h.circle(radius, 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            if fn not in (h.signed_area, h.sup_norm):
+                with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                    fn(c)
+                return
             got = repr(fn(c))
         with np.errstate(all="ignore"):
             assert got == repr(fn(c))
 
     @pytest.mark.parametrize("radius", [1e154, 1.5e154])
     def test_chord_arc_minimum_of_the_scaled_copy(self, radius):
-        # the minimum, by itself and in the record of a run, is that of the
-        # copy scaled by 2^-600, whose chord squares do not overflow
+        # refused by the range's name, by itself and as a run's initial
+        # curve; its copy scaled by a power of two into the range has the
+        # minimum of the copy scaled to unit size, by itself and in the
+        # record of a run
         c = h.circle(radius, 16)
-        want = h.chord_arc_min(h.PolyCurve(np.ldexp(c.vertices, -600)))
+        e = math.frexp(radius)[1]
+        inside = h.PolyCurve(np.ldexp(c.vertices, 299 - e))
+        assert np.abs(inside.vertices).max() < AT_RANGE
+        want = h.chord_arc_min(h.PolyCurve(np.ldexp(c.vertices, -e)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert repr(h.chord_arc_min(c)) == repr(want)
-            traj = h.run_flow(c, h.FlowConfig(dt=0.1, t1=0.1))
+            for fn in (h.chord_arc_min, lambda c: h.run_flow(c, h.FlowConfig(dt=0.1, t1=0.1))):
+                with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                    fn(c)
+            assert repr(h.chord_arc_min(inside)) == repr(want)
+            traj = h.run_flow(inside, h.FlowConfig(dt=0.1, t1=0.1))
         assert traj.records[0].chord_arc_min == want.value
+
+    @pytest.mark.parametrize("fn", [lambda c: h.record(c, 0.0).grad_sq_h1ds,
+                                    lambda c: h.flow_velocity(c).grad_norm_sq_h1ds],
+                             ids=["record", "flow_velocity"])
+    def test_velocity_square_past_the_double_range(self, fn):
+        # a circle of radius 1e80 with one edge of 1e-150 lies inside the
+        # coordinate range, but its velocity, about ds |X| / 2 ~ 1e159, has
+        # squares past the double range: the gradient norm is inf, with no
+        # RuntimeWarning
+        v = h.circle(1e80, 16).vertices
+        c = h.PolyCurve(np.insert(v, 1, v[0] + [0.0, 1e-150], axis=0))
+        assert h.arc_data(c).edge_lengths.min() == 1e-150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert fn(c) == math.inf
 
 
 class TestMonotonicityReport:

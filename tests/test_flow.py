@@ -10,7 +10,7 @@ import h1flow as h
 import h1flow.curves
 import h1flow.flow
 import h1flow.gradient
-from conftest import profile_of
+from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL, profile_of
 from h1flow.errors import DegenerateCurve
 
 
@@ -148,15 +148,17 @@ class TestSingleSteps:
         assert gap[1e-3] <= gap[1e-2] / 25
 
     def test_non_finite_stage_state_ends_the_step(self):
-        # infinite coordinates, or finite ones whose edge norms overflow
+        # infinite coordinates, or finite ones outside the coordinate range,
+        # among them ones whose edge norms overflow
         Y = h.circle(1.0, 8).vertices.copy()
         Y[3, 0] = np.inf
-        with pytest.raises(FloatingPointError, match="coordinates"):
+        with pytest.raises(FloatingPointError, match="^curve coordinates are not finite$"):
             h1flow.flow._measure(Y)
-        with pytest.raises(FloatingPointError, match="length"):
-            h1flow.flow._measure(1e155 * h.circle(1.0, 8).vertices)
-        # a large state whose length is finite still goes on
-        big = 2e153 * h.circle(1.0, 8).vertices
+        for scale in (1e155, AT_RANGE):
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                h1flow.flow._measure(scale * h.circle(1.0, 8).vertices)
+        # a large state inside the range still goes on
+        big = BELOW_RANGE * h.circle(1.0, 8).vertices
         assert np.array_equal(h1flow.gradient.velocity(h1flow.flow._measure(big)),
                               h1flow.gradient.velocity(h.PolyCurve(big)))
         # a collapsed edge is a degenerate curve, not a numerical failure
@@ -165,12 +167,12 @@ class TestSingleSteps:
         with pytest.raises(DegenerateCurve):
             h1flow.flow._measure(Y)
 
-    @pytest.mark.parametrize("scale", [1.0, 0.99 * h1flow.curves._NO_OVERFLOW,
-                                       1.01 * h1flow.curves._NO_OVERFLOW, 2e153])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 299,
+                                       0.99 * h1flow.curves._RANGE / 1.3])
     def test_measured_state_is_the_array_itself(self, scale):
         # no copy: the stepped array becomes the read-only vertices, measured
-        # as arc_data measures a PolyCurve, on both sides of the bound under
-        # which the overflow context is skipped
+        # as arc_data measures a PolyCurve, across the range the gate accepts
+        # (the star reaches |X| = 1.3)
         Y = scale * h.star(1.0, 0.3, 5, 64).vertices
         ad = h1flow.flow._measure(Y)
         assert np.shares_memory(ad.vertices, Y)
@@ -239,8 +241,9 @@ class TestRunFlow:
 
     @pytest.mark.parametrize("size", [1e158, 1e300])
     def test_initial_length_overflow_raises(self, size):
-        # finite coordinates whose edge norms overflow: no velocity exists
-        with pytest.raises(FloatingPointError, match="length"):
+        # finite coordinates whose edge norms overflow lie outside the
+        # coordinate range: the initial curve is refused by its name
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
             h.run_flow(h.circle(size, 64), h.FlowConfig(dt=0.1, t1=1.0))
 
     def test_length_guard_stop(self):
@@ -253,22 +256,30 @@ class TestRunFlow:
         assert traj.times[-1] < 1.5
 
     def test_numerical_failure_on_overflow(self):
-        # velocity ~ L |X| / 2 blasts the coordinates past the norm
-        # overflow threshold within a step
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = h.run_flow(h.circle(1e150, 64), h.FlowConfig(dt=0.1, t1=1.0))
-        assert traj.termination is h.Termination.NUMERICAL_FAILURE
-        assert len(traj.times) >= 1
-        assert traj.times[0] == 0.0
-
-    def test_length_square_overflow_is_numerical_failure(self):
-        # L ~ 6.3e154, so L^2 in the first record overflows the double range
-        traj = h.run_flow(h.circle(1e154, 64), h.FlowConfig(dt=0.1, t1=1.0))
+        # velocity ~ L |X| / 2 blasts the coordinates of a circle of radius
+        # 1e80 past the coordinate range within a step: the stepped state
+        # is refused by the range's name, which ends the run, and no
+        # RuntimeWarning escapes on the way
+        c, cfg = h.circle(1e80, 64), h.FlowConfig(dt=0.1, t1=1.0)
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            h1flow.flow._measure(h1flow.flow._advance(h.arc_data(c), cfg.dt, cfg.method))
+        traj = h.run_flow(c, cfg)
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
         assert traj.times == (0.0,)
-        # the record keeps the overflowed square as a non-finite deficit
+
+    def test_length_square_overflow_is_numerical_failure(self):
+        # L ~ 6.3e154, whose square would overflow the double range in the
+        # first record: the curve lies outside the coordinate range and is
+        # refused by its name before any record is formed
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            h.run_flow(h.circle(1e154, 64), h.FlowConfig(dt=0.1, t1=1.0))
+        # inside the range the record's squares are finite, and the first
+        # step leaves the range
+        traj = h.run_flow(h.circle(BELOW_RANGE, 64), h.FlowConfig(dt=0.1, t1=1.0))
+        assert traj.termination is h.Termination.NUMERICAL_FAILURE
+        assert traj.times == (0.0,)
         assert math.isfinite(traj.records[0].length)
-        assert not math.isfinite(traj.records[0].deficit)
+        assert math.isfinite(traj.records[0].deficit)
 
     @pytest.mark.parametrize("record_every", [1, 1000])
     @pytest.mark.parametrize("side, guard, expected", [
@@ -303,13 +314,19 @@ class TestRunFlow:
             assert traj.records[-1].length == pytest.approx(1.7e-12, rel=1e-2)
 
     def test_profile_past_exp_range_is_numerical_failure(self, monkeypatch):
-        # e^t overflows past t = 709.78: the stepped record ends the run
+        # the profile e^t (X - X_0) of a unit circle leaves the coordinate
+        # range past t = 207.94, long before e^t overflows at t = 709.78:
+        # the stepped profile is refused, by the range's name, and that
+        # ends the run
         monkeypatch.setattr(h1flow.flow, "_advance", lambda *args: h.circle(1.0, 16).vertices)
-        traj = h.run_flow(h.circle(1e-160, 16),
-                          h.FlowConfig(dt=0.5, t0=709.5, t1=711.0, min_length_guard=0.0,
+        with pytest.raises(FloatingPointError,
+                           match=rf"^rescaled profile at t=208\.0: {RANGE_REFUSAL}"):
+            h1flow.flow.asymptotic_profile(h.circle(0.5, 16), 208.0)
+        traj = h.run_flow(h.circle(1e-80, 16),
+                          h.FlowConfig(dt=0.5, t0=207.5, t1=209.0, min_length_guard=0.0,
                                        rescale_profile=True))
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
-        assert traj.times == (709.5,)
+        assert traj.times == (207.5,)
 
     def test_records_past_the_exp_range(self):
         # the flow is autonomous, so t is only a label; below t = -709.78
@@ -361,9 +378,13 @@ class TestRunFlow:
         assert np.abs(back.states[-1].vertices - c.vertices).max() <= 1e-11
 
     def test_rk4_overflowing_stage_is_numerical_failure(self):
-        # the stage state's edge norms overflow; no warning may escape
-        traj = h.run_flow(h.circle(1e150, 64),
-                          h.FlowConfig(dt=0.1, t1=1.0, method="rk4"))
+        # the first stage state X + (h/2) k of a circle of radius 1e80 lies
+        # outside the coordinate range and is refused by its name, which
+        # ends the run; no warning may escape
+        c = h.circle(1e80, 64)
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            h1flow.flow._measure(c.vertices + 0.05 * h1flow.gradient.velocity(c))
+        traj = h.run_flow(c, h.FlowConfig(dt=0.1, t1=1.0, method="rk4"))
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
         assert traj.times == (0.0,)
 
@@ -557,7 +578,7 @@ class TestAsymptoticProfile:
     def test_overflowing_profile_named(self):
         state = h.run_flow(h.circle(1.0, 16), h.FlowConfig(dt=0.1, t1=0.1)).states[0]
         with pytest.raises(FloatingPointError,
-                           match=r"^rescaled profile at t=700\.0: curve length overflows"):
+                           match=rf"^rescaled profile at t=700\.0: {RANGE_REFUSAL}"):
             h1flow.flow.asymptotic_profile(state, 700.0)
 
     def test_profile_length_bounded(self, circle_t4_profile):

@@ -7,6 +7,7 @@ import pytest
 
 import h1flow as h
 import h1flow.curves
+from conftest import RANGE_REFUSAL
 from h1flow.errors import DegenerateCurve
 
 
@@ -63,13 +64,17 @@ class TestInnerProducts:
     @pytest.mark.parametrize("same", [True, False], ids=["v-v", "v-copy"])
     @pytest.mark.parametrize("inner", [h.l2ds_inner, h.h1ds_inner], ids=["l2ds", "h1ds"])
     def test_products_past_the_double_range(self, inner, same, radius):
-        # a curve the gate accepts, with fields whose products overflow:
-        # the inner product is the inf of the sum, as flow_velocity's norm
-        # is, with no RuntimeWarning
-        c = h.circle(radius, 16)
-        v = c.vertices
+        # the circle of that radius lies outside the coordinate range and is
+        # refused by its name; on the unit circle, which the gate accepts,
+        # its vertices are a caller's field whose products overflow: the
+        # inner product is the inf of the sum, as flow_velocity's norm is,
+        # with no RuntimeWarning
+        v = h.circle(radius, 16).vertices
+        c = h.circle(1.0, 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                inner(h.PolyCurve(v), v, v)
             got = inner(c, v, v if same else v.copy())
         assert got == math.inf
         with np.errstate(all="ignore"):

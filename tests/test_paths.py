@@ -1,6 +1,5 @@
 """Paths in curve space: length functional, shrink/twist/zigzag families."""
 import copy
-import dataclasses
 import gc
 import json
 import math
@@ -14,6 +13,7 @@ import pytest
 import h1flow as h
 import h1flow.curves
 import h1flow.paths
+from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL
 from h1flow.curves import _dot, _l2ds_term, _owned, _tangent, _unit_edges
 from h1flow.errors import DegenerateCurve, UsageError
 from h1flow.paths import MODES, _schedule_weights
@@ -90,17 +90,17 @@ class TestCurvePath:
             assert h.CurvePath(frames=frames).n == 5
 
     def test_overflowing_frame_refused_by_name(self):
-        # squared edges past the double range: refused as the gate of a
-        # generated frame refuses it, with no RuntimeWarning from the squares;
-        # at 1e150 the squares are finite, and the path builds and walks
+        # squared edges past the double range, and an edge past it, lie
+        # outside the coordinate range: refused by its name, as the gate of
+        # a generated frame refuses it, with no RuntimeWarning from the
+        # squares; just inside the range the path builds and walks
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            # squared edges past the range, and an edge past it
             wide = h.PolyCurve([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]])
             for last in (h.circle(1e155, 16), wide):
-                with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
-                    h.CurvePath(frames=(h.circle(1e150, last.n), last))
-            p = h.CurvePath(frames=(h.circle(1e150, 16),) * 2)
+                with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                    h.CurvePath(frames=(h.circle(BELOW_RANGE, last.n), last))
+            p = h.CurvePath(frames=(h.circle(BELOW_RANGE, 16),) * 2)
             assert _both_lengths(p) == (0.0, 0.0)
             assert all(math.isfinite(f.length) for f in h.zigzag_path(p, 2).frames)
 
@@ -573,25 +573,30 @@ class TestGeneratedFrames:
                 h.path_length_l2ds(h.as_mode(p, mode))
 
     def test_overflowing_frame_refused_by_name(self):
-        # squared edges past the double range: the frame is refused as the
-        # flow refuses such a state, with no RuntimeWarning from the squares
+        # squared edges past the double range lie outside the coordinate
+        # range: the frame is refused by its name, as the flow refuses such
+        # a state, with no RuntimeWarning from the squares
         p = h.shrink_path(h.circle(1e155, 16), 0.5, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
                 p.frames[1]
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
                 h.path_length_l2ds(p)
 
     def test_frame_above_the_overflow_bound_is_measured(self):
-        # from curves._NO_OVERFLOW up the frame is measured under the
-        # overflow context, to the bits of arc_data on a checked copy
-        frame = twist_path(radius=1e152).frames[4]
-        assert np.abs(frame.vertices).max() >= h1flow.curves._NO_OVERFLOW
+        # a frame just inside the coordinate range is measured in place, to
+        # the bits of arc_data on a checked copy; at the range's bound it
+        # is refused by its name (vertex 0 does not move, and sits on it)
+        frame = twist_path(radius=BELOW_RANGE).frames[4]
+        assert np.abs(frame.vertices).max() == BELOW_RANGE
         ref = h.arc_data(h.PolyCurve(frame.vertices))
-        assert frame.length == ref.length == 6.275062947298852e+152
+        assert frame.length == ref.length
+        assert frame.length == pytest.approx(BELOW_RANGE * twist_path().frames[4].length, rel=1e-15)
         for name in ("vertices", "ds", "edges", "edge_lengths", "s"):
             assert getattr(frame, name).tobytes() == getattr(ref, name).tobytes()
+        with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+            twist_path(radius=AT_RANGE).frames[4]
 
     @pytest.mark.parametrize("mode", ["full", "quotient"])
     @pytest.mark.parametrize("make, scale", [
@@ -599,38 +604,41 @@ class TestGeneratedFrames:
         (lambda r: twist_path(radius=r), 1e152),
     ], ids=["shrink", "twist"])
     def test_overflowing_walk_refused_by_name(self, make, scale, mode):
-        # every frame is accepted, but |v|^2 ds overflows (and inf - inf in
-        # <v, N> gives NaN): the walk forms each such sum again from the
-        # difference scaled by a power of two, so the length is the unit
-        # path's times scale^(3/2), about 1.17e180, 8.8e227 and 2.8e226,
-        # with no RuntimeWarning. At radius 1e210 the length (about 1.2e315
-        # for the shrink) is past the double range: it is refused by name,
-        # by the frames' gate, and no length is kept
+        # at the scale, |v|^2 ds would overflow: the frames lie outside the
+        # coordinate range, and the walk's first frame is refused by its
+        # name, with no RuntimeWarning, and no length is kept. At 2^299,
+        # inside the range, no sum of the walk overflows: the length is the
+        # unit path's times 2^(299 * 3/2)
         unit = h.path_length_l2ds(h.as_mode(make(1.0), mode))
-        p, past = (h.as_mode(make(r), mode) for r in (scale, 1e210))
+        p, past = (h.as_mode(make(r), mode) for r in (2.0 ** 299, scale))
         left, right = p.frames[:2]
         d = right.vertices - left.vertices
-        with np.errstate(over="ignore"):
-            assert _l2ds_term(left, _dot(d, d)) == math.inf
+        assert math.isfinite(_l2ds_term(left, _dot(d, d)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert all(math.isfinite(f.length) for f in p.frames)
-            assert h.path_length_l2ds(p) == pytest.approx(unit * scale ** 1.5, rel=1e-12)
-            with pytest.raises(FloatingPointError, match="^curve length overflows the double range$"):
+            assert h.path_length_l2ds(p) == pytest.approx(unit * 2.0 ** 448.5, rel=1e-12)
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
                 h.path_length_l2ds(past)
         assert past._lengths == {}
 
     @pytest.mark.parametrize("mode", ["full", "quotient"])
     def test_walk_refuses_a_length_past_the_double_range(self, mode):
-        # no frame the gate accepts gets near it (an edge below 2^512 keeps
-        # |X| below about 6e169), so the walk's own refusal is held on two
-        # measured frames made without the gate, whose difference overflows
+        # the walk has no refusal of its own: frames whose difference would
+        # overflow lie outside the coordinate range, and the gate refuses
+        # them by its name. Two frames at the range's opposite ends, the
+        # largest difference a walk can see, give a finite length, 2 B^1.5
+        # times the unit circle's L2(ds) norm, with no RuntimeWarning
         ad = h.arc_data(h.circle(1.0, 16))
-        frames = [dataclasses.replace(ad, vertices=s * 1.5e308 * ad.vertices) for s in (-1, 1)]
+        norm = math.sqrt(h.l2ds_inner(ad, ad.vertices, ad.vertices))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(FloatingPointError, match="^path length overflows the double range$"):
-                h1flow.paths._walk(frames, mode == "quotient")
+            with pytest.raises(FloatingPointError, match=f"^{RANGE_REFUSAL}"):
+                h.CurvePath(frames=[h.PolyCurve(s * 1.5e308 * ad.vertices) for s in (-1, 1)])
+            frames = [h.arc_data(s * BELOW_RANGE * ad.vertices) for s in (-1, 1)]
+            lengths = h1flow.paths._walk(frames, mode == "quotient")
+        assert len(lengths) == (2 if mode == "quotient" else 1)
+        for length in lengths.values():
+            assert length == pytest.approx(2.0 * BELOW_RANGE ** 1.5 * norm, rel=1e-12)
 
     @pytest.mark.parametrize("first", ["full", "quotient"])
     @pytest.mark.parametrize("generated", [False, True], ids=["explicit", "generated"])

@@ -112,6 +112,14 @@ CLI_CASES = [
       for method in ("euler", "rk4")],
     (["flow", "--shape", "circle", "--size", "1e150", "--n", "64", "--dt", "0.1",
       "--t1", "1", "--method", "rk4", "--rescale"], {}),
+    # a circle just inside the coordinate range, and runs whose first step
+    # leaves it
+    *[(["flow", "--shape", "circle", "--size", size, "--n", "64", "--dt", "0.1", "--t1", "1"], {})
+      for size in ("2.0370359763344859e+90", "2.037035976334486e+90")],
+    (["flow", "--size", "1e80", "--n", "64", "--dt", "0.1", "--t1", "1.0"], {}),
+    *[(["flow", "--shape", "circle", "--size", "1e80", "--n", "64", "--dt", "0.1",
+        "--t1", "1"] + extra, {})
+      for extra in ([], ["--method", "rk4"], ["--method", "rk4", "--rescale"])],
     (["flow", "--input", "{tmp}/dup.csv", "--dt", "0.1", "--t1", "1"],
      {"dup.csv": _DUPLICATE_VERTEX}),
     (["flow", "--n", "32", "--dt", "0.1", "--steps", "1", "--out-csv",
