@@ -18,8 +18,8 @@ refuses a non-finite coordinate or one outside the stated range
 overflows but an inner product (see arc_data); then a collapsed edge is
 refused. An array the library forms
 itself becomes a curve by _owned, with no copy and no second check, which
-arc_data measures: a state of the flow by _measure, a frame of a generated
-path in the paths module. total_length, which takes degenerate curves
+arc_data measures: a state of the flow by _measure, every frame of a path
+in the paths module, as it is read. total_length, which takes degenerate curves
 too, passes no gate: past the double range it returns inf, with no
 RuntimeWarning.
 The two H1(ds) terms, the L2(ds) sum and the edge term, weight the products
@@ -195,7 +195,8 @@ def _owned(X: np.ndarray) -> PolyCurve:
     neither copied nor checked. Only for a float (n, 2) array with n >= 3
     that its caller owns and has arc_data check, as _measure and a generated
     path's frames do, or for a row of a read-only table of checked vertices
-    that its caller owns, as an explicit path's frames are."""
+    that its caller owns, as an explicit path's frames are, which arc_data
+    measures again when they are read."""
     X.flags.writeable = False
     curve = object.__new__(PolyCurve)
     object.__setattr__(curve, "vertices", X)

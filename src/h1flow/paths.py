@@ -13,16 +13,17 @@ _dot, or of <dX, N>^2 from the tangent's columns in quotient mode.
 
 Every frame, explicit or generated, passes the one gate, curves.arc_data,
 which refuses a non-finite coordinate, one outside the stated range
-|X| < 2^300, or a collapsed edge. A path built from explicit frames passes
-each of them once, when it is built, and copies their vertices into one
-read-only (m, n, 2) table; its frames are a tuple of curves on the table's rows, and a
-pickle or deep copy of it views its own table again. The three families
-keep their recipe instead (the base table with the schedule, the scale, or
-the twist), and their frames are a read-only sequence that forms frame k
-when it is read and measures it in place, as the flow measures its
-states, so a path's memory does not grow with its frame count. A
-length is one pairwise walk over the frames: each frame is formed once and
-each left frame measured once (its ArcData, whose arclength s it never
+|X| < 2^300, or a collapsed edge. A path's frames are one read-only
+sequence, _Frames, whose frame k is form(*data, k) for a module-level form
+and its recipe data, measured in place when it is read, as the flow
+measures its states. Explicit frames pass the gate once each when the path
+is built, and their vertices are copied into one read-only (m, n, 2)
+table, which operator.getitem reads a row at a time. The three families
+keep their recipe instead (the base vertices with the schedule, the scale,
+or the twist), so a generated path's memory does not grow with its frame
+count. Every path pickles and deep-copies, and its copy keeps each recipe
+array read-only. A length is one pairwise walk over the frames: each frame
+is read, and so measured, once (its ArcData, whose arclength s it never
 reads). A quotient walk also sums the full norm from the same dX and ds,
 and takes the normal component from the columns of the unit tangent of
 _tangent, which records' curvature shares; a full walk never forms the
@@ -32,13 +33,13 @@ it has walked, shared with its as_mode copies, which relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh float
 (n, 2) array that _owned makes a curve in place, with no copy: a
-C-ordered one for shrink and reparam, and for zigzag the transpose of a
+C-ordered one for _shrink and _reparam, and for _zigzag the transpose of a
 (2, n) array, an F-ordered view whose coordinate columns are contiguous for
 the gate's and the walk's per-coordinate passes. No family
 bounds its source coordinates in advance: the gate refuses a non-finite
 frame, or one outside its range, when the frame is formed. zigzag_path
-gathers both base frames of a blend from the table of an explicit base, so
-all the zigzags of one base share it.
+gathers both base frames of a blend from the table inside an explicit
+base's frames, so all the zigzags of one base share it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
+from operator import getitem
 
 import numpy as np
 
-from .curves import PolyCurve, _dot, _l2ds_term, _owned, _tangent, _unit_edges, arc_data
+from .curves import ArcData, PolyCurve, _dot, _l2ds_term, _owned, _tangent, _unit_edges, arc_data
 from .errors import DegenerateCurve, UsageError
 from .shapes import _count
 
@@ -57,19 +59,30 @@ MODES = ("full", "quotient")
 
 
 class _Frames(Sequence):
-    """The frames of a generated path, formed on demand: frame k is the
-    curve of form(k), a fresh float (n, 2) array (C-ordered, or for a zigzag
-    an F-ordered view), which _owned makes a curve with no copy and _accept
-    measures as it is formed. A frame with a non-finite coordinate, or one
-    outside the gate's range |X| < 2^300, raises FloatingPointError, and
-    one with an edge of zero length DegenerateCurve("degenerate frame in
-    path"). An index reads one frame,
-    negative ones included, and a slice a tuple of them; each read forms its
-    frames afresh."""
+    """The frames of a path, formed and measured when read: frame k is
+    form(*data, k), a float (n, 2) array, which _owned makes a curve with
+    no copy and _accept measures. form is a module-level function and data
+    its recipe, so the sequence pickles: operator.getitem over the
+    read-only table of explicit frames, whose row k it views, or the
+    _shrink, _reparam or _zigzag of a family, which forms a fresh array
+    (C-ordered, or for a zigzag an F-ordered view). Every array in data is
+    read-only, also after a pickle or a deep copy. A frame with a
+    non-finite coordinate, or one outside the gate's range |X| < 2^300,
+    raises FloatingPointError, and one with an edge of zero length
+    DegenerateCurve("degenerate frame in path"). An index reads one frame,
+    negative ones included, and a slice a tuple of them; each read forms
+    and measures its frames afresh."""
 
-    def __init__(self, count: int, form):
-        self._count = count
-        self._form = form
+    def __init__(self, count: int, form, *data):
+        self.__setstate__({"_count": count, "_form": form, "_data": data})
+
+    def __setstate__(self, state):
+        """Set on a new sequence, and on a pickled or deep-copied one: its
+        recipe arrays are read-only."""
+        self.__dict__.update(state)
+        for a in self._data:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def __len__(self) -> int:
         return self._count
@@ -78,14 +91,15 @@ class _Frames(Sequence):
         at = range(self._count)[k]
         return tuple(map(self._frame, at)) if isinstance(at, range) else self._frame(at)
 
-    def _frame(self, k: int) -> PolyCurve:
-        return _accept(_owned(self._form(k)))
+    def _frame(self, k: int) -> ArcData:
+        return _accept(_owned(self._form(*self._data, k)))
 
 
-def _accept(curve: PolyCurve):
+def _accept(curve: PolyCurve) -> ArcData:
     """arc_data(curve), the one gate, with a collapsed edge refused as
-    DegenerateCurve("degenerate frame in path"): for a formed frame, its
-    measurement, and for an explicit one, its check when the path is built."""
+    DegenerateCurve("degenerate frame in path"): for a frame read from
+    _Frames, its measurement, and for an explicit one, its check when the
+    path is built."""
     try:
         return arc_data(curve)
     except DegenerateCurve:
@@ -95,18 +109,17 @@ def _accept(curve: PolyCurve):
 @dataclass(frozen=True, eq=False)
 class CurvePath:
     """Frames sampled at uniform times in [0, 1], under a length mode. The
-    frames are those of a family (see _Frames), or explicit curves of one
+    frames are a _Frames, kept as they are passed, or explicit curves of one
     vertex count, each passed through the one gate, arc_data, by _accept
     when the path is built: a measured frame (ArcData) passes as it is. The
     ArcData of that check is not kept; the path keeps the frames' vertices
-    in its read-only table, and the walk measures each left frame again."""
+    in the read-only table of its _Frames, which measures each frame again
+    when it is read."""
 
     frames: Sequence
     mode: str = "full"
     # the walked lengths by mode, shared with the as_mode copies
     _lengths: dict = field(default_factory=dict, init=False, repr=False)
-    # an explicit path's frames, stacked: the (m, n, 2) table that they view
-    _table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         frames = self.frames
@@ -119,20 +132,9 @@ class CurvePath:
                 if f.n != n:
                     raise UsageError(f"frame with {f.n} vertices among n = {n}")
                 _accept(f)
-            table = np.stack([f.vertices for f in frames])
-            table.flags.writeable = False
-            object.__setattr__(self, "_table", table)
-            frames = tuple(map(_owned, table))
+            frames = _Frames(len(frames), getitem, np.stack([f.vertices for f in frames]))
         _check_mode(self.mode)
         object.__setattr__(self, "frames", frames)
-
-    def __setstate__(self, state):
-        """A pickled or deep-copied explicit path's frames view its table,
-        read-only, again."""
-        self.__dict__.update(state)
-        if self._table is not None:
-            self._table.flags.writeable = False
-            self.__dict__["frames"] = tuple(map(_owned, self._table))
 
     @property
     def n(self) -> int:
@@ -147,8 +149,8 @@ def _check_mode(mode: str) -> None:
 def as_mode(path: CurvePath, mode: str) -> CurvePath:
     """The path's frames, the same sequence, under another mode. Only the
     mode is checked: the frames were checked when the path was built, or
-    are checked as they are formed. The copy shares the path's frames, table
-and lengths."""
+    are checked as they are formed. The copy shares the path's frames and
+    lengths."""
     _check_mode(mode)
     out = object.__new__(CurvePath)
     out.__dict__.update(path.__dict__, mode=mode)
@@ -163,15 +165,14 @@ def _normal_sq(d: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
 
 
 def _walk(frames, quotient: bool) -> dict:
-    """The full length and, when quotient, the quotient length of the
-    frames, by mode, from one pass: each frame is read once, and each left
-    frame measured once. Each pair adds sqrt(sum_i q_i ds_i) of the squares
+    """The full length and, when quotient, the quotient length of measured
+    frames, by mode, from one pass: each frame is read, and so measured,
+    once. Each pair adds sqrt(sum_i q_i ds_i) of the squares
     q of its frame difference d = X_{k+1} - X_k, |d|^2 and, when quotient,
     <d, N>^2, with no division by dt. Both frames lie inside the gate's
     range, so |d| < 2^301 and no square or sum overflows."""
     full = quot = 0.0
     for left, right in pairwise(frames):
-        left = arc_data(left)
         d = right.vertices - left.vertices
         full += np.sqrt(_l2ds_term(left, _dot(d, d)))
         if quotient:
@@ -195,6 +196,11 @@ def path_length_l2ds(path: CurvePath) -> float:
     return lengths[path.mode]
 
 
+def _shrink(V: np.ndarray, t: np.ndarray, lam: float, k: int) -> np.ndarray:
+    """Frame k of shrink_path: ((1 - t_k) + t_k lam) V."""
+    return ((1.0 - t[k]) + t[k] * lam) * V
+
+
 def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
     """Linear homothety toward lam * curve: frame k is ((1 - t_k) + t_k lam) * curve.
     The frames are formed on demand (see _Frames) and refused, a degenerate
@@ -203,23 +209,18 @@ def shrink_path(curve: PolyCurve, lam: float, frames: int) -> CurvePath:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     _count("frames", frames, 2)
     t = np.linspace(0.0, 1.0, frames)
-    V = curve.vertices
-
-    def form(k):
-        return ((1.0 - t[k]) + t[k] * lam) * V
-
-    return CurvePath(frames=_Frames(frames, form))
+    return CurvePath(frames=_Frames(frames, _shrink, curve.vertices, t, lam))
 
 
-def _sample_polygon(curve: PolyCurve, positions: np.ndarray) -> np.ndarray:
-    """Piecewise-linear point on the polygon at fractional vertex index p
-    (periodic): vertex floor(p) blended with its successor."""
-    n = curve.n
-    p = np.mod(positions, n)
+def _reparam(V: np.ndarray, delta: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """Frame k of reparam_path: the polygon V at the fractional vertex index
+    p = i + t_k delta_i (periodic), vertex floor(p) blended with its
+    successor."""
+    n = len(V)
+    p = np.mod(np.arange(n, dtype=float) + t[k] * delta, n)
     idx = np.floor(p).astype(int) % n
     frac = p - np.floor(p)
     nxt = (idx + 1) % n
-    V = curve.vertices
     return V[idx] * (1.0 - frac)[:, None] + V[nxt] * frac[:, None]
 
 
@@ -228,12 +229,13 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     index i + t_k * twist_i. The twist is a per-vertex index displacement whose
     endpoint i + twist_i must stay strictly increasing (an orientation-
     preserving circle bijection); anything else, a non-finite twist among
-    them, raises UsageError. The frames are formed on demand (see _Frames)
-    and refused, a degenerate one with
-    DegenerateCurve("degenerate frame in path"), when formed.
+    them, raises UsageError. The path keeps its own read-only copy of the
+    twist, so a later change to the caller's array moves no frame. The
+    frames are formed on demand (see _Frames) and refused, a degenerate one
+    with DegenerateCurve("degenerate frame in path"), when formed.
     """
     _count("frames", frames, 2)
-    delta = np.asarray(twist, dtype=float)
+    delta = np.array(twist, dtype=float)
     n = curve.n
     if delta.shape != (n,):
         raise UsageError(f"twist must have {n} entries")
@@ -244,12 +246,7 @@ def reparam_path(curve: PolyCurve, twist, frames: int) -> CurvePath:
     if np.any(np.diff(target) <= 0.0) or target[-1] - target[0] >= n:
         raise UsageError("i + twist_i must be strictly increasing around the circle")
     t = np.linspace(0.0, 1.0, frames)
-    base = np.arange(n, dtype=float)
-
-    def form(k):
-        return _sample_polygon(curve, base + t[k] * delta)
-
-    return CurvePath(frames=_Frames(frames, form))
+    return CurvePath(frames=_Frames(frames, _reparam, curve.vertices, delta, t))
 
 
 def _schedule_weights(n: int, teeth: int) -> np.ndarray:
@@ -277,6 +274,37 @@ def _schedule_weights(n: int, teeth: int) -> np.ndarray:
     return np.clip(mu, 0.0, 1.0)
 
 
+def _zigzag(flat: np.ndarray, mu: np.ndarray, omu: np.ndarray, rows: np.ndarray, m: int,
+            j: int) -> np.ndarray:
+    """Frame j of zigzag_path over the flat table of m base frames of n
+    vertices, coordinate c of frame k, vertex i at flat[2 (k n + i) + c]:
+    the blend of the two base frames around each vertex's phase at
+    t = j / (4 (m - 1)), written into the two contiguous rows of a fresh
+    (2, n) array and returned as its transpose, an F-ordered (n, 2) view.
+    rows is 2 i, and omu is 1 - mu."""
+    n = mu.size
+    t = j / (4 * (m - 1))
+    # (1 - mu) min(2t, 1) + mu max(2t - 1, 0) without its exact terms:
+    # mu * 0.0 adds +0.0 and (1 - mu) * 1.0 is 1 - mu
+    w = omu * (2.0 * t) if t < 0.5 else omu + mu * (2.0 * t - 1.0)
+    w *= m - 1  # the position in the base frames
+    at = w.astype(int)
+    np.minimum(at, m - 2, out=at)
+    w -= at  # the right-hand frame's weight
+    ow = 1.0 - w
+    at *= 2 * n
+    at += rows
+    verts = np.empty((2, n))  # one contiguous row per coordinate
+    # every index lies in range: "clip" only spares take's buffering
+    for c in range(2):
+        a = flat[c:].take(at, out=verts[c], mode="clip")
+        a *= ow
+        b = flat[2 * n + c:].take(at, mode="clip")  # the frame a step later
+        b *= w
+        a += b
+    return verts.T
+
+
 def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     """Traverse the base path on a two-phase block schedule: even blocks move
     at double speed while t < 1/2 and then hold, odd blocks hold and then
@@ -285,15 +313,13 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     phases (see _schedule_weights). The final frame is the base's final frame.
 
     Vertex i of frame j blends vertex i of the two base frames around its
-    phase. Both frames are gathered, a coordinate at a time, at one index
-    into the flat table of the base frames, the right-hand one from the
-    view of the table a frame later. The table is the explicit base's own,
-    shared by all its zigzags; a generated base is made explicit, its
-    frames stacked into one, for each zigzag. The blend is written into the
-    two contiguous rows of the frame's own (2, n) array, and its transpose,
-    an F-ordered (n, 2) view, becomes the curve with no copy. The path
-    keeps the table and the schedule and forms frame j when it is read (see
-    _Frames); a frame is refused, a degenerate one with
+    phase (see _zigzag). Both frames are gathered, a coordinate at a time,
+    at one index into the flat table of the base frames, the right-hand one
+    from the view of the table a frame later. The table is the one inside
+    an explicit base's frames, shared by all its zigzags; a generated base
+    is made explicit, its frames stacked into one, for each zigzag. The
+    path keeps the table and the schedule and forms frame j when it is read
+    (see _Frames); a frame is refused, a degenerate one with
     DegenerateCurve("degenerate frame in path"), when formed.
     """
     if base.mode != "full":
@@ -301,36 +327,10 @@ def zigzag_path(base: CurvePath, teeth: int) -> CurvePath:
     n = base.n
     if teeth < 1 or (n // 2) * 2 != n or (n // 2) % teeth != 0:
         raise ValueError(f"teeth must be >= 1 and divide n/2 (n = {n}, teeth = {teeth})")
+    frames = base.frames
+    if frames._form is not getitem:
+        frames = CurvePath(frames=tuple(frames)).frames  # stacks the formed frames
     mu = _schedule_weights(n, teeth)
-    omu = 1.0 - mu
-    m = len(base.frames)
-    if base._table is None:
-        base = CurvePath(frames=tuple(base.frames))  # stacks the formed frames
-    # coordinate c of frame k, vertex i is flat[2 (k n + i) + c]
-    flat = base._table.ravel()
-    rows = np.arange(0, 2 * n, 2)
-    out_frames = 4 * (m - 1) + 1
-
-    def form(j):
-        t = j / (out_frames - 1)
-        # (1 - mu) min(2t, 1) + mu max(2t - 1, 0) without its exact terms:
-        # mu * 0.0 adds +0.0 and (1 - mu) * 1.0 is 1 - mu
-        w = omu * (2.0 * t) if t < 0.5 else omu + mu * (2.0 * t - 1.0)
-        w *= m - 1  # the position in the base frames
-        at = w.astype(int)
-        np.minimum(at, m - 2, out=at)
-        w -= at  # the right-hand frame's weight
-        ow = 1.0 - w
-        at *= 2 * n
-        at += rows
-        verts = np.empty((2, n))  # one contiguous row per coordinate
-        # every index lies in range: "clip" only spares take's buffering
-        for c in range(2):
-            a = flat[c:].take(at, out=verts[c], mode="clip")
-            a *= ow
-            b = flat[2 * n + c:].take(at, mode="clip")  # the frame a step later
-            b *= w
-            a += b
-        return verts.T
-
-    return CurvePath(frames=_Frames(out_frames, form))
+    m = len(frames)
+    return CurvePath(frames=_Frames(4 * (m - 1) + 1, _zigzag, frames._data[0].ravel(), mu, 1.0 - mu,
+                                    np.arange(0, 2 * n, 2), m))

@@ -653,12 +653,13 @@ class TestWorkCounts:
         assert len(built) == 1
         frames = tuple(h.PolyCurve(s * c.vertices) for s in (1.0, 0.9, 0.8))
         built.clear()
-        # building the path passes each explicit frame through the gate once
+        # building the path passes each explicit frame through the gate once,
+        # and a walk measures each frame once, when it is read
         path = h.CurvePath(frames=frames, mode="quotient")
         assert len(built) == 3
         built.clear()
         h.path_length_l2ds(path)
-        assert len(built) == 2
+        assert len(built) == 3
         built.clear()
         traj = h.run_flow(c, h.FlowConfig(dt=1e-3, t1=0.1, record_every=100))
         assert len(traj.records) == 2

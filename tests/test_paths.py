@@ -3,6 +3,7 @@ import copy
 import gc
 import json
 import math
+import operator
 import pickle
 import tracemalloc
 import warnings
@@ -118,7 +119,9 @@ class TestCurvePath:
 
     def test_as_mode_measures_no_frame(self, monkeypatch):
         # the frames were checked when the path was built; the check forms
-        # each frame's edges by the _diff of arc_data's gate
+        # each frame's edges by the _diff of arc_data's gate. A path built
+        # on another path's frames shares the checked sequence, and checks
+        # nothing again
         p = translation_path()
         calls = []
         original = h1flow.curves._diff
@@ -128,9 +131,9 @@ class TestCurvePath:
             return original(a)
 
         monkeypatch.setattr(h1flow.curves, "_diff", counted)
-        h.CurvePath(frames=p.frames)
-        assert len(calls) == len(p.frames)
-        calls.clear()
+        again = h.CurvePath(frames=p.frames)
+        assert calls == []
+        assert again.frames is p.frames
         q = h.as_mode(p, "quotient")
         assert calls == []
         assert q.frames is p.frames
@@ -310,6 +313,21 @@ class TestReparamPath:
             assert np.all(r <= 1.0 + 1e-12)
             assert np.all(r >= math.cos(math.pi / n) - 1e-12)
 
+    def test_path_owns_its_twist(self):
+        # the path keeps its own copy of the twist, and leaves the caller's
+        # array writable: changing that array later, even to a twist that
+        # reparam_path refuses, moves no frame and no length
+        n = 64
+        c = h.circle(1.0, n)
+        twist = self.twist(n, 3.0)
+        p = h.reparam_path(c, twist, 9)
+        fresh = h.reparam_path(c, twist.copy(), 9)
+        twist[:] = np.linspace(0, 3 * n, n)
+        with pytest.raises(UsageError):
+            h.reparam_path(c, twist, 9)
+        assert [f.vertices.tobytes() for f in p.frames] == [f.vertices.tobytes() for f in fresh.frames]
+        assert _both_lengths(p) == _both_lengths(fresh)
+
     def test_identity_twist_is_constant_path(self):
         n = 32
         c = h.star(1.0, 0.3, 5, n)
@@ -435,14 +453,14 @@ class TestZigzagPath:
 
     def test_as_mode_copies_of_the_base_share_the_table(self):
         base = translation_path(n=64, frames=9)
-        table = base._table
+        table = _table(base)
         assert table.shape == (9, 64, 2) and table.flags.c_contiguous
         again = h.as_mode(h.as_mode(base, "quotient"), "full")
-        assert again._table is table and again.frames is base.frames
+        assert _table(again) is table and again.frames is base.frames
         expect = [f.vertices.tobytes() for f in h.zigzag_path(base, 2).frames]
         assert [f.vertices.tobytes() for f in h.zigzag_path(again, 2).frames] == expect
         # a generated path keeps its recipe, not a table
-        assert h.shrink_path(h.circle(1.0, 16), 0.5, 3)._table is None
+        assert h.shrink_path(h.circle(1.0, 16), 0.5, 3).frames._form is h1flow.paths._shrink
 
     def test_explicit_path_pickles_after_a_zigzag_of_it(self):
         base = h.as_mode(translation_path(n=16, frames=3), "quotient")
@@ -451,12 +469,13 @@ class TestZigzagPath:
         for other in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base)):
             assert other.mode == "quotient" and other._lengths == base._lengths
             assert [f.vertices.tobytes() for f in other.frames] == [f.vertices.tobytes() for f in base.frames]
-            assert other._table.tobytes() == base._table.tobytes()
+            table = _table(other)
+            assert table.tobytes() == _table(base).tobytes()
             # the copy's frames are rows of its own read-only table again
-            assert not other._table.flags.writeable
-            assert not np.shares_memory(other._table, base._table)
+            assert not table.flags.writeable
+            assert not np.shares_memory(table, _table(base))
             for frame in other.frames:
-                assert np.shares_memory(frame.vertices, other._table)
+                assert np.shares_memory(frame.vertices, table)
                 assert not frame.vertices.flags.writeable
             assert h.path_length_l2ds(other) == length
             assert h.path_length_l2ds(h.CurvePath(frames=other.frames, mode="quotient")) == length
@@ -475,13 +494,15 @@ class TestZigzagPath:
         ring = h.circle(1.0, 64).vertices
         caller = tuple(h.PolyCurve(ring + [0.25 * k, 0.0]) for k in range(9))
         base = h.CurvePath(frames=caller)
-        table = base._table
+        table = _table(base)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
-        # each frame is a row of the table, a copy of the caller's vertices
+        # each frame is a row of the table, a copy of the caller's vertices,
+        # measured when it is read
         for frame, c in zip(base.frames, caller):
-            assert type(frame) is h.PolyCurve and frame.vertices.flags.c_contiguous
+            assert type(frame) is h.ArcData and frame.vertices.flags.c_contiguous
+            assert frame.length == h.arc_data(c).length
             assert np.shares_memory(frame.vertices, table)
             assert not np.shares_memory(frame.vertices, c.vertices)
             assert frame.vertices.tobytes() == c.vertices.tobytes()
@@ -663,6 +684,13 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _table(path):
+    """The read-only (m, n, 2) table of an explicit path's frames."""
+    assert path.frames._form is operator.getitem
+    (table,) = path.frames._data
+    return table
 
 
 def _both_lengths(path):
