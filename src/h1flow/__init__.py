@@ -16,7 +16,6 @@ from .curves import (
     PolyCurve,
     arc_data,
     chord_arc_min,
-    edge_lengths,
     signed_area,
     sup_norm,
     total_length,
@@ -53,19 +52,16 @@ from .gradient import (
     length_directional_derivative,
 )
 from .kernel import (
-    MIN_KERNEL_LENGTH,
     convolve_kernel,
     greens_value,
     kernel_matrix,
     row_quadrature_defect,
 )
-from .lambertw import CircleSolution, lambert_w0, lambert_w0_of_exp
+from .lambertw import CircleSolution, lambert_w0
 from .output import (
-    curve_to_json,
     path_to_json,
     read_curve,
     read_diagnostics_csv,
-    trajectory_to_json,
     write_curve,
     write_diagnostics_csv,
     write_svg,

@@ -9,7 +9,9 @@ vertex tangent and discrete curvature of frame_data, which is internal:
 records read their curvature from it. The ArcData of arc_data is itself a
 curve, accepted in the curve's place, so a state is measured once; its
 cumulative arclength s is computed on first use, since
-only the kernel and the chord-arc monitor read it. arc_data measures a
+only the kernel and the chord-arc monitor read it. arc_data is the only
+maker of an ArcData, whose own __init__ refuses, and every array a curve
+or a measured curve holds is read-only, by _frozen. arc_data measures a
 PolyCurve's vertices in place and checks and copies any other input
 through PolyCurve. It is the one gate where a curve is accepted or
 refused, the flow's states and every frame of a path alike: one maximum
@@ -48,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCurve
+from .errors import DegenerateCurve, UsageError
 
 
 # pair entries per chord-arc block: at least one row of the row scan, or
@@ -77,6 +79,13 @@ _CHORD_FINE, _CHORD_COARSE, _CHORD_SEED = 8, 64, 64
 _RANGE = 2.0 ** 300
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself, marked read-only in place: every array a curve or a
+    measured curve holds. setflags is the cheaper of NumPy's two spellings."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class PolyCurve:
     """Closed polygon: vertices[i] connects to vertices[(i+1) % n]."""
@@ -91,35 +100,35 @@ class PolyCurve:
             raise ValueError("a closed curve needs at least 3 vertices")
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _frozen(v))
 
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
 
     def __setstate__(self, state):
-        """A pickled or deep-copied curve keeps its vertices read-only."""
+        """A pickled or deep-copied curve keeps its vertices, and a measured
+        one every array it holds, read-only."""
         self.__dict__.update(state)
-        self.vertices.flags.writeable = False
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                _frozen(value)
 
 
-@dataclass(frozen=True, eq=False)
 class ArcData(PolyCurve):
-    """A measured curve: the vertices of a validated PolyCurve with their ds
-    vertex weights, total length, and the edges X_{i+1} - X_i with their
-    (positive) lengths. The cumulative arclength s (s[0] = 0) and the
-    turning angles are computed on first use and kept: the kernel and the
-    chord-arc monitor need s, a record's curvature and the monitor the
-    angles, and the frames of a path neither."""
-
-    ds: np.ndarray
-    length: float
-    edges: np.ndarray
-    edge_lengths: np.ndarray
+    """A measured curve, made only by arc_data: the vertices of a validated
+    PolyCurve with their ds vertex weights, total length, and the edges
+    X_{i+1} - X_i with their (positive) lengths, set as attributes by the
+    gate. The cumulative arclength s (s[0] = 0) and the turning angles are
+    computed on first use and kept: the kernel and the chord-arc monitor
+    need s, a record's curvature and the monitor the angles, and the frames
+    of a path neither. Every array it holds is read-only, also after a
+    pickle or a deep copy; its repr shows the vertices alone."""
 
     def __post_init__(self):
-        """No revalidation: the vertices are those of a validated PolyCurve."""
+        """The inherited __init__ ends here, so ArcData(...) and
+        dataclasses.replace are refused: only arc_data measures a curve."""
+        raise UsageError("a measured curve (ArcData) is made only by arc_data")
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -128,14 +137,14 @@ class ArcData(PolyCurve):
         s = self.edge_lengths.cumsum()
         s[1:] = s[:-1]
         s[0] = 0.0
-        return s
+        return _frozen(s)
 
     @cached_property
     def turning(self) -> np.ndarray:
         """The signed turning angle at each vertex, _turning of the unit
         edges; frame_data forms it from the unit edges it reads anyway and
         keeps it here."""
-        return _turning(*_unit_edges(self))
+        return _frozen(_turning(*_unit_edges(self)))
 
 
 @dataclass(frozen=True)
@@ -178,16 +187,12 @@ def _diff(a: np.ndarray) -> np.ndarray:
     return d
 
 
-def edge_lengths(curve: PolyCurve) -> np.ndarray:
-    return _norm(_diff(curve.vertices))
-
-
 @np.errstate(over="ignore")
 def total_length(curve: PolyCurve) -> float:
     """Perimeter of the polygon. Defined for degenerate curves too, and
     inf, with no RuntimeWarning, once an edge's squared length overflows,
     which only a curve outside arc_data's range can do."""
-    return float(edge_lengths(curve).sum())
+    return float(_norm(_diff(curve.vertices)).sum())
 
 
 def _owned(X: np.ndarray) -> PolyCurve:
@@ -197,9 +202,8 @@ def _owned(X: np.ndarray) -> PolyCurve:
     path's frames do, or for a row of a read-only table of checked vertices
     that its caller owns, as an explicit path's frames are, which arc_data
     measures again when they are read."""
-    X.flags.writeable = False
     curve = object.__new__(PolyCurve)
-    object.__setattr__(curve, "vertices", X)
+    object.__setattr__(curve, "vertices", _frozen(X))
     return curve
 
 
@@ -213,7 +217,9 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     any edge is formed; then a collapsed edge raises DegenerateCurve. A
     curve that is already measured is returned as it is, and a PolyCurve's
     vertices are measured in place. Any other input, an array read-only or
-    not, is checked and copied by PolyCurve first.
+    not, is checked and copied by PolyCurve first. The ArcData is made here
+    alone, without its __init__, with ds, the edges and their lengths
+    marked read-only in place.
 
     Inside the range no measurement, kernel sweep, step, record sum or
     path walk of an accepted curve overflows. With m < 2^300: an edge and
@@ -246,7 +252,10 @@ def arc_data(curve: PolyCurve | np.ndarray) -> ArcData:
     ds = _prev(el)
     ds += el
     ds *= 0.5
-    return ArcData(vertices=X, ds=ds, length=float(el.sum()), edges=ev, edge_lengths=el)
+    ad = object.__new__(ArcData)
+    ad.__dict__.update(vertices=X, ds=_frozen(ds), length=float(el.sum()), edges=_frozen(ev),
+                       edge_lengths=_frozen(el))
+    return ad
 
 
 def _measure(X: np.ndarray) -> ArcData:
@@ -309,7 +318,7 @@ def frame_data(curve: PolyCurve):
     ad = arc_data(curve)
     ux, uy, px, py = _unit_edges(ad)
     # the cached_property's slot, filled from the unit edges at hand
-    turning = ad.__dict__["turning"] = _turning(ux, uy, px, py)
+    turning = ad.__dict__["turning"] = _frozen(_turning(ux, uy, px, py))
     return _tangent(ux, uy, px, py), turning / ad.ds
 
 

@@ -4,12 +4,15 @@ among them, round-trips through pickle and through a deep copy.
 A copy keeps every field to the bit, every read-only array read-only, and
 shares no memory with its original. A path's copy forms the same frames and
 walks the same full and quotient lengths, and every array that it holds
-(an explicit path's table, a family's recipe) is read-only.
+(an explicit path's table, a family's recipe) is read-only. A measured curve
+(ArcData) is made only by the gate, arc_data, and every array it holds is
+read-only, in the original and in its copies.
 """
 import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -157,3 +160,45 @@ def test_explicit_table_stays_read_only(how):
         table[0, 0, 0] = 0.0
     for frame in other.frames:
         assert np.shares_memory(frame.vertices, table)
+
+
+def _framed():
+    # turning filled by frame_data rather than by the cached property
+    ad = h.arc_data(_star())
+    h.curves.frame_data(ad)
+    ad.s
+    return ad
+
+
+@pytest.mark.parametrize("how", ["original", *COPIES])
+@pytest.mark.parametrize("make", [_measured, _framed], ids=["cached", "frame_data"])
+def test_measured_curve_holds_only_read_only_arrays(make, how):
+    ad = make() if how == "original" else COPIES[how](make())
+    held = {k: v for k, v in vars(ad).items() if isinstance(v, np.ndarray)}
+    assert sorted(held) == ["ds", "edge_lengths", "edges", "s", "turning", "vertices"]
+    assert [k for k, v in held.items() if v.flags.writeable] == []
+    with pytest.raises(ValueError):
+        ad.ds[0] = 100.0
+    assert h.arc_data(ad).ds[0] != 100.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda ad, X: dataclasses.replace(ad, vertices=X),
+    lambda ad, X: h.ArcData(vertices=X),
+    lambda ad, X: h.ArcData(X),
+], ids=["replace", "keyword", "positional"])
+def test_only_the_gate_makes_a_measured_curve(build):
+    # a curve past the coordinate range cannot enter as a hand-made
+    # measured curve: it is refused by the gate's name, with no NumPy
+    # warning on the way
+    c = h.circle(1.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(h.UsageError, match="arc_data"):
+            h.record(build(h.arc_data(c), 1e200 * c.vertices), 0.0)
+
+
+def test_measured_curve_repr_shows_its_vertices():
+    ad = h.arc_data(h.circle(1.0, 4))
+    assert repr(ad).startswith("ArcData(vertices=array(")
+    assert "ds=" not in repr(ad) and "length=" not in repr(ad)

@@ -881,6 +881,6 @@ class TestSerialization:
 
     def test_json_dict_round_trip(self):
         c = h.circle(1.0, 16)
-        d = h.curve_to_json(c)
+        d = h.output.curve_to_json(c)
         back = h.PolyCurve(np.asarray(d["vertices"]))
         assert np.array_equal(back.vertices, c.vertices)

@@ -1,5 +1,6 @@
 """Time integration: single steps, full runs, terminations, profiles."""
 import math
+import types
 import warnings
 from dataclasses import replace
 
@@ -398,7 +399,7 @@ class TestRunFlow:
                           h.FlowConfig(dt=0.5, t1=60.0, method=method,
                                        min_length_guard=0.0, record_every=record_every))
         assert traj.termination is h.Termination.NUMERICAL_FAILURE
-        assert traj.records[-1].length >= h.MIN_KERNEL_LENGTH
+        assert traj.records[-1].length >= h.kernel.MIN_KERNEL_LENGTH
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_programming_error_propagates(self, monkeypatch, method):
@@ -492,10 +493,33 @@ def test_decay_and_energy_identity_on_random_shapes(seed):
     assert defect[128] / defect[256] >= 3.0
 
 
+def _sorted_angle_shape(seed, n):
+    """A star-shaped polygon through n seeded angles, sorted, at seeded radii
+    in [0.5, 1.5): jagged, with uneven edges."""
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = rng.uniform(0.5, 1.5, n)
+    return h.PolyCurve(np.stack((r * np.cos(theta), r * np.sin(theta)), axis=1))
+
+
+def _figure_eight(n):
+    """x = sin t, y = sin t cos t: rotation index 0, crossing itself at the
+    origin, where vertices 0 and n/2 coincide for even n."""
+    t = 2.0 * math.pi * np.arange(n) / n
+    return h.PolyCurve(np.stack((np.sin(t), np.sin(t) * np.cos(t)), axis=1))
+
+
+def _turning_number(curve):
+    return h.arc_data(curve).turning.sum() / (2.0 * math.pi)
+
+
 DIHEDRAL_CURVES = {
     "star": h.star(1.0, 0.3, 5, 256),
     "ellipse": h.ellipse(1.0, 0.5, 300),
     "barbell": h.barbell(1.0, 0.25, 128),
+    "figure-eight": _figure_eight(256),
+    **{f"seeded-{seed}-{n}": _sorted_angle_shape(seed, n)
+       for seed, n in enumerate((64, 96, 160, 224, 320, 400), start=1)},
 }
 # a symmetry of the square lattice, exact in floating point, and the sign it
 # gives the signed area: the quarter turn (x, y) -> (-y, x) keeps the
@@ -524,6 +548,41 @@ def test_dihedral_symmetry_is_exact(name, method, move):
     for a, b in zip(got.states, ref.states):
         assert a.vertices.tobytes() == f(b.vertices).tobytes()
     assert got.records == tuple(replace(r, area=sign * r.area) for r in ref.records)
+
+
+class TestImmersedCurves:
+    """The paper's setting is immersed curves: covers of a circle and a
+    figure-eight, which cross themselves, run as any curve does."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cover_moves_as_its_polygon(self, k):
+        # the periodic Green's function on a circle of length kL, summed
+        # over the k copies, is the one on length L: the k-fold cover of
+        # the n-gon runs as the n-gon, up to rounding, and keeps its
+        # turning number k
+        cfg = h.FlowConfig(dt=0.01, t1=2.0, method="rk4", record_every=50)
+        c = h.circle(1.0, 128)
+        ref = h.run_flow(c, cfg)
+        got = h.run_flow(h.PolyCurve(np.tile(c.vertices, (k, 1))), cfg)
+        assert got.termination is ref.termination is h.Termination.COMPLETED
+        assert got.times == ref.times and len(got.states) == 5
+        for a, b, ra, rb in zip(got.states, ref.states, got.records, ref.records):
+            assert ra.length / k == pytest.approx(rb.length, rel=1e-15, abs=0.0)
+            cover = np.tile(b.vertices, (k, 1))
+            assert np.abs(a.vertices - cover).max() <= 1e-14 * np.abs(cover).max()
+            assert round(_turning_number(a)) == k
+            # the copies coincide: the monitor reports self-contact
+            assert ra.chord_arc_min == 0.0
+
+    def test_figure_eight_runs_with_rotation_index_zero(self):
+        traj = h.run_flow(_figure_eight(256),
+                          h.FlowConfig(dt=0.01, t1=3.0, method="rk4", record_every=30))
+        assert traj.termination is h.Termination.COMPLETED
+        assert traj.times[-1] == pytest.approx(3.0) and len(traj.states) == 11
+        assert traj.records[0].length == pytest.approx(6.097, abs=5e-4)
+        assert traj.records[-1].length == pytest.approx(0.396, abs=5e-4)
+        assert all(b.length < a.length for a, b in zip(traj.records, traj.records[1:]))
+        assert [round(_turning_number(s)) for s in traj.states] == [0] * 11
 
 
 class TestAsymptoticProfile:
@@ -636,15 +695,23 @@ class TestWorkCounts:
         assert len(calls) == 4 * k + 3 + 2 * len(traj.records)
 
     def test_geometry_measured_once_per_state(self, monkeypatch):
-        # every function that takes a curve reuses the ArcData it is given
+        # every function that takes a curve reuses the ArcData it is given:
+        # counted are the calls of the gate, in every module that binds it,
+        # that return a new ArcData, its only constructions
         built = []
-        init = h1flow.curves.ArcData.__init__
+        gate = h1flow.curves.arc_data
 
-        def counted(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+        def counted(curve):
+            ad = gate(curve)
+            if ad is not curve:
+                built.append(1)
+            return ad
 
-        monkeypatch.setattr(h1flow.curves.ArcData, "__init__", counted)
+        bound = [m for m in vars(h1flow).values()
+                 if isinstance(m, types.ModuleType) and getattr(m, "arc_data", None) is gate]
+        assert len(bound) == 5
+        for module in bound:
+            monkeypatch.setattr(module, "arc_data", counted)
         c = h.star(1.0, 0.3, 5, 256)
         h.record(c, 0.0)
         assert len(built) == 1

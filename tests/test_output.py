@@ -137,7 +137,7 @@ class TestSvg:
 
 class TestTrajectoryJson:
     def test_document_shape(self, short_traj):
-        doc = h.trajectory_to_json(short_traj)
+        doc = h.output.trajectory_to_json(short_traj)
         assert set(doc) == {"times", "termination", "states", "records"}
         assert doc["termination"] == "completed"
         assert doc["times"] == list(short_traj.times)
@@ -153,12 +153,12 @@ class TestTrajectoryJson:
         p = tmp_path / "traj.json"
         h.write_trajectory_json(short_traj, str(p))
         doc = json.loads(p.read_text())
-        assert doc == h.trajectory_to_json(short_traj)
+        assert doc == h.output.trajectory_to_json(short_traj)
 
 
 def _json_case(name, traj):
     if name == "trajectory":
-        return h.trajectory_to_json(traj)
+        return h.output.trajectory_to_json(traj)
     if name == "path":
         return h.path_to_json(h.shrink_path(h.circle(1.0, 16), 0.5, 5))
     if name == "empty-list":

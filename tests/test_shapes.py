@@ -198,7 +198,7 @@ class TestBarbell:
         assert np.allclose(np.abs(y[mid]), 0.25, atol=1e-14)
 
     def test_edges_nearly_uniform(self):
-        e = h.edge_lengths(h.barbell(1.0, 0.25, 200))
+        e = h.arc_data(h.barbell(1.0, 0.25, 200)).edge_lengths
         assert e.max() / e.min() <= 1.3
 
     def test_scales_with_radius(self):

@@ -265,7 +265,7 @@ def reference_scalars() -> dict:
         vel = h.flow_velocity(c)
         emb = h.embeddedness_condition(c)
         values = {
-            "edge_lengths": h.edge_lengths(c), "total_length": h.total_length(c),
+            "edge_lengths": h.arc_data(c).edge_lengths, "total_length": h.total_length(c),
             "arc_data": (ad.s, ad.ds, ad.length, ad.edges, ad.edge_lengths),
             "signed_area": h.signed_area(c),
             "frame_data": (np.stack([tx, ty], axis=1), np.stack([-ty, tx], axis=1), k),
