@@ -115,6 +115,7 @@ class PolyCurve:
                 _frozen(value)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ArcData(PolyCurve):
     """A measured curve, made only by arc_data: the vertices of a validated
     PolyCurve with their ds vertex weights, total length, and the edges
@@ -122,8 +123,9 @@ class ArcData(PolyCurve):
     gate. The cumulative arclength s (s[0] = 0) and the turning angles are
     computed on first use and kept: the kernel and the chord-arc monitor
     need s, a record's curvature and the monitor the angles, and the frames
-    of a path neither. Every array it holds is read-only, also after a
-    pickle or a deep copy; its repr shows the vertices alone."""
+    of a path neither. It is frozen: no attribute is set or deleted, and
+    every array it holds is read-only, also after a pickle or a deep copy;
+    its repr shows the vertices alone."""
 
     def __post_init__(self):
         """The inherited __init__ ends here, so ArcData(...) and

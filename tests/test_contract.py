@@ -179,6 +179,13 @@ def test_measured_curve_holds_only_read_only_arrays(make, how):
     assert [k for k, v in held.items() if v.flags.writeable] == []
     with pytest.raises(ValueError):
         ad.ds[0] = 100.0
+    # nor can an array or a value be rebound or deleted
+    for name, value in [("ds", np.full(ad.n, 100.0)), ("length", 0.0), ("s", ad.ds),
+                        ("turning", ad.ds), ("vertices", ad.edges)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ad, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ad.ds
     assert h.arc_data(ad).ds[0] != 100.0
 
 
