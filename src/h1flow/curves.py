@@ -5,17 +5,20 @@ PolyCurve keeps one read-only copy of its input; as it holds an array, it
 compares and hashes by identity, and so does ArcData.
 Everything here is a pure function of the vertex array: arclength data, area,
 the sup norm, and the chord-arc embeddedness monitor, all public, and the
-vertex tangent and discrete curvature of frame_data, which is internal:
-records read their curvature from it. The ArcData of arc_data is itself a
+discrete curvature of frame_data, which is internal: records read their
+curvature from it. The ArcData of arc_data is itself a
 curve, accepted in the curve's place, so a state is measured once; its
-cumulative arclength s is computed on first use, since
-only the kernel and the chord-arc monitor read it. arc_data is the only
+cumulative arclength s and its turning angles are computed on first
+use, since only the kernel and the chord-arc monitor read s, and only a
+record's curvature and the monitor the angles. arc_data is the only
 maker of an ArcData, whose own __init__ refuses, and every array a curve
 or a measured curve holds is read-only, by _frozen. arc_data measures a
 PolyCurve's vertices in place and checks and copies any other input
 through PolyCurve. It is the one gate where a curve is accepted or
-refused, the flow's states and every frame of a path alike: one maximum
-refuses a non-finite coordinate or one outside the stated range
+refused, the flow's states, their records and every frame of a path alike:
+past it a record or a run refuses only by the kernel's length guard, and
+only a quotient path's normals refuse a cusp. One maximum refuses a
+non-finite coordinate or one outside the stated range
 |X| < 2^300, inside which nothing the library forms from a curve
 overflows but an inner product (see arc_data); then a collapsed edge is
 refused. An array the library forms
@@ -29,9 +32,9 @@ that callers form once by _dot; gradient's inner products and paths use them.
 The cyclic differences and sums (_diff, ds, the tangent) are formed in place
 in the one shifted copy that _next or _prev makes, so each costs one new
 array. _unit_edges forms the outgoing unit edges u and, shifted once, the
-incoming ones p; _tangent sums them into the unit tangent in p's arrays.
-A quotient path length reads only the tangent, and frame_data reads u and
-p for the turning angle of _turning before the tangent is formed.
+incoming ones p. ArcData.turning, the one producer of the turning angles,
+reads them through _turning; _tangent sums them into the unit tangent in
+p's arrays, for a quotient path's normals alone.
 chord_arc_min chooses how the vertex pairs are visited, by n, and reduces
 by (value, i, j) the chunk minima of _row_blocks or _pruned_blocks, which
 share the ratio helper _chord_ratios.
@@ -144,8 +147,8 @@ class ArcData(PolyCurve):
     @cached_property
     def turning(self) -> np.ndarray:
         """The signed turning angle at each vertex, _turning of the unit
-        edges; frame_data forms it from the unit edges it reads anyway and
-        keeps it here."""
+        edges: their one producer, read by a record's curvature, frame_data,
+        and by the chord-arc monitor."""
         return _frozen(_turning(*_unit_edges(self)))
 
 
@@ -296,9 +299,9 @@ def _tangent(ux, uy, px, py):
     """The x and y columns of the unit vertex tangent T, u + p normalized,
     from the columns of _unit_edges. The sum and the quotient are formed in
     place in p's arrays, and |u + p| in u's, all four overwritten, so no
-    further array is made; a caller that reads u or p does so first. The
-    normal is N = rot90(T) = (-T_y, T_x). A cusp, where u + p vanishes, is
-    refused."""
+    further array is made. The normal is N = rot90(T) = (-T_y, T_x), which
+    only a quotient path's walk reads; no record forms T. A cusp, where
+    u + p vanishes, has no normal and is refused."""
     px += ux
     py += uy
     tn = np.multiply(px, px, out=ux)
@@ -309,19 +312,15 @@ def _tangent(ux, uy, px, py):
     return np.divide(px, tn, out=px), np.divide(py, tn, out=py)
 
 
-def frame_data(curve: PolyCurve):
-    """((T_x, T_y), k) for any curve arc_data accepts: the columns of the
-    unit vertex tangent T, whose normal is N = rot90(T) = (-T_y, T_x), and
-    the signed curvature k_i, the _turning angle at vertex i divided by
-    ds_i, the angle the chord-arc monitor bounds its ratios by. The angle
-    reads u and p before _tangent overwrites them, so the edges are shifted
-    once, and is kept as the measured curve's turning, where the monitor
-    reads it. Records take their curvature from it; not exported."""
+def frame_data(curve: PolyCurve) -> np.ndarray:
+    """The signed curvature k_i of a record, for any curve arc_data
+    accepts: the measured curve's turning angle at vertex i, the angle the
+    chord-arc monitor bounds its ratios by, divided by ds_i. It reads the
+    angles that ArcData.turning forms once per state, and forms no tangent,
+    so it refuses nothing that arc_data accepts: at a cusp the angle is pi
+    in magnitude. Records take their curvature from it; not exported."""
     ad = arc_data(curve)
-    ux, uy, px, py = _unit_edges(ad)
-    # the cached_property's slot, filled from the unit edges at hand
-    turning = ad.__dict__["turning"] = _frozen(_turning(ux, uy, px, py))
-    return _tangent(ux, uy, px, py), turning / ad.ds
+    return ad.turning / ad.ds
 
 
 def _as_field(curve: PolyCurve, field) -> np.ndarray:

@@ -6,8 +6,8 @@ squared H1(ds) norm of the velocity come from the gradient module's inner
 products. A record's curve lies inside the gate's coordinate range, where
 only the gradient norm and the isoperimetric ratio can pass the double
 range, as inf. The monotonicity report turns the a-priori decay statements
-into pass/fail verdicts: a monitor passes when no step raises it by more
-than _SLACK.
+into pass/fail verdicts, one per monitor in its tuple of verdicts: a
+monitor passes when no step raises it by more than _SLACK.
 """
 
 from __future__ import annotations
@@ -63,16 +63,6 @@ class MonotonicityReport:
     deficit_sup_ratio: float
     rescaled_k_sup: float
 
-    def verdict(self, name: str) -> MonitorVerdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
 
 def embeddedness_condition(curve: PolyCurve) -> EmbeddednessCheck:
     """Chord-arc minimum against the sufficient-condition threshold
@@ -92,14 +82,17 @@ def record(curve: PolyCurve, t: float) -> DiagnosticsRecord:
     gradient norm, the H1(ds) inner product of the velocity, whose squares
     the range does not bound and whose edge term divides by the edge
     lengths, and the isoperimetric ratio, a quotient by the area. Either
-    is then inf, with no RuntimeWarning."""
+    is then inf, with no RuntimeWarning. The curvature is frame_data's,
+    from the measured turning angles, so a record refuses only what
+    arc_data or the kernel's length guard refuses: at a cusp |k| is
+    pi / ds."""
     ad = arc_data(curve)
     area = signed_area(ad)
     # the enclosed area |A|: the ratio and the deficit are orientation-blind
     enclosed = abs(area)
     L2 = ad.length * ad.length
     iso = L2 / (4.0 * math.pi * enclosed) if enclosed != 0.0 else math.inf
-    max_k = float(np.abs(frame_data(ad)[1]).max())
+    max_k = float(np.abs(frame_data(ad)).max())
     try:
         rescaled_k = math.exp(-t) * max_k
     except OverflowError:  # e^-t past the double range: the product is inf

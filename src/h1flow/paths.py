@@ -26,10 +26,11 @@ array read-only. A length is one pairwise walk over the frames: each frame
 is read, and so measured, once (its ArcData, whose arclength s it never
 reads). A quotient walk also sums the full norm from the same dX and ds,
 and takes the normal component from the columns of the unit tangent of
-_tangent, which records' curvature shares; a full walk never forms the
-tangent, so a cusp fails only the quotient length. Inside the gate's
-range no product or sum of the walk overflows. The path keeps the lengths
-it has walked, shared with its as_mode copies, which relabel the same frames.
+_tangent, which only this walk forms: a full walk and a record of the flow
+never do, so a cusp, which has no normal, fails only the quotient length.
+Inside the gate's range no product or sum of the walk overflows. The path
+keeps the lengths it has walked, shared with its as_mode copies, which
+relabel the same frames.
 
 The families form each frame as a blend of vertices, in a fresh float
 (n, 2) array that _owned makes a curve in place, with no copy: a

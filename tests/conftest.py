@@ -19,6 +19,41 @@ import h1flow.flow
 RANGE_REFUSAL = r"curve coordinates outside the range \|X\| < 2\^300$"
 # the largest radius of a circle inside that range, and the smallest outside
 BELOW_RANGE, AT_RANGE = float(np.nextafter(2.0 ** 300, 0.0)), 2.0 ** 300
+# vertex 3 turns back along its incoming edge, onto vertex 2, which vertex 4
+# repeats: a cusp and a self-contact, with no edge collapsed, which the gate
+# accepts
+SPIKE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [2.0, 1.0]])
+
+
+def unit_tangent(curve):
+    """The columns (T_x, T_y) of the unit vertex tangent of a curve, by the
+    quotient walk's own expression; N = (-T_y, T_x). A cusp is refused."""
+    return h1flow.curves._tangent(*h1flow.curves._unit_edges(h.arc_data(curve)))
+
+
+def radii(state):
+    """The distances of a state's vertices from the origin."""
+    return np.linalg.norm(state.vertices, axis=1)
+
+
+def richardson_gate(fine, coarse, oracle):
+    """ac01's gate on two runs of one config, at n and at n/2 vertices (per
+    cover, for a covered circle), against a CircleSolution: at every t > 0
+    the n/2 -> n error ratio of the mean vertex radius lies in [3.9, 4.1],
+    which makes the extrapolation valid, and the Richardson value
+    (4 r_n - r_n/2) / 3 tracks the oracle's radius to 1e-6 relative at
+    every kept t."""
+    assert coarse.times == fine.times
+    worst = 0.0
+    for t, s_fine, s_coarse in zip(fine.times, fine.states, coarse.states):
+        r = oracle.radius(t)
+        r_fine, r_coarse = radii(s_fine).mean(), radii(s_coarse).mean()
+        if t > 0:
+            ratio = (r_coarse - r) / (r_fine - r)
+            assert 3.9 <= ratio <= 4.1, (t, ratio)
+        richardson = (4.0 * r_fine - r_coarse) / 3.0
+        worst = max(worst, abs(richardson - r) / r)
+    assert worst <= 1e-6
 
 
 def profile_of(traj):
@@ -164,7 +199,7 @@ def normal_sup_bound(frames):
     |h|^2_H1, summed over the frame differences. Each frame is formed once."""
     total, lmin = 0.0, math.inf
     for left, right in itertools.pairwise(frames):
-        (tx, ty), _ = h1flow.curves.frame_data(left)
+        tx, ty = unit_tangent(left)
         d = right.vertices - left.vertices
         total += np.abs(d[:, 1] * tx - d[:, 0] * ty).max()
         lmin = min(lmin, h.arc_data(left).length, h.arc_data(right).length)

@@ -21,10 +21,11 @@ WORKLOADS = {"ellipse-step": 2, "star-record": 2}
 
 def test_tree_against_itself():
     package = sys.modules.get("h1flow")
-    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, chord_blocks=8,
+    out = abstep.compare(ROOT, ROOT, sizes=(16,), blocks=8, steps=2, call_blocks=8,
                          workloads=WORKLOADS)
     assert sys.modules.get("h1flow") is package
-    assert list(out) == ["step n=16", "chord n=16", "ellipse-step", "star-record"]
+    assert list(out) == ["step n=16", "chord n=16", "record n=16", "ellipse-step",
+                         "star-record"]
     for label, s in out.items():
         assert 0.5 < s["ratio"] < 2.0
         assert s["q1"] <= s["ratio"] <= s["q3"]
@@ -41,16 +42,17 @@ def test_tree_against_itself():
 
 def test_table(capsys):
     abstep.print_table(abstep.compare(ROOT, ROOT, sizes=(16,), blocks=4, steps=1,
-                                      chord_blocks=4, workloads=dict.fromkeys(WORKLOADS, 1)),
+                                      call_blocks=4, workloads=dict.fromkeys(WORKLOADS, 1)),
                        steps=1)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload outputs: bit-equal, checks passed"
     assert lines[1].split() == ["case", "A", "B", "B/A", "q1", "q3", "B", "lower",
                                 "A", "peak", "B", "peak"]
-    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 6
-    chord = lines[3].split()
-    assert chord[:2] == ["chord", "n=16"] and chord[2].endswith("us") and len(chord) == 8
-    for line, label in zip(lines[4:], WORKLOADS):
+    assert lines[2].split()[:2] == ["step", "n=16"] and len(lines) == 7
+    for line, label in zip(lines[3:5], ("chord", "record")):
+        cells = line.split()
+        assert cells[:2] == [label, "n=16"] and cells[2].endswith("us") and len(cells) == 8
+    for line, label in zip(lines[5:], WORKLOADS):
         cells = line.split()
         assert cells[0] == label and cells[1].endswith("ms") and len(cells) == 9
         assert cells[7].endswith("MB") and cells[8].endswith("MB")
@@ -75,6 +77,15 @@ def _refused(tmp_path, min_n, workloads):
     with pytest.raises(AssertionError, match=f"different {workloads[-1]} outputs"):
         abstep.compare(ROOT, _scaled_copy(tmp_path, min_n), sizes=(),
                        workloads=dict.fromkeys(workloads, 1))
+    assert sys.modules.get("h1flow") is package
+
+
+def test_different_records_refused(tmp_path):
+    # a record's gradient norm is the velocity's: the copy's records differ
+    package = sys.modules.get("h1flow")
+    with pytest.raises(AssertionError, match="different records at n=16"):
+        abstep.compare(ROOT, _scaled_copy(tmp_path, 0), sizes=(16,), blocks=1, steps=1,
+                       call_blocks=1, workloads={})
     assert sys.modules.get("h1flow") is package
 
 

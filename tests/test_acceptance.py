@@ -11,16 +11,13 @@ import numpy as np
 import pytest
 
 import h1flow as h
-
-
-def _radii(state):
-    return np.linalg.norm(state.vertices, axis=1)
+from conftest import radii, richardson_gate
 
 
 def test_ac01_circle_oracle_euler(circle_t2, unit_circle_oracle):
     traj, elapsed = circle_t2
     for t, state in zip(traj.times, traj.states):
-        r = _radii(state)
+        r = radii(state)
         oracle = unit_circle_oracle.radius(t)
         assert abs(r.mean() - oracle) / oracle <= 5e-3
         assert np.ptp(r) / r.mean() <= 1e-6  # stays a round circle
@@ -34,22 +31,11 @@ def test_ac01_circle_oracle_rk4(circle_rk4_t2, circle_rk4_t2_n128,
     # (1) the n=128 -> 256 error ratio is 4 at every t > 0, which is what
     #     makes the extrapolation valid; (2) the Richardson value
     #     (4 r_256 - r_128)/3 then tracks the Lambert-W radius to 1e-6.
-    fine, coarse = circle_rk4_t2, circle_rk4_t2_n128
-    assert coarse.times == fine.times
-    worst = 0.0
-    for t, s_fine, s_coarse in zip(fine.times, fine.states, coarse.states):
-        oracle = unit_circle_oracle.radius(t)
-        r_fine, r_coarse = _radii(s_fine).mean(), _radii(s_coarse).mean()
-        if t > 0:
-            ratio = (r_coarse - oracle) / (r_fine - oracle)
-            assert 3.9 <= ratio <= 4.1, (t, ratio)
-        richardson = (4.0 * r_fine - r_coarse) / 3.0
-        worst = max(worst, abs(richardson - oracle) / oracle)
-    assert worst <= 1e-6
+    richardson_gate(circle_rk4_t2, circle_rk4_t2_n128, unit_circle_oracle)
 
 
 def test_ac02_backward_eternal(circle_back, unit_circle_oracle):
-    final = _radii(circle_back.states[-1]).mean()
+    final = radii(circle_back.states[-1]).mean()
     oracle = unit_circle_oracle.radius(-1.0)
     assert abs(final - oracle) / oracle <= 5e-3
     first, last = circle_back.records[0], circle_back.records[-1]
@@ -107,7 +93,7 @@ def test_ac05_monotonicity_suite(square_trajs, barbell_traj):
     for traj in (*square_trajs.values(), barbell_traj):
         report = h.monotonicity_report(traj)  # slack 1e-6
         assert {v.name for v in report.verdicts} == {"length", "linf", "xu_l2", "l2ds"}
-        assert report.all_passed
+        assert all(v.passed for v in report.verdicts)
 
 
 def test_ac06_energy_identity(ellipse_short):

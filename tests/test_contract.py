@@ -163,7 +163,8 @@ def test_explicit_table_stays_read_only(how):
 
 
 def _framed():
-    # turning filled by frame_data rather than by the cached property
+    # turning first read by the record's curvature, frame_data, rather than
+    # directly
     ad = h.arc_data(_star())
     h.curves.frame_data(ad)
     ad.s

@@ -10,7 +10,7 @@ import pytest
 
 import h1flow as h
 import h1flow.curves
-from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL
+from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL, unit_tangent
 from h1flow.curves import _diff, _dot, _next, _norm, _prev
 from h1flow.errors import DegenerateCurve
 
@@ -342,14 +342,15 @@ class TestArea:
 
 
 def curvature(c):
-    return h1flow.curves.frame_data(c)[1]
+    return h1flow.curves.frame_data(c)
 
 
 class TestFrames:
     def test_circle_tangent_normal_curvature(self):
         n, r = 256, 2.0
         c = h.circle(r, n)
-        (tx, ty), k = h1flow.curves.frame_data(c)
+        tx, ty = unit_tangent(c)
+        k = curvature(c)
         tangent = np.stack([tx, ty], axis=1)
         # tangents are unit and orthogonal to the radius
         norms_t = np.linalg.norm(tangent, axis=1)
@@ -370,10 +371,13 @@ class TestFrames:
         assert curvature(rev).max() < 0
 
     def test_cusp_rejected(self):
-        # middle vertex has anti-parallel adjacent edges
+        # the end vertices turn back along their incoming edges: the unit
+        # tangent, which only a quotient path's normals need, refuses them,
+        # while the curvature is the turning angle pi over ds = 1.5 there
         c = h.PolyCurve(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-        with pytest.raises(DegenerateCurve):
-            h1flow.curves.frame_data(c)
+        with pytest.raises(DegenerateCurve, match="cusp vertex"):
+            unit_tangent(c)
+        assert np.abs(curvature(c)).tolist() == [math.pi / 1.5, 0.0, math.pi / 1.5]
 
     def test_turning_angles_sum_to_winding(self):
         # the turning angle at vertex i is k_i ds_i

@@ -8,7 +8,8 @@ import pytest
 
 import h1flow as h
 import h1flow.curves
-from conftest import AT_RANGE, RANGE_REFUSAL
+import h1flow.paths
+from conftest import AT_RANGE, RANGE_REFUSAL, SPIKE
 
 
 class TestRecord:
@@ -93,9 +94,9 @@ class TestEmbeddedness:
 class TestTurningOnce:
     @pytest.mark.parametrize("n", [h1flow.curves._CHORD_PRUNE, 2048])
     def test_turning_angles_formed_once_per_record(self, monkeypatch, n):
-        # frame_data forms the angles with the curvature and keeps them on
-        # the measured curve, where the pruned chord-arc monitor reads them;
-        # the monitor on a curve of its own forms them, to the same minimum
+        # the measured curve forms the angles once, where the record's
+        # curvature and the pruned chord-arc monitor read them; the monitor
+        # on a curve of its own forms them, to the same minimum
         calls = []
         original = h1flow.curves._turning
         monkeypatch.setattr(h1flow.curves, "_turning",
@@ -108,11 +109,50 @@ class TestTurningOnce:
 
     def test_kept_angles_are_those_of_the_unit_edges(self):
         ad = h.arc_data(h.star(1.0, 0.3, 5, 512))
-        k = h1flow.curves.frame_data(ad)[1]
+        k = h1flow.curves.frame_data(ad)
         want = h1flow.curves._turning(*h1flow.curves._unit_edges(ad))
         assert ad.turning.tobytes() == want.tobytes()
         assert k.tobytes() == (want / ad.ds).tobytes()
         assert h.arc_data(h.star(1.0, 0.3, 5, 512)).turning.tobytes() == want.tobytes()
+
+
+class TestOneGate:
+    # a record and a run refuse only what arc_data refuses: the cusp has a
+    # curvature, pi over its ds of 1, and no refusal; only a quotient
+    # path's normals need the unit tangent that refuses it (see
+    # test_paths' test_cusp_fails_only_the_quotient_length)
+    def test_record_and_run_accept_the_cusp(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad = h.arc_data(SPIKE)
+            rec = h.record(ad, 0.0)
+            traj = h.run_flow(h.PolyCurve(SPIKE),
+                              h.FlowConfig(dt=0.01, t1=0.05, method="rk4"))
+        k = np.abs(h1flow.curves.frame_data(ad))
+        assert int(np.argmax(k)) == 3 and ad.ds[3] == 1.0
+        assert rec.max_abs_k == k[3] == math.pi
+        assert rec.chord_arc_min == 0.0
+        assert traj.termination is h.Termination.COMPLETED and len(traj.records) == 6
+        assert traj.records[0] == rec
+
+    def test_only_a_quotient_walk_forms_the_tangent(self, monkeypatch):
+        # a record forms no unit tangent; a quotient walk of m frames forms
+        # one per left frame
+        calls = []
+        original = h1flow.curves._tangent
+
+        def counted(*columns):
+            calls.append(1)
+            return original(*columns)
+
+        for module in (h1flow.curves, h1flow.paths):
+            monkeypatch.setattr(module, "_tangent", counted)
+        h.record(h.star(1.0, 0.3, 5, 512), 0.0)
+        assert calls == []
+        m = 9
+        path = h.shrink_path(h.star(1.0, 0.3, 5, 64), 0.5, m)
+        h.path_length_l2ds(h.as_mode(path, "quotient"))
+        assert len(calls) == m - 1
 
 
 class TestOverflowingSquares:
@@ -178,9 +218,10 @@ class TestMonotonicityReport:
     def test_clean_shrinking_run(self, circle_t2):
         traj, _ = circle_t2
         rep = h.monotonicity_report(traj)
-        assert rep.all_passed
+        assert all(v.passed for v in rep.verdicts)
+        by_name = {v.name: v for v in rep.verdicts}
         for name in ("length", "linf", "xu_l2", "l2ds"):
-            v = rep.verdict(name)
+            v = by_name[name]
             assert v.passed
             assert v.worst_violation == 0.0
         assert rep.deficit_sup_ratio >= 1.0
@@ -190,8 +231,8 @@ class TestMonotonicityReport:
         r0 = h.record(h.circle(1.0, 64), 0.0)
         r1 = h.record(h.circle(1.1, 64), 1.0)  # grew: every monitor rises
         rep = h.monotonicity_report([r0, r1])
-        assert not rep.all_passed
-        v = rep.verdict("length")
+        assert not all(v.passed for v in rep.verdicts)
+        v = {v.name: v for v in rep.verdicts}["length"]
         assert not v.passed
         assert v.worst_violation > 0.0
         assert v.worst_index == 1
@@ -201,21 +242,16 @@ class TestMonotonicityReport:
         r0 = h.record(h.circle(1.0, 64), 0.0)
         for rise, passed in ((5e-7, True), (2e-6, False)):
             r1 = dataclasses.replace(r0, t=1.0, length=r0.length + rise)
-            v = h.monotonicity_report([r0, r1]).verdict("length")
+            v = {v.name: v for v in h.monotonicity_report([r0, r1]).verdicts}["length"]
             assert v.passed is passed
             assert v.worst_violation == pytest.approx(rise)
 
     def test_accepts_plain_record_list(self, circle_t2):
         traj, _ = circle_t2
         rep = h.monotonicity_report(list(traj.records))
-        assert rep.all_passed
+        assert all(v.passed for v in rep.verdicts)
 
     def test_too_few_records_rejected(self):
         r0 = h.record(h.circle(1.0, 64), 0.0)
         with pytest.raises(ValueError):
             h.monotonicity_report([r0])
-
-    def test_unknown_verdict_name(self, circle_t2):
-        traj, _ = circle_t2
-        with pytest.raises(KeyError):
-            h.monotonicity_report(traj).verdict("area")

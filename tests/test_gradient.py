@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import h1flow as h
-import h1flow.curves
-from conftest import RANGE_REFUSAL
+from conftest import RANGE_REFUSAL, unit_tangent
 from h1flow.errors import DegenerateCurve
 
 
@@ -227,7 +226,7 @@ class TestFlowVelocity:
         # max_i |sum_j T_j G_ij ds_j| <= L^2 / 2
         for c in corpus():
             ad = h.arc_data(c)
-            T = np.stack(h1flow.curves.frame_data(c)[0], axis=1)
+            T = np.stack(unit_tangent(c), axis=1)
             conv = (h.kernel_matrix(c) * ad.ds[None, :]) @ T
             mx = np.linalg.norm(conv, axis=1).max()
             assert mx <= (ad.length**2 / 2) * (1 + 1e-6)

@@ -14,7 +14,7 @@ import pytest
 import h1flow as h
 import h1flow.curves
 import h1flow.paths
-from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL
+from conftest import AT_RANGE, BELOW_RANGE, RANGE_REFUSAL, SPIKE, unit_tangent
 from h1flow.curves import _dot, _l2ds_term, _owned, _tangent, _unit_edges
 from h1flow.errors import DegenerateCurve, UsageError
 from h1flow.paths import MODES, _schedule_weights
@@ -46,17 +46,18 @@ def jittered_polygon(n=64, seed=18):
     return h.PolyCurve(np.c_[r * np.cos(th) + 1.5, r * np.sin(th)])
 
 
-def quotient_length_via_frame_data(path):
+def quotient_length_via_normals(path):
     """The quotient path length with the normals N = (-T_y, T_x) of the
-    tangent of frame_data: the reference for path_length_l2ds, which takes
-    the same normals without computing the curvature."""
+    unit tangent, stacked and dotted with the difference quotient: the
+    reference for path_length_l2ds, which forms <dX, N>^2 from the same
+    tangent's columns with no division by dt."""
     m = len(path.frames)
     dt = 1.0 / (m - 1)
     total = 0.0
     for k in range(m - 1):
         left = h.arc_data(path.frames[k])
         v = (path.frames[k + 1].vertices - left.vertices) / dt
-        (tx, ty), _ = h1flow.curves.frame_data(left)
+        tx, ty = unit_tangent(left)
         vn = np.einsum("ij,ij->i", v, np.stack([-ty, tx], axis=1))
         total += np.sqrt(float((vn * vn * left.ds).sum())) * dt
     return float(total)
@@ -240,14 +241,13 @@ class TestPathLength:
         lambda: h.zigzag_path(translation_path(n=64, frames=9), 2),
         lambda: h.shrink_path(jittered_polygon(), 0.5, 9),
     ], ids=["translation", "shrink", "reparam", "zigzag", "jittered-shrink"])
-    def test_quotient_normals_are_those_of_frame_data(self, make):
+    def test_quotient_normals_are_those_of_the_tangent(self, make):
         path = h.as_mode(make(), "quotient")
-        assert h.path_length_l2ds(path) == quotient_length_via_frame_data(path)
+        assert h.path_length_l2ds(path) == quotient_length_via_normals(path)
 
     def test_quotient_cusp_rejected(self):
         # vertex 3 of the left frame turns back along its incoming edge
-        spike = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [2.0, 1.0]])
-        path = h.CurvePath(frames=(h.PolyCurve(spike), h.PolyCurve(0.5 * spike)),
+        path = h.CurvePath(frames=(h.PolyCurve(SPIKE), h.PolyCurve(0.5 * SPIKE)),
                            mode="quotient")
         with pytest.raises(DegenerateCurve, match="^cusp vertex"):
             h.path_length_l2ds(path)
@@ -535,8 +535,6 @@ GENERATED = {
     "zigzag": lambda: h.zigzag_path(translation_path(n=64, frames=9), 2),
     "jittered-shrink": lambda: h.shrink_path(jittered_polygon(), 0.5, 9),
 }
-# vertex 3 turns back along its incoming edge: a cusp in every frame
-SPIKE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [2.0, 1.0]])
 
 
 class TestGeneratedFrames:

@@ -18,14 +18,19 @@ the 1st, 3rd, ... block and B in the others:
 - 60 blocks per n = 64, 512 and 2048, each one chord_arc_min call on a
   measured circle of radius 1, after asserting that both trees return the
   same (value, i, j) on it;
+- 60 blocks per n = 64, 512 and 2048, each one record of a star(1, 0.3,
+  5, n) measured before the clock starts, afresh for every block, so that
+  no cached arclength or turning angle carries over from an earlier
+  block, after asserting that both trees give the same repr of a record
+  of such a state;
 - per workload, 40 blocks of ellipse-step or star-record, or 20 of
   circle-small or zigzag-paths, each one run of the workload.
 For each it prints the median of the per-block ratios B / A, their
 quartiles, and the share of blocks in which B took less time. A ratio
-below 1 means B is faster. Step and monitor times are the medians over
-blocks. After its timing, each workload runs once more in each tree under
-tracemalloc, and the table gives that run's traced peak in MB, the most
-memory it held at once of what it allocated.
+below 1 means B is faster. Step, monitor and record times are the
+medians over blocks. After its timing, each workload runs once more in
+each tree under tracemalloc, and the table gives that run's traced peak
+in MB, the most memory it held at once of what it allocated.
 
     python3 tools/abstep.py PARENT CHANGE --pairs N --workload W [--seconds S] --out BENCH_k.json
 
@@ -61,7 +66,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SIZES, BLOCKS, STEPS, CHORD_BLOCKS = (64, 512, 2048), 300, 10, 60
+# the step blocks per n, the steps per block, and the blocks per n of one
+# monitor call or one record
+SIZES, BLOCKS, STEPS, CALL_BLOCKS = (64, 512, 2048), 300, 10, 60
 WORKLOAD_BLOCKS = {"ellipse-step": 40, "star-record": 40, "circle-small": 20, "zigzag-paths": 20}
 REPO = Path(__file__).resolve().parents[1]
 WORKLOADS_PY = REPO / "benchmarks" / "workloads.py"
@@ -148,6 +155,14 @@ def monitor(h, n):
     return lambda: h.chord_arc_min(ad)
 
 
+def recorder(h, n, calls):
+    """A callable that records, at each of `calls` calls, its own state of
+    star(1, 0.3, 5, n), all measured before the first call."""
+    c = h.star(1.0, 0.3, 5, n)
+    states = iter([h.arc_data(c) for _ in range(calls)])
+    return lambda: h.record(next(states), 0.0)
+
+
 def interleave(run_a, run_b, blocks):
     """Per-block wall times of run_a and run_b, alternating which goes first."""
     ta, tb = [], []
@@ -179,14 +194,14 @@ def summarise(ta, tb):
             "a_s": statistics.median(ta), "b_s": statistics.median(tb)}
 
 
-def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, chord_blocks=CHORD_BLOCKS,
+def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, call_blocks=CALL_BLOCKS,
             workloads=WORKLOAD_BLOCKS):
     """Assert that both trees pass the checks of the named workloads with
     bit-equal outputs, in the order given, then time the two trees; returns
-    {label: summary} with labels "step n=N", "chord n=N" and the workload
-    names, each timed in as many blocks as `workloads` maps it to and then
-    traced once per tree, its summary with the peaks a_peak_mb and
-    b_peak_mb."""
+    {label: summary} with labels "step n=N", "chord n=N", "record n=N" and
+    the workload names, each workload timed in as many blocks as
+    `workloads` maps it to and then traced once per tree, its summary with
+    the peaks a_peak_mb and b_peak_mb."""
     ha, hb = load(root_a, "h1flow_a"), load(root_b, "h1flow_b")
     wa, wb = load_workloads(ha), load_workloads(hb)
     runs = {}
@@ -203,7 +218,13 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, chord_block
         run_a, run_b = monitor(ha, n), monitor(hb, n)
         if repr(run_a()) != repr(run_b()):
             raise AssertionError(f"the two trees give different chord-arc minima at n={n}")
-        out[f"chord n={n}"] = summarise(*interleave(run_a, run_b, chord_blocks))
+        out[f"chord n={n}"] = summarise(*interleave(run_a, run_b, call_blocks))
+    for n in sizes:
+        # one state more than the blocks, for the check
+        run_a, run_b = recorder(ha, n, call_blocks + 1), recorder(hb, n, call_blocks + 1)
+        if repr(run_a()) != repr(run_b()):
+            raise AssertionError(f"the two trees give different records at n={n}")
+        out[f"record n={n}"] = summarise(*interleave(run_a, run_b, call_blocks))
     for name, (run_a, run_b) in runs.items():
         out[name] = summarise(*interleave(run_a, run_b, workloads[name]))
         out[name].update(a_peak_mb=traced_peak_mb(run_a), b_peak_mb=traced_peak_mb(run_b))
@@ -211,15 +232,15 @@ def compare(root_a, root_b, sizes=SIZES, blocks=BLOCKS, steps=STEPS, chord_block
 
 
 def print_table(out, steps=STEPS) -> None:
-    """The summaries of compare, a step (out of blocks of `steps` steps) and
-    a monitor call in microseconds, a workload run in milliseconds with
-    its traced peaks in MB."""
+    """The summaries of compare, a step (out of blocks of `steps` steps), a
+    monitor call and a record in microseconds, a workload run in
+    milliseconds with its traced peaks in MB."""
     print("workload outputs: bit-equal, checks passed")
     print(f"{'case':14} {'A':>10} {'B':>10} {'B/A':>7} {'q1':>7} {'q3':>7} {'B lower':>8}"
           f" {'A peak':>9} {'B peak':>9}")
     for label, s in out.items():
-        scale, unit = {"step": (1e6 / steps, "us"),
-                       "chord": (1e6, "us")}.get(label.split()[0], (1e3, "ms"))
+        scale, unit = {"step": (1e6 / steps, "us"), "chord": (1e6, "us"),
+                       "record": (1e6, "us")}.get(label.split()[0], (1e3, "ms"))
         peaks = (f" {s['a_peak_mb']:7.1f}MB {s['b_peak_mb']:7.1f}MB"
                  if "a_peak_mb" in s else "")
         print(f"{label:14} {scale * s['a_s']:8.1f}{unit} {scale * s['b_s']:8.1f}{unit} "

@@ -261,7 +261,8 @@ def reference_scalars() -> dict:
     for label, c in curves.items():
         v, w = rng.standard_normal((c.n, 2)), rng.standard_normal((c.n, 2))
         ad = h.arc_data(c)
-        (tx, ty), k = h.curves.frame_data(c)
+        tx, ty = h.curves._tangent(*h.curves._unit_edges(ad))
+        k = h.curves.frame_data(c)
         vel = h.flow_velocity(c)
         emb = h.embeddedness_condition(c)
         values = {
